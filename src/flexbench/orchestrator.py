@@ -34,13 +34,23 @@ from .geb import (EventWindow, GebController, SlowControllerHarness,
                   SupervisorySetpoints, signal_value)
 from .occupants import (ActionType, EffectConfig, NearOccupantSurrogate,
                         OccupantAgent, Population)
-from .plant import (AppliedSetpoints, DischargeAir, HvacUnit, OutdoorEmulator,
-                    PlantSim, ZoneEmulator)
+from .plant import (AppliedSetpoints, HvacUnit, OutdoorEmulator, PlantSim,
+                    ZoneEmulator)
 from .psychro import w_from_rh
 from .streams import COMM_DOMAIN, substream
 
 COMPUTE_FLOOR_MS = 1
 PACING_TOL_S = 0.05
+
+
+# Units of the plant measurements, and the internals logged only on request.
+PLANT_UNITS = {"t_dis": "C", "rh_dis": "%", "m_dot": "kg/s", "t_zone_emu": "C",
+               "rh_zone_emu": "%", "t_out": "C", "rh_out": "%",
+               "load_sensible": "W", "load_latent": "W", "q_heater": "W",
+               "q_cooling": "W", "m_humidifier": "kg/s", "q_hvac": "W",
+               "t_zone_spt": "C", "rh_zone_spt": "%", "t_out_spt": "C",
+               "t_cool_spt": "C", "t_heat_spt": "C"}
+PLANT_INTERNALS = frozenset({"q_heater", "q_cooling", "m_humidifier", "q_hvac"})
 
 
 class EngineError(Exception):
@@ -109,7 +119,9 @@ class Engine:
                               b["t_init_c"], b["rh_init_pct"])
         self.weather = self._build_weather(b["weather"], base_dir)
         self.weather.ensure_coverage((self.horizon - 1) * self.step_size)
-        self.gains_bp = b["internal_gains_w"]  # float or [[t, w], ...]
+        gains = b["internal_gains_w"]  # float or [[t, w], ...]
+        self.gains_bp = [tuple(p) for p in gains] if isinstance(gains, list) \
+            else float(gains)
 
         o = cfg["occupants"]
         fx = EffectConfig(**o["effects"])
@@ -232,8 +244,8 @@ class Engine:
 
     def internal_gains_at(self, t_s: float) -> float:
         if isinstance(self.gains_bp, list):
-            return signal_value([tuple(p) for p in self.gains_bp], t_s)
-        return float(self.gains_bp)
+            return signal_value(self.gains_bp, t_s)
+        return self.gains_bp
 
     def step_once(self) -> None:
         n = self._step
@@ -249,7 +261,8 @@ class Engine:
         meas = self.plant.measure()
         self._publish_plant(n, meas, send_ms)
         self.store.producer_done("plant", n)
-        discharge = DischargeAir(meas["t_dis"], meas["rh_dis"], meas["m_dot"])
+        # the state measure() just read, humidity as w; RH only for occupants
+        discharge = self.plant.hvac.discharge()
 
         # simulate: occupants react to the previous zone state, then the zone
         # advances, then the supervisor produces this step's setpoints
@@ -315,17 +328,10 @@ class Engine:
 
     def _publish_plant(self, n: int, meas: dict, send_ms: int) -> None:
         E = Source.EMULATED
-        units = {"t_dis": "C", "rh_dis": "%", "m_dot": "kg/s", "t_zone_emu": "C",
-                 "rh_zone_emu": "%", "t_out": "C", "rh_out": "%",
-                 "load_sensible": "W", "load_latent": "W", "q_heater": "W",
-                 "q_cooling": "W", "m_humidifier": "kg/s", "q_hvac": "W",
-                 "t_zone_spt": "C", "rh_zone_spt": "%", "t_out_spt": "C",
-                 "t_cool_spt": "C", "t_heat_spt": "C"}
-        internals = {"q_heater", "q_cooling", "m_humidifier", "q_hvac"}
         for name, value in meas.items():
-            if name in internals and not self.plant_internals:
+            if name in PLANT_INTERNALS and not self.plant_internals:
                 continue
-            self._put(f"plant.{name}", E, units[name], n, value, send_ms)
+            self._put(f"plant.{name}", E, PLANT_UNITS[name], n, value, send_ms)
 
     def _supervise(self, n: int, t_s: float,
                    occ_delta: float) -> tuple[SupervisorySetpoints, list[str]]:

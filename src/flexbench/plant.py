@@ -6,27 +6,37 @@ simulated results), runs its local control loops at a finer internal rate, and
 integrates each air-node energy balance with the exact zero-order-hold
 exponential update so trajectories are independent of substep choice for
 constant inputs.
+
+Humidity is carried as humidity ratio end to end; relative humidity appears
+only in measure() and, for the occupants, in DischargeAir.rh_pct.  Decay
+factors depend only on the substep, so advance() computes them once per call
+and hands them to each component's step().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .psychro import CP_AIR, H_FG, rh_from_w, w_from_rh, w_sat
 
 
 @dataclass
 class DischargeAir:
-    """Supply air delivered by the HVAC unit to the zone emulator."""
+    """Supply air delivered by the HVAC unit: dry bulb, humidity ratio, flow.
+
+    Humidity travels as w end to end, so the zone consumes it unchanged.  RH
+    exists only for the occupants: rh_pct is derived on first read and kept,
+    so one exchange step converts at most once."""
 
     t_c: float
-    rh_pct: float
+    w: float
     m_dot_kg_s: float
 
-    @property
-    def w(self) -> float:
-        return w_from_rh(self.t_c, self.rh_pct)
+    @cached_property
+    def rh_pct(self) -> float:
+        return rh_from_w(self.t_c, self.w)
 
 
 class PidController:
@@ -78,29 +88,19 @@ class PidController:
         self.last_command = min(max(u, self.out_min), self.out_max)
         return self.last_command
 
-    def bleed(self, dt: float, tau_s: float) -> None:
-        # Capacity release inside a control deadband: decay the integral so a
-        # raised setpoint actually sheds output instead of freezing it.
-        if tau_s > 0:
-            self.integral *= math.exp(-dt / tau_s)
-
-
-@dataclass
-class EmulatorDiagnostics:
-    q_heater_w: float = 0.0
-    q_cooling_w: float = 0.0
-    m_humidifier_kg_s: float = 0.0
-    coil_energy_j: float = 0.0
-    discharge_energy_j: float = 0.0
-    saturated: bool = False
+    def bleed(self, factor: float) -> None:
+        # Capacity release inside a control deadband: decay the integral by
+        # exp(-dt/tau) so a raised setpoint actually sheds output instead of
+        # freezing it.
+        self.integral *= factor
 
 
 class ZoneEmulator:
     """Air node with heater/cooling coils and humidifier tracking a zone target.
 
     The energy balance c_emu * dT/dt = q_coil + m_dot*cp*(t_dis - T) is
-    integrated exactly for piecewise-constant inputs.  With ideal=True the
-    node snaps to its target each step (instant actuator idealization).
+    integrated exactly for piecewise-constant inputs; decay() gives the
+    thermal and moisture factors of one substep.
     """
 
     def __init__(self, c_emu_j_per_k: float = 50000.0, air_mass_kg: float = 60.0,
@@ -109,16 +109,11 @@ class ZoneEmulator:
                  kp_w_per_k: float = 800.0, ki_w_per_k_s: float = 4.0,
                  kd_w_s_per_k: float = 0.0,
                  hum_kp: float = 0.05, hum_ki: float = 0.002,
-                 t_init_c: float = 22.0, rh_init_pct: float = 50.0,
-                 ideal: bool = False):
+                 t_init_c: float = 22.0, rh_init_pct: float = 50.0):
         if not (c_emu_j_per_k > 0) or not (air_mass_kg > 0):
             raise ValueError("thermal and moisture capacitances must be positive")
         self.c = c_emu_j_per_k
         self.m_air = air_mass_kg
-        self.heater_max = heater_w_max
-        self.cooling_max = cooling_w_max
-        self.hum_max = humidifier_kg_s_max
-        self.ideal = ideal
         self.t = t_init_c
         self.w = w_from_rh(t_init_c, rh_init_pct)
         self.coil_pid = PidController(kp_w_per_k, ki_w_per_k_s, kd_w_s_per_k,
@@ -130,44 +125,29 @@ class ZoneEmulator:
     def rh(self) -> float:
         return rh_from_w(self.t, self.w)
 
-    def step(self, target_t: float, target_w: float, discharge: DischargeAir,
-             dt: float) -> EmulatorDiagnostics:
-        d = EmulatorDiagnostics()
-        if self.ideal:
-            self.t = target_t
-            self.w = target_w
-            return d
+    def decay(self, m: float, dt: float) -> tuple[float, float]:
+        """Thermal and moisture decay factors of one dt-long substep at flow m."""
+        if not m > 0:
+            return 1.0, 1.0  # pure integrator: step() does not use them
+        return math.exp(-dt / (self.c / (m * CP_AIR))), math.exp(-m * dt / self.m_air)
 
+    def step(self, target_t: float, target_w: float, t_dis: float, w_dis: float,
+             m: float, dt: float, k_t: float, k_w: float) -> tuple[float, float]:
+        """Advance one substep under discharge (t_dis, w_dis, m) with the
+        factors decay(m, dt).  Returns the coil power (W, heating positive)
+        and the humidifier flow (kg/s)."""
         q = self.coil_pid.step(target_t, self.t, dt)
         u_hum = self.hum_pid.step(target_w, self.w, dt)
-        d.q_heater_w = max(q, 0.0)
-        d.q_cooling_w = max(-q, 0.0)
-        d.m_humidifier_kg_s = u_hum
-        d.saturated = q >= self.heater_max or q <= -self.cooling_max
-
-        m = discharge.m_dot_kg_s
-        t0 = self.t
         if m > 0:
-            tau = self.c / (m * CP_AIR)
-            t_eq = discharge.t_c + q / (m * CP_AIR)
-            self.t = t_eq + (t0 - t_eq) * math.exp(-dt / tau)
-            w_eq = discharge.w + u_hum / m
-            self.w = w_eq + (self.w - w_eq) * math.exp(-m * dt / self.m_air)
+            t_eq = t_dis + q / (m * CP_AIR)
+            self.t = t_eq + (self.t - t_eq) * k_t
+            w_eq = w_dis + u_hum / m
+            self.w = w_eq + (self.w - w_eq) * k_w
         else:
-            self.t = t0 + q * dt / self.c
+            self.t = self.t + q * dt / self.c
             self.w = self.w + u_hum * dt / self.m_air
         self.w = max(0.0, self.w)
-
-        d.coil_energy_j = q * dt
-        d.discharge_energy_j = self.c * (self.t - t0) - q * dt
-        return d
-
-
-@dataclass
-class HvacDiagnostics:
-    q_cmd_w: float = 0.0
-    stale_hold: bool = False
-    clamped: bool = False
+        return q, u_hum
 
 
 class HvacUnit:
@@ -208,16 +188,22 @@ class HvacUnit:
         return rh_from_w(self.t_dis, self.w_dis)
 
     def discharge(self) -> DischargeAir:
-        return DischargeAir(self.t_dis, self.rh_dis, self.m_dot)
+        return DischargeAir(self.t_dis, self.w_dis, self.m_dot)
+
+    def decay(self, dt: float) -> tuple[float, float]:
+        """Discharge-lag and deadband-bleed factors of one dt-long substep."""
+        return (math.exp(-dt / self.tau_dis) if self.tau_dis > 0 else 0.0,
+                math.exp(-dt / self.bleed_tau) if self.bleed_tau > 0 else 1.0)
 
     def step(self, pv_t: float, pv_w: float, cool_spt: float, heat_spt: float,
-             dt: float, dis_spt: float | None = None) -> HvacDiagnostics:
-        diag = HvacDiagnostics()
+             dt: float, k_dis: float, k_bleed: float,
+             dis_spt: float | None = None) -> tuple[float, bool]:
+        """One control substep with the factors decay(dt).  Returns the
+        capacity command (W) and whether the discharge target was clamped."""
         if not (math.isfinite(pv_t) and math.isfinite(pv_w)):
             # Software outage in method2: hold the last discharge condition.
             self.stale_holds += 1
-            diag.stale_hold = True
-            return diag
+            return 0.0, False
 
         if pv_t > cool_spt:
             err = cool_spt - pv_t          # negative -> cooling
@@ -225,9 +211,8 @@ class HvacUnit:
             err = heat_spt - pv_t          # positive -> heating
         else:
             err = 0.0
-            self.pid.bleed(dt, self.bleed_tau)
+            self.pid.bleed(k_bleed)
         q = self.pid.step(err, 0.0, dt)
-        diag.q_cmd_w = q
 
         if dis_spt is not None:
             target = dis_spt
@@ -236,18 +221,17 @@ class HvacUnit:
         else:
             target = pv_t
         clamped = min(max(target, self.t_dis_min), self.t_dis_max)
-        diag.clamped = clamped != target
 
         if self.tau_dis > 0:
-            k = math.exp(-dt / self.tau_dis)
-            self.t_dis = clamped + (self.t_dis - clamped) * k
+            self.t_dis = clamped + (self.t_dis - clamped) * k_dis
             w_target = min(pv_w, w_sat(clamped))
-            self.w_dis = w_target + (self.w_dis - w_target) * k
+            self.w_dis = min(w_target + (self.w_dis - w_target) * k_dis,
+                             w_sat(self.t_dis))
         else:
+            # t_dis == clamped, so the target is already below saturation.
             self.t_dis = clamped
             self.w_dis = min(pv_w, w_sat(clamped))
-        self.w_dis = min(self.w_dis, w_sat(self.t_dis))
-        return diag
+        return q, clamped != target
 
 
 @dataclass
@@ -285,19 +269,24 @@ class OutdoorEmulator:
         self.t = min(max(t_init_c, self.env["t_min"]), self.env["t_max"])
         self.rh = rh_init_pct if kind == "air" else 0.0
 
-    def _track(self, value: float, target: float, dt: float) -> float:
+    def decay(self, dt: float) -> float:
+        """Tracking factor exp(-dt/tau) of one dt-long substep."""
+        return math.exp(-dt / self.tau) if self.tau > 0 else 0.0
+
+    def _track(self, value: float, target: float, k: float) -> float:
         if self.tau <= 0:
             return target
-        return target + (value - target) * math.exp(-dt / self.tau)
+        return target + (value - target) * k
 
-    def step(self, target_t: float, target_rh: float, dt: float) -> list[LimitationEvent]:
+    def step(self, target_t: float, target_rh: float, k: float) -> list[LimitationEvent]:
+        """Track the targets over one substep with the factor decay(dt)."""
         events = []
-        raw_t = self._track(self.t, target_t, dt)
+        raw_t = self._track(self.t, target_t, k)
         self.t = min(max(raw_t, self.env["t_min"]), self.env["t_max"])
         if self.t != raw_t:
             events.append(LimitationEvent(f"{self.kind}_t", raw_t, self.t))
         if self.kind == "air":
-            raw_rh = self._track(self.rh, target_rh, dt)
+            raw_rh = self._track(self.rh, target_rh, k)
             self.rh = min(max(raw_rh, self.env["rh_min"]), self.env["rh_max"])
             if self.rh != raw_rh:
                 events.append(LimitationEvent("air_rh", raw_rh, self.rh))
@@ -337,13 +326,13 @@ class PlantSim:
         self.control_dt = control_dt_s
         self.ideal = ideal_actuators
         if ideal_actuators:
-            self.emulator.ideal = True
             self.hvac.tau_dis = 0.0
             self.outdoor.tau = 0.0
         self.limitation_events: list[LimitationEvent] = []
         self.clamp_count = 0
         self.stale_count = 0
-        self.last_diag = EmulatorDiagnostics()
+        # Emulator coil/humidifier output and HVAC command of the last substep.
+        self.last_q_heater = self.last_q_cooling = self.last_m_hum = 0.0
         self.last_q_cmd = 0.0
 
     def measure(self) -> dict[str, float]:
@@ -359,9 +348,9 @@ class PlantSim:
             "t_out": out.t,
             "load_sensible": hv.m_dot * CP_AIR * (emu.t - hv.t_dis),
             "load_latent": hv.m_dot * H_FG * (emu.w - hv.w_dis),
-            "q_heater": self.last_diag.q_heater_w,
-            "q_cooling": self.last_diag.q_cooling_w,
-            "m_humidifier": self.last_diag.m_humidifier_kg_s,
+            "q_heater": self.last_q_heater,
+            "q_cooling": self.last_q_cooling,
+            "m_humidifier": self.last_m_hum,
             "q_hvac": self.last_q_cmd,
             # Setpoints in effect while this state developed.
             "t_zone_spt": sp.zone_t,
@@ -384,29 +373,36 @@ class PlantSim:
         return True
 
     def advance(self, dt: float) -> None:
-        sp = self.applied
+        sp, hvac, emu, out = self.applied, self.hvac, self.emulator, self.outdoor
+        events = self.limitation_events
         if self.ideal:
-            self.emulator.t = sp.zone_t
-            self.emulator.w = sp.zone_w
-            self.hvac.t_dis = min(max(sp.zone_t, self.hvac.t_dis_min), self.hvac.t_dis_max)
-            self.hvac.w_dis = min(sp.zone_w, w_sat(self.hvac.t_dis))
-            self.limitation_events.extend(self.outdoor.step(sp.out_t, sp.out_rh, dt))
+            emu.t = sp.zone_t
+            emu.w = sp.zone_w
+            hvac.t_dis = min(max(sp.zone_t, hvac.t_dis_min), hvac.t_dis_max)
+            hvac.w_dis = min(sp.zone_w, w_sat(hvac.t_dis))
+            events.extend(out.step(sp.out_t, sp.out_rh, out.decay(dt)))
             return
         n = max(1, math.ceil(dt / self.control_dt - 1e-9))
         sub = dt / n
+        k_dis, k_bleed = hvac.decay(sub)
+        m = hvac.m_dot
+        k_t, k_w = emu.decay(m, sub)
+        k_out = out.decay(sub)
+        method1 = hvac.pv_mode == "method1"
+        pv_t, pv_w = sp.zone_t, sp.zone_w
         for _ in range(n):
-            if self.hvac.pv_mode == "method1":
-                pv_t, pv_w = self.emulator.t, self.emulator.w
-            else:
-                pv_t, pv_w = sp.zone_t, sp.zone_w
-            hd = self.hvac.step(pv_t, pv_w, sp.cool_spt, sp.heat_spt, sub,
-                                dis_spt=sp.dis_spt)
-            if hd.clamped:
-                self.clamp_count += 1
-            self.last_q_cmd = hd.q_cmd_w
-            self.last_diag = self.emulator.step(sp.zone_t, sp.zone_w,
-                                                self.hvac.discharge(), sub)
-            self.limitation_events.extend(self.outdoor.step(sp.out_t, sp.out_rh, sub))
+            if method1:
+                pv_t, pv_w = emu.t, emu.w
+            q_cmd, clamped = hvac.step(pv_t, pv_w, sp.cool_spt, sp.heat_spt, sub,
+                                       k_dis, k_bleed, sp.dis_spt)
+            self.clamp_count += clamped
+            q_coil, m_hum = emu.step(sp.zone_t, sp.zone_w, hvac.t_dis, hvac.w_dis,
+                                     m, sub, k_t, k_w)
+            events.extend(out.step(sp.out_t, sp.out_rh, k_out))
+        self.last_q_cmd = q_cmd
+        self.last_q_heater = max(q_coil, 0.0)
+        self.last_q_cooling = max(-q_coil, 0.0)
+        self.last_m_hum = m_hum
 
     def drain_events(self) -> list[LimitationEvent]:
         ev, self.limitation_events = self.limitation_events, []

@@ -35,5 +35,8 @@ def rh_from_w(tdb_c: float, w: float, p_pa: float = ATM_PA) -> float:
 
 
 def w_sat(tdb_c: float, p_pa: float = ATM_PA) -> float:
-    """Humidity ratio at saturation for the given dry-bulb temperature."""
-    return w_from_rh(tdb_c, 100.0, p_pa)
+    """Humidity ratio at saturation for the given dry-bulb temperature.
+
+    Same value as w_from_rh(tdb_c, 100.0, p_pa), without the RH scaling."""
+    pw = min(p_ws(tdb_c), 0.99 * p_pa)
+    return _RATIO * pw / (p_pa - pw)

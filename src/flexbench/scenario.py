@@ -236,7 +236,7 @@ SCHEMA: dict[str, Any] = {
             "air_mass_kg": Leaf(60.0, "float", check=_pos, msg="must be > 0"),
             "heater_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
             "cooling_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
-            "humidifier_kg_s_max": Leaf(0.002, "float", check=_nonneg, msg="must be >= 0"),
+            "humidifier_kg_s_max": Leaf(0.002, "float", check=_pos, msg="must be > 0"),
             "kp_w_per_k": Leaf(800.0, "float", check=_nonneg, msg="must be >= 0"),
             "ki_w_per_k_s": Leaf(4.0, "float", check=_nonneg, msg="must be >= 0"),
             "kd_w_s_per_k": Leaf(0.0, "float", check=_nonneg, msg="must be >= 0"),
@@ -424,8 +424,9 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     """Validate a scenario tree and return the effective configuration.
 
     Cross-field rules live here: exchange latency must fit inside the step
-    (unless stale_hold opts in), discharge limits must be ordered, windows
-    must not overlap, and referenced weather must exist and cover the horizon.
+    (unless stale_hold opts in), discharge limits and setpoint bounds must be
+    ordered, the emulator coil needs some capacity, windows must not overlap,
+    and referenced weather must exist and cover the horizon.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
@@ -449,6 +450,10 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     hvac = out["plant"]["hvac"]
     if hvac["t_dis_max_c"] <= hvac["t_dis_min_c"]:
         raise ScenarioError("plant.hvac.t_dis_max_c: must exceed t_dis_min_c")
+    emu = out["plant"]["zone_emulator"]
+    if emu["heater_w_max"] + emu["cooling_w_max"] <= 0:
+        raise ScenarioError("plant.zone_emulator.heater_w_max: heater_w_max and "
+                            "cooling_w_max cannot both be 0")
 
     fx = out["occupants"]["effects"]
     if fx["clo_max"] <= fx["clo_min"]:
@@ -458,6 +463,8 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     if gb["baseline"]["t_cool_c"] - gb["baseline"]["t_heat_c"] < gb["min_gap_c"]:
         raise ScenarioError("geb.baseline.t_cool_c: heating/cooling setpoints closer "
                             "than geb.min_gap_c")
+    if gb["bounds"]["t_max_c"] <= gb["bounds"]["t_min_c"]:
+        raise ScenarioError("geb.bounds.t_max_c: must exceed t_min_c")
     wins = sorted(gb["windows"], key=lambda w: w["start_s"])
     for a, b in zip(wins, wins[1:]):
         if b["start_s"] < a["end_s"]:

@@ -69,7 +69,7 @@ class TestLoadWeather:
             load_weather(str(p))
 
 
-AIR = DischargeAir(15.0, 60.0, 0.5)
+AIR = DischargeAir(15.0, w_from_rh(15.0, 60.0), 0.5)
 
 
 def zone(**kw):
@@ -98,13 +98,13 @@ class TestZoneModel:
 
     def test_no_flow_no_envelope_is_pure_integrator(self):
         z = zone(c_z_j_per_k=1.0e6, ua_w_per_k=0.0)
-        still = DischargeAir(15.0, 60.0, 0.0)
+        still = DischargeAir(15.0, w_from_rh(15.0, 60.0), 0.0)
         z.step(still, 30.0, 500.0, 0.0, 100.0)
         assert z.t == pytest.approx(24.05, abs=1e-12)
 
     def test_latent_integrator_without_flow(self):
         z = zone(moisture_capacity_kg=100.0)
-        still = DischargeAir(15.0, 60.0, 0.0)
+        still = DischargeAir(15.0, w_from_rh(15.0, 60.0), 0.0)
         w0 = z.w
         z.step(still, 30.0, 0.0, 490.0, 100.0)
         assert z.w == pytest.approx(w0 + 490.0 / H_FG * 100.0 / 100.0)
@@ -120,17 +120,17 @@ class TestZoneModel:
         temps = [15.0, 12.0, 18.0, 10.0, 16.0, 14.0]
         delayed = zone(inherited_delay=True)
         for t in temps:
-            delayed.step(DischargeAir(t, 60.0, 0.5), 30.0, 500.0, 0.0, 60.0)
+            delayed.step(DischargeAir(t, w_from_rh(t, 60.0), 0.5), 30.0, 500.0, 0.0, 60.0)
         # equivalent direct model sees the first value twice, then lags by one
         direct = zone(inherited_delay=False)
         for t in [temps[0]] + temps[:-1]:
-            direct.step(DischargeAir(t, 60.0, 0.5), 30.0, 500.0, 0.0, 60.0)
+            direct.step(DischargeAir(t, w_from_rh(t, 60.0), 0.5), 30.0, 500.0, 0.0, 60.0)
         assert delayed.t == direct.t
         assert delayed.w == direct.w
 
     def test_surfaces_lag_and_stagger(self):
         z = zone(surface_tau_s=1800.0, n_surfaces=4)
-        r = z.step(DischargeAir(10.0, 60.0, 1.0), 30.0, 0.0, 0.0, 600.0)
+        r = z.step(DischargeAir(10.0, w_from_rh(10.0, 60.0), 1.0), 30.0, 0.0, 0.0, 600.0)
         assert z.t < 24.0
         # every surface trails the falling air temperature
         assert all(s > z.t for s in z.surfaces)
@@ -154,11 +154,11 @@ class TestZoneModel:
 
 
 def test_load_signs():
-    warm_zone = compute_zone_load(0.5, 26.0, 0.012, DischargeAir(14.0, 90.0, 0.5))
+    warm_zone = compute_zone_load(0.5, 26.0, 0.012, DischargeAir(14.0, w_from_rh(14.0, 90.0), 0.5))
     assert warm_zone[0] > 0 and warm_zone[1] > 0
     t_dis = 30.0
     heating = compute_zone_load(0.5, 20.0, w_from_rh(20.0, 30.0),
-                                DischargeAir(t_dis, 60.0, 0.5))
+                                DischargeAir(t_dis, w_from_rh(t_dis, 60.0), 0.5))
     assert heating[0] < 0
 
 
@@ -170,6 +170,6 @@ def test_analytic_decay_against_closed_form():
     a = (0.5 * CP_AIR * 15.0 + 100.0 * 33.0 + 400.0) / 2.0e6
     y = 28.0
     for _ in range(30):
-        z.step(DischargeAir(15.0, 60.0, 0.5), 33.0, 400.0, 0.0, 60.0)
+        z.step(DischargeAir(15.0, w_from_rh(15.0, 60.0), 0.5), 33.0, 400.0, 0.0, 60.0)
         y = a / b + (y - a / b) * math.exp(-b * 60.0)
     assert z.t == pytest.approx(y, abs=1e-12)

@@ -8,6 +8,7 @@ from flexbench.occupants import (ActionType, EffectConfig, LocalCondition,
                                  Population, aggregate_gains, behave,
                                  comfort_eval)
 from flexbench.plant import DischargeAir
+from flexbench.psychro import w_from_rh
 
 FX = EffectConfig()
 
@@ -54,7 +55,7 @@ class TestComfortEval:
     def test_fan_cools_via_surrogate(self):
         a = agent()
         sur = NearOccupantSurrogate()
-        air = DischargeAir(16.0, 60.0, 0.5)
+        air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5)
         off = sur.local_condition(a, air, 26.0, 50.0, [26.0], FX)
         a.fan_on = True
         on = sur.local_condition(a, air, 26.0, 50.0, [26.0], FX)
@@ -136,7 +137,7 @@ class TestBehave:
 class TestSurrogate:
     def test_distance_shrinks_discharge_weight(self):
         sur = NearOccupantSurrogate(diffuser_xyz=(0.0, 0.0, 2.5))
-        air = DischargeAir(10.0, 60.0, 0.5)
+        air = DischargeAir(10.0, w_from_rh(10.0, 60.0), 0.5)
         near = sur.local_condition(agent(coords=(0.2, 0.2, 2.3)), air,
                                    26.0, 50.0, [26.0], FX)
         far = sur.local_condition(agent(coords=(5.9, 5.9, 0.1)), air,
@@ -145,7 +146,7 @@ class TestSurrogate:
 
     def test_coords_outside_bounds_flagged(self):
         sur = NearOccupantSurrogate()
-        air = DischargeAir(16.0, 60.0, 0.5)
+        air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5)
         inside = sur.local_condition(agent(coords=(1.0, 1.0, 1.0)), air,
                                      26.0, 50.0, [26.0], FX)
         outside = sur.local_condition(agent(coords=(-4.0, 1.0, 1.0)), air,
@@ -172,7 +173,7 @@ class TestSurrogate:
                                             t_dis, t_zone, t_surf):
         sur = NearOccupantSurrogate(w_discharge=wd, w_zone=wz, w_surfaces=ws)
         cond = sur.local_condition(agent(coords=(x, y, z)),
-                                   DischargeAir(t_dis, 60.0, 0.5),
+                                   DischargeAir(t_dis, w_from_rh(t_dis, 60.0), 0.5),
                                    t_zone, 50.0, [t_surf], FX)
         lo = min(t_dis, t_zone, t_surf) - 1e-9
         hi = max(t_dis, t_zone, t_surf) + 1e-9
@@ -246,19 +247,19 @@ class TestPopulation:
 
     def test_step_reports_actions_and_discomfort(self):
         pop = self._pop(probs={ActionType.DRINK: 1.0})
-        out = pop.step(0, 0.0, DischargeAir(16.0, 60.0, 0.5), 28.0, 50.0, [28.0])
+        out = pop.step(0, 0.0, DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [28.0])
         assert out.mean_discomfort > 0
         assert set(out.actions) == {(0, ActionType.DRINK), (1, ActionType.DRINK)}
         assert out.gains.sensible_w == 2 * 75.0
 
     def test_comfortable_zone_is_quiet(self):
         pop = self._pop(probs={t: 1.0 for t in ActionType})
-        out = pop.step(0, 0.0, DischargeAir(22.0, 50.0, 0.5), 22.5, 50.0, [22.5])
+        out = pop.step(0, 0.0, DischargeAir(22.0, w_from_rh(22.0, 50.0), 0.5), 22.5, 50.0, [22.5])
         assert out.actions == ()
         assert out.mean_discomfort == 0.0
 
     def test_runs_identically_for_same_seed(self):
-        args = (DischargeAir(16.0, 60.0, 0.5), 28.0, 50.0, [27.0])
+        args = (DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [27.0])
         probs = {t: 0.4 for t in ActionType}
         first = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]
         second = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]

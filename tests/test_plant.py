@@ -50,7 +50,7 @@ class TestPid:
     def test_bleed_decays_integral(self):
         pid = PidController(kp=1.0, ki=0.5, out_min=0.0, out_max=100.0)
         pid.integral = 4.0
-        pid.bleed(300.0, 300.0)
+        pid.bleed(math.exp(-300.0 / 300.0))
         assert pid.integral == pytest.approx(4.0 / math.e)
 
     def test_initial_command_sits_inside_limits(self):
@@ -62,6 +62,11 @@ class TestPid:
             PidController(1.0, out_min=1.0, out_max=1.0)
 
 
+def emu_step(emu, target_t, target_w, air, dt):
+    return emu.step(target_t, target_w, air.t_c, air.w, air.m_dot_kg_s, dt,
+                    *emu.decay(air.m_dot_kg_s, dt))
+
+
 class TestZoneEmulator:
     def test_integrator_mode_heater_clamped(self):
         # No airflow: pure integrator.  Coil pegged at 500 W for 60 s into
@@ -69,10 +74,11 @@ class TestZoneEmulator:
         emu = ZoneEmulator(c_emu_j_per_k=5000.0, heater_w_max=500.0,
                            cooling_w_max=500.0, kp_w_per_k=800.0,
                            ki_w_per_k_s=0.0, t_init_c=22.0)
-        d = emu.step(40.0, emu.w, DischargeAir(20.0, 50.0, 0.0), 60.0)
+        q, _ = emu_step(emu, 40.0, emu.w,
+                        DischargeAir(20.0, w_from_rh(20.0, 50.0), 0.0), 60.0)
         assert emu.t == 28.0
-        assert d.q_heater_w == 500.0 and d.q_cooling_w == 0.0
-        assert d.saturated
+        # heating only, pegged at the heater limit
+        assert q == 500.0
 
     def test_exponential_update_is_substep_invariant(self):
         # Zero-gain PID keeps the coil silent, so the node relaxes toward the
@@ -82,12 +88,12 @@ class TestZoneEmulator:
             return ZoneEmulator(c_emu_j_per_k=40000.0, kp_w_per_k=0.0,
                                 ki_w_per_k_s=0.0, hum_kp=0.0, hum_ki=0.0,
                                 t_init_c=28.0)
-        air = DischargeAir(16.0, 60.0, 0.4)
+        air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.4)
         one = fresh()
-        one.step(28.0, one.w, air, 600.0)
+        emu_step(one, 28.0, one.w, air, 600.0)
         many = fresh()
         for _ in range(600):
-            many.step(28.0, many.w, air, 1.0)
+            emu_step(many, 28.0, many.w, air, 1.0)
         assert one.t == pytest.approx(many.t, abs=1e-9)
         assert one.w == pytest.approx(many.w, abs=1e-12)
 
@@ -97,60 +103,59 @@ class TestZoneEmulator:
         dry = DischargeAir(24.0, 0.0, 1.0)
         last = emu.w
         for _ in range(200):
-            emu.step(24.0, 0.0, dry, 60.0)
+            emu_step(emu, 24.0, 0.0, dry, 60.0)
             assert 0.0 <= emu.w <= last
             last = emu.w
-
-    def test_ideal_mode_snaps(self):
-        emu = ZoneEmulator(ideal=True, t_init_c=20.0)
-        w = w_from_rh(23.0, 45.0)
-        emu.step(23.0, w, DischargeAir(15.0, 50.0, 0.5), 60.0)
-        assert emu.t == 23.0 and emu.w == w
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             ZoneEmulator(c_emu_j_per_k=0.0)
 
 
+def hv_step(hv, pv_t, pv_w, cool_spt, heat_spt, dt, dis_spt=None):
+    return hv.step(pv_t, pv_w, cool_spt, heat_spt, dt, *hv.decay(dt), dis_spt)
+
+
 class TestHvacUnit:
     def test_cooling_command_from_proportional_loop(self):
         hv = HvacUnit(m_dot_kg_s=0.5, kp_w_per_k=400.0, ki_w_per_k_s=0.0,
                       tau_dis_s=0.0, t_dis_init_c=20.0)
-        d = hv.step(26.0, 0.008, 24.0, 20.0, 60.0)
-        assert d.q_cmd_w == pytest.approx(-800.0)
+        q, _ = hv_step(hv, 26.0, 0.008, 24.0, 20.0, 60.0)
+        assert q == pytest.approx(-800.0)
         assert hv.t_dis == pytest.approx(26.0 - 800.0 / (0.5 * CP_AIR))
 
     def test_deadband_bleeds_integral(self):
         hv = HvacUnit(ki_w_per_k_s=2.0, tau_dis_s=0.0, bleed_tau_s=100.0)
         hv.pid.integral = 10.0
-        d = hv.step(23.0, 0.008, 24.0, 20.0, 100.0)
+        q, _ = hv_step(hv, 23.0, 0.008, 24.0, 20.0, 100.0)
         assert hv.pid.integral == pytest.approx(10.0 / math.e)
         # remaining command is just the decaying integral term
-        assert d.q_cmd_w == pytest.approx(2.0 * 10.0 / math.e)
+        assert q == pytest.approx(2.0 * 10.0 / math.e)
 
     def test_discharge_override_and_clamp(self):
         hv = HvacUnit(tau_dis_s=0.0)
-        d = hv.step(23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=14.0)
-        assert hv.t_dis == 14.0 and not d.clamped
-        d = hv.step(23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=5.0)
-        assert hv.t_dis == 8.0 and d.clamped
+        _, clamped = hv_step(hv, 23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=14.0)
+        assert hv.t_dis == 14.0 and not clamped
+        _, clamped = hv_step(hv, 23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=5.0)
+        assert hv.t_dis == 8.0 and clamped
 
     def test_discharge_lag_first_order(self):
         hv = HvacUnit(tau_dis_s=120.0, t_dis_init_c=20.0)
-        hv.step(23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=14.0)
+        hv_step(hv, 23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=14.0)
         assert hv.t_dis == pytest.approx(14.0 + 6.0 * math.exp(-0.5))
 
     def test_stale_input_holds_everything(self):
         hv = HvacUnit(tau_dis_s=0.0, t_dis_init_c=19.0)
         before = (hv.t_dis, hv.w_dis, hv.pid.integral)
-        d = hv.step(float("nan"), 0.008, 24.0, 20.0, 60.0)
-        assert d.stale_hold and hv.stale_holds == 1
+        # a held step reports no command and no clamp
+        assert hv_step(hv, float("nan"), 0.008, 24.0, 20.0, 60.0) == (0.0, False)
+        assert hv.stale_holds == 1
         assert (hv.t_dis, hv.w_dis, hv.pid.integral) == before
 
     def test_discharge_never_supersaturated(self):
         hv = HvacUnit(tau_dis_s=0.0)
         for pv in (30.0, 26.0, 22.0, 18.0):
-            hv.step(pv, 0.02, 24.0, 20.0, 60.0)
+            hv_step(hv, pv, 0.02, 24.0, 20.0, 60.0)
             assert hv.w_dis <= w_sat(hv.t_dis) + 1e-15
 
     def test_bad_pv_mode(self):
@@ -161,7 +166,7 @@ class TestHvacUnit:
 class TestOutdoorEmulator:
     def test_water_loop_floor(self):
         out = OutdoorEmulator(kind="water", tau_s=0.0, t_init_c=15.0)
-        events = out.step(5.0, 0.0, 60.0)
+        events = out.step(5.0, 0.0, out.decay(60.0))
         assert out.t == 10.0
         assert [(e.channel, e.requested, e.delivered) for e in events] == [
             ("water_t", 5.0, 10.0)]
@@ -169,13 +174,13 @@ class TestOutdoorEmulator:
     def test_air_chamber_ceiling_and_rh_floor(self):
         out = OutdoorEmulator(kind="air", tau_s=0.0, t_init_c=30.0,
                               rh_init_pct=50.0)
-        events = out.step(70.0, 5.0, 60.0)
+        events = out.step(70.0, 5.0, out.decay(60.0))
         assert out.t == 65.0 and out.rh == 10.0
         assert {e.channel for e in events} == {"air_t", "air_rh"}
 
     def test_first_order_tracking(self):
         out = OutdoorEmulator(kind="air", tau_s=300.0, t_init_c=20.0)
-        out.step(30.0, 50.0, 300.0)
+        out.step(30.0, 50.0, out.decay(300.0))
         assert out.t == pytest.approx(30.0 - 10.0 / math.e)
 
     def test_initial_value_clamped_to_envelope(self):
@@ -184,7 +189,7 @@ class TestOutdoorEmulator:
     def test_custom_envelope_override(self):
         out = OutdoorEmulator(kind="water", tau_s=0.0, t_init_c=15.0,
                               envelope={"t_min": 4.0})
-        assert out.step(5.0, 0.0, 60.0) == []
+        assert out.step(5.0, 0.0, out.decay(60.0)) == []
         assert out.t == 5.0
 
     def test_unknown_kind(self):
@@ -252,3 +257,56 @@ class TestPlantSim:
         # Both settle toward the deadband but the fine loop reacts within the
         # interval; the trajectories must differ.
         assert plant.emulator.t != coarse.emulator.t
+
+
+def lagged_plant(pv_mode, **applied):
+    """A plant whose every loop carries state across substeps: discharge lag,
+    integrating HVAC and emulator PIDs, a tracking outdoor chamber."""
+    hvac = HvacUnit(pv_mode=pv_mode, tau_dis_s=120.0, ki_w_per_k_s=2.0,
+                    bleed_tau_s=300.0, t_dis_init_c=18.0)
+    emu = ZoneEmulator(t_init_c=27.0, rh_init_pct=40.0)
+    out = OutdoorEmulator(kind="air", tau_s=300.0, t_init_c=64.5, rh_init_pct=10.5)
+    sp = dict(zone_t=25.5, zone_w=w_from_rh(25.5, 55.0), out_t=70.0, out_rh=5.0,
+              cool_spt=24.0, heat_spt=20.0)
+    sp.update(applied)
+    return PlantSim(hvac, emu, out, AppliedSetpoints(**sp), control_dt_s=1.0)
+
+
+class TestHoistedSubsteps:
+    """Per-advance decay factors change nothing: one 60 s advance at a 1 s
+    control rate equals sixty 1 s advances, bit for bit."""
+
+    @staticmethod
+    def state(plant):
+        return (plant.hvac.t_dis, plant.hvac.w_dis, plant.emulator.t,
+                plant.emulator.w, plant.outdoor.t, plant.outdoor.rh,
+                plant.clamp_count, len(plant.limitation_events),
+                plant.last_q_cmd, plant.last_q_heater, plant.last_q_cooling,
+                plant.last_m_hum, plant.hvac.stale_holds)
+
+    @pytest.mark.parametrize("pv_mode", ["method1", "method2"])
+    @pytest.mark.parametrize("applied", [
+        {},
+        {"dis_spt": 5.0},                                     # clamped discharge
+        {"zone_t": float("nan"), "zone_w": float("nan")},     # stale hold
+    ], ids=["free", "clamped", "stale"])
+    def test_one_advance_equals_sixty(self, pv_mode, applied):
+        one = lagged_plant(pv_mode, **applied)
+        one.advance(60.0)
+        many = lagged_plant(pv_mode, **applied)
+        for _ in range(60):
+            many.advance(1.0)
+        assert self.state(one) == self.state(many)
+        assert one.limitation_events  # the chamber hit its envelope
+        if "dis_spt" in applied:
+            assert one.clamp_count == 60
+        if pv_mode == "method2" and math.isnan(applied.get("zone_t", 0.0)):
+            assert one.hvac.stale_holds == 60 and one.last_q_cmd == 0.0
+
+    def test_discharge_carries_humidity_ratio(self):
+        plant = lagged_plant("method1")
+        plant.advance(60.0)
+        air = plant.hvac.discharge()
+        assert (air.t_c, air.w, air.m_dot_kg_s) == (
+            plant.hvac.t_dis, plant.hvac.w_dis, plant.hvac.m_dot)
+        assert air.rh_pct == plant.measure()["rh_dis"]

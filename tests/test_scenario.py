@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flexbench.orchestrator import Engine
 from flexbench.scenario import (ScenarioError, apply_overrides, load_scenario,
                                 validate_scenario)
 
@@ -154,6 +155,27 @@ class TestCrossField:
         doc = {"occupants": {"surrogate": {
             "w_discharge": 0, "w_zone": 0, "w_surfaces": 0}}}
         with pytest.raises(ScenarioError, match="sum above 0"):
+            validate_scenario(doc)
+
+    def test_humidifier_needs_capacity(self):
+        doc = {"plant": {"zone_emulator": {"humidifier_kg_s_max": 0}}}
+        with pytest.raises(ScenarioError,
+                           match=r"plant\.zone_emulator\.humidifier_kg_s_max: .*> 0"):
+            validate_scenario(doc)
+
+    def test_emulator_coil_needs_capacity(self):
+        doc = {"plant": {"zone_emulator": {"heater_w_max": 0, "cooling_w_max": 0}}}
+        with pytest.raises(ScenarioError,
+                           match=r"plant\.zone_emulator\.heater_w_max: .*both be 0"):
+            validate_scenario(doc)
+        # one coil alone is a valid plant that builds and runs
+        doc["plant"]["zone_emulator"]["cooling_w_max"] = 1000.0
+        doc["run"] = {"horizon": 3}
+        Engine(validate_scenario(doc)).run()
+
+    def test_setpoint_bounds_ordered(self):
+        doc = {"geb": {"bounds": {"t_min_c": 30.0, "t_max_c": 20.0}}}
+        with pytest.raises(ScenarioError, match=r"geb\.bounds\.t_max_c: must exceed"):
             validate_scenario(doc)
 
 
