@@ -3,7 +3,7 @@ building, plus the datastore and analyzers used to judge integration quality."""
 
 __version__ = "0.1.0"
 
-from .datastore import (RunLog, RunMeta, Sample, Source, StepStore, VariableKey,
+from .datastore import (RunLog, RunMeta, Source, StepStore, VariableKey,
                         export_run, import_run)
 from .orchestrator import Engine
 from .scenario import ScenarioError, apply_overrides, load_scenario, validate_scenario
@@ -12,7 +12,6 @@ __all__ = [
     "Engine",
     "RunLog",
     "RunMeta",
-    "Sample",
     "ScenarioError",
     "Source",
     "StepStore",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import RunLog, Source, UnknownKeyError
+from .datastore import RunLog, Source
 
 
 class AnalysisError(Exception):
@@ -23,24 +23,6 @@ class AnalysisError(Exception):
 
 class InsufficientDataError(AnalysisError):
     """Not enough samples for the requested analysis."""
-
-
-@dataclass(frozen=True)
-class SeriesPair:
-    """Two equal-length series compared under an integer step shift."""
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    shift: int = 0
-
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
-            raise InsufficientDataError(
-                f"series lengths differ: {len(self.a)} vs {len(self.b)}")
-
-    @property
-    def overlap(self) -> int:
-        return len(self.a) - abs(self.shift)
 
 
 def rmse_shift(a, b, shift: int = 0) -> float:
@@ -213,18 +195,21 @@ def series_from_log(log: RunLog, expr: str) -> np.ndarray:
     """Dense per-step values for one variable; gaps are an error here because
     shift arithmetic needs an unbroken step grid."""
     name, source = parse_variable(expr)
-    key = log.key(name, source)  # raises UnknownKeyError when absent
-    out = np.empty(len(log.frames))
-    gaps = []
-    for i, frame in enumerate(log.frames):
-        s = frame.entries.get(key)
-        if s is None:
-            gaps.append(i)
-        else:
-            out[i] = s.value
-    if gaps:
-        raise InsufficientDataError(f"{expr} has gaps at steps {gaps[:8]}")
-    return out
+    values, _ = log.columns[log.key(name, source)]  # UnknownKeyError when absent
+    gaps = np.flatnonzero(np.isnan(values))
+    if gaps.size:
+        raise InsufficientDataError(f"{expr} has gaps at steps {gaps[:8].tolist()}")
+    return values.copy()
+
+
+def _stamp_by_step(columns, reduce) -> dict[int, int]:
+    """Per step, the min or max over the given wall-stamp columns, for steps
+    where at least one of them has a stamp."""
+    if not columns:
+        return {}
+    stamps = reduce(np.vstack(columns), axis=0)  # NaN where no column has one
+    steps = np.flatnonzero(~np.isnan(stamps))
+    return dict(zip(steps.tolist(), stamps[steps].astype(np.int64).tolist()))
 
 
 def exchange_stamps(log: RunLog) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
@@ -234,21 +219,16 @@ def exchange_stamps(log: RunLog) -> tuple[dict[int, tuple[int, int]], dict[int, 
     stores its results (simulated samples), and the hardware logs the received
     supervisory setpoints (ctrl.* samples) on arrival.
     """
-    hw: dict[int, tuple[int, int]] = {}
-    sw: dict[int, int] = {}
-    for i, frame in enumerate(log.frames):
-        send = recv = store = None
-        for key, s in frame.entries.items():
-            if s.wall_time_ms is None:
-                continue
-            if key.source is Source.EMULATED and key.name.startswith("plant."):
-                send = s.wall_time_ms if send is None else min(send, s.wall_time_ms)
-            elif key.source is Source.SETPOINT and key.name.startswith("ctrl."):
-                recv = s.wall_time_ms if recv is None else max(recv, s.wall_time_ms)
-            elif key.source is Source.SIMULATED:
-                store = s.wall_time_ms if store is None else max(store, s.wall_time_ms)
-        if send is not None and recv is not None:
-            hw[i] = (send, recv)
-        if store is not None:
-            sw[i] = store
-    return hw, sw
+    sends, recvs, stores = [], [], []
+    for key in log.keys:
+        walls = log.columns[key][1]
+        if key.source is Source.EMULATED and key.name.startswith("plant."):
+            sends.append(walls)
+        elif key.source is Source.SETPOINT and key.name.startswith("ctrl."):
+            recvs.append(walls)
+        elif key.source is Source.SIMULATED:
+            stores.append(walls)
+    send = _stamp_by_step(sends, np.fmin.reduce)
+    recv = _stamp_by_step(recvs, np.fmax.reduce)
+    hw = {step: (send[step], recv[step]) for step in send if step in recv}
+    return hw, _stamp_by_step(stores, np.fmax.reduce)

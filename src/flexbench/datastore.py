@@ -1,10 +1,14 @@
-"""Step-indexed run datastore with barrier sealing and CSV export.
+"""Step-indexed columnar run datastore with strict sealing and CSV export.
 
-The store is the shared record of one co-simulation run.  Producers upsert
-samples into the currently open step; the orchestrator seals steps in strict
-order once every producer has reported.  Sealed frames are immutable, which is
-what makes downstream delay analysis trustworthy: a sealed step can never be
-rewritten by a late arrival.
+The store is the shared record of one co-simulation run.  The engine upserts
+values into the currently open step and seals steps in strict order; a sealed
+step is immutable, which is what makes downstream delay analysis trustworthy:
+a sealed step can never be rewritten by a late arrival.
+
+Each variable is one float64 column of values plus one of wall stamps, indexed
+by step.  NaN marks a step without a value (a gap) or without a stamp; upsert
+rejects non-finite values and stamps float64 cannot hold exactly, so NaN is
+never a real sample.
 
 Export is a long-format CSV (one row per sample) using 17-significant-digit
 decimals so that export -> import -> export is byte-identical.
@@ -15,11 +19,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Mapping
+
+import numpy as np
 
 
 class DatastoreError(Exception):
@@ -38,10 +41,6 @@ class UnknownKeyError(DatastoreError):
     """Query for a key that was never registered."""
 
 
-class NotSealedError(DatastoreError):
-    """Read that touches steps beyond the sealed range."""
-
-
 class ExportError(DatastoreError):
     """Export or import failure (I/O, malformed file)."""
 
@@ -52,7 +51,10 @@ class Source(str, Enum):
     SETPOINT = "setpoint"
 
 
-_FORBIDDEN = set(", \t\n\r")
+_FORBIDDEN = frozenset(", \t\n\r")
+_FORBIDDEN_UNIT = frozenset(",\n\r")
+# Wall stamps are integers kept in float64 columns: exact below 2**53.
+MAX_STAMP_MS = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -64,34 +66,12 @@ class VariableKey:
     unit: str
 
     def __post_init__(self):
-        if not self.name or any(c in _FORBIDDEN for c in self.name):
+        if not self.name or not _FORBIDDEN.isdisjoint(self.name):
             raise DataIntegrityError(f"invalid variable name {self.name!r}")
         if not isinstance(self.source, Source):
             object.__setattr__(self, "source", Source(self.source))
-        if not self.unit or any(c in ",\n\r" for c in self.unit):
+        if not self.unit or not _FORBIDDEN_UNIT.isdisjoint(self.unit):
             raise DataIntegrityError(f"invalid unit {self.unit!r} for {self.name}")
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One recorded value at one step.
-
-    sim_time_s is always step_index * step_size_s of the owning store;
-    wall_time_ms is the exchange-timeline stamp (None for hand-built logs).
-    """
-
-    step_index: int
-    sim_time_s: float
-    value: float
-    wall_time_ms: int | None = None
-
-
-@dataclass(frozen=True)
-class Frame:
-    """All samples of one sealed step."""
-
-    step_index: int
-    entries: Mapping[VariableKey, Sample]
 
 
 @dataclass(frozen=True)
@@ -103,40 +83,30 @@ class RunMeta:
     steps: int
 
 
-@dataclass(frozen=True)
 class RunLog:
-    """Finalized record of a run: metadata plus contiguous sealed frames."""
+    """Finalized record of a run: metadata plus, per variable, a read-only
+    (values, wall_ms) pair of float64 arrays of length meta.steps.  NaN marks
+    a step without a value or without a wall stamp."""
 
-    meta: RunMeta
-    frames: tuple[Frame, ...]
+    def __init__(self, meta: RunMeta,
+                 columns: dict[VariableKey, tuple[np.ndarray, np.ndarray]]):
+        self.meta = meta
+        self.columns = columns
+        # Every variable of the run, in CSV row order.
+        self.keys = tuple(sorted(columns, key=lambda k: (k.name, k.source.value)))
+        self._by_name = {(k.name, k.source): k for k in self.keys}
 
     def key(self, name: str, source: Source | str) -> VariableKey:
         source = Source(source)
-        for fr in self.frames:
-            for k in fr.entries:
-                if k.name == name and k.source == source:
-                    return k
-        raise UnknownKeyError(f"{name}:{Source(source).value}")
-
-    @property
-    def keys(self) -> tuple[VariableKey, ...]:
-        """Every variable that appears anywhere in the run, in row order."""
-        seen: dict[VariableKey, None] = {}
-        for fr in self.frames:
-            for k in fr.entries:
-                seen.setdefault(k)
-        return tuple(sorted(seen, key=lambda k: (k.name, k.source.value)))
+        try:
+            return self._by_name[(name, source)]
+        except KeyError:
+            raise UnknownKeyError(f"{name}:{source.value}") from None
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    """Ordered samples over a step range plus the steps that had no sample."""
-
-    samples: tuple[Sample, ...]
-    gaps: tuple[int, ...]
-
-    def values(self) -> list[float]:
-        return [s.value for s in self.samples]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -146,7 +116,10 @@ class ExportSummary:
 
 
 class StepStore:
-    """Mutable store for one run.  Thread-safe for writers within the open step."""
+    """Mutable store for one run: a value column and a wall-stamp column per
+    variable, each created on the variable's first upsert.  All columns share
+    one capacity, which doubles when a step outgrows it.  Not thread-safe: the
+    engine writes and seals from one thread."""
 
     def __init__(self, step_size_s: float, scenario_id: str = "run", seed: int = 0,
                  start_wall_ms: int = 0):
@@ -156,31 +129,18 @@ class StepStore:
         self.scenario_id = scenario_id
         self.seed = int(seed)
         self.start_wall_ms = int(start_wall_ms)
-        self._lock = threading.Lock()
         self._keys: dict[tuple[str, Source], VariableKey] = {}
-        self._producers: set[str] = set()
-        self._done: dict[int, set[str]] = {}
-        self._open: dict[int, dict[VariableKey, Sample]] = {}
-        self._sealed: list[dict[VariableKey, Sample]] = []
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        # key -> [values, wall stamps]; _grow swaps in longer arrays
+        self._cols: dict[VariableKey, list[np.ndarray]] = {}
+        self._capacity = 0
+        self._sealed = 0  # steps [0, _sealed) are sealed
 
     @property
     def last_sealed(self) -> int:
-        return len(self._sealed) - 1
+        return self._sealed - 1
 
     def register(self, key: VariableKey) -> VariableKey:
-        with self._lock:
-            return self._register(key)
-
-    def _register(self, key: VariableKey) -> VariableKey:
+        """The store's key for (name, source); a second unit is a conflict."""
         known = self._keys.get((key.name, key.source))
         if known is None:
             self._keys[(key.name, key.source)] = key
@@ -191,124 +151,101 @@ class StepStore:
                 f"{known.unit!r}, got {key.unit!r}")
         return known
 
-    def register_producer(self, name: str) -> None:
-        with self._lock:
-            self._producers.add(name)
-
-    def producer_done(self, name: str, step_index: int) -> None:
-        with self._lock:
-            if name not in self._producers:
-                raise DataIntegrityError(f"unregistered producer {name!r}")
-            self._done.setdefault(step_index, set()).add(name)
-
     def upsert(self, key: VariableKey, step_index: int, value: float,
-               wall_time_ms: int | None = None) -> Sample:
+               wall_time_ms: int | None = None) -> None:
         """Insert or update one sample in an unsealed step.
 
         Update semantics: a second upsert for the same (key, step) replaces the
-        first.  Non-finite values and writes at or below the sealed frontier
-        are rejected.
+        first.  Non-finite values, stamps of 2**53 ms or more in magnitude and
+        writes at or below the sealed frontier are rejected.
         """
         if not isinstance(step_index, int) or step_index < 0:
             raise DataIntegrityError(f"bad step_index {step_index!r}")
         if not math.isfinite(value):
             raise DataIntegrityError(
                 f"non-finite value for {key.name}:{key.source.value} at step {step_index}")
-        with self._lock:
-            key = self._register(key)
-            if step_index <= self.last_sealed:
-                raise OutOfOrderError(
-                    f"step {step_index} already sealed (frontier {self.last_sealed})")
-            sample = Sample(step_index, step_index * self.step_size_s, float(value),
-                            None if wall_time_ms is None else int(wall_time_ms))
-            self._open.setdefault(step_index, {})[key] = sample
-            return sample
+        if step_index < self._sealed:
+            raise OutOfOrderError(
+                f"step {step_index} already sealed (frontier {self.last_sealed})")
+        if wall_time_ms is None:
+            wall = math.nan
+        else:
+            wall = int(wall_time_ms)
+            if abs(wall) >= MAX_STAMP_MS:
+                raise DataIntegrityError(
+                    f"wall stamp {wall} for {key.name}:{key.source.value} "
+                    f"out of range (|stamp| < 2**53 ms)")
+        col = self._cols.get(key)
+        if col is None:
+            col = self._cols[self.register(key)] = [np.full(self._capacity, np.nan),
+                                                    np.full(self._capacity, np.nan)]
+        if step_index >= self._capacity:
+            self._grow(step_index + 1)
+        col[0][step_index] = value
+        col[1][step_index] = wall
 
-    def seal(self, step_index: int) -> Frame:
-        """Seal the next step.  Requires strict order and all producers reported."""
-        with self._lock:
-            if step_index != self.last_sealed + 1:
-                raise OutOfOrderError(
-                    f"seal({step_index}) out of order, frontier {self.last_sealed}")
-            missing = self._producers - self._done.get(step_index, set())
-            if missing:
-                raise OutOfOrderError(
-                    f"seal({step_index}) before producers reported: {sorted(missing)}")
-            entries = self._open.pop(step_index, {})
-            self._sealed.append(entries)
-            self._done.pop(step_index, None)
-            return Frame(step_index, MappingProxyType(entries))
+    def _grow(self, needed: int) -> None:
+        capacity = max(needed, 2 * self._capacity, 64)
+        for col in self._cols.values():
+            for i, old in enumerate(col):
+                col[i] = np.full(capacity, np.nan)
+                col[i][:self._capacity] = old
+        self._capacity = capacity
 
-    def fetch_frame(self, step_index: int) -> Frame | None:
-        """Immutable view of a sealed step, or None while it is still open."""
-        with self._lock:
-            if 0 <= step_index <= self.last_sealed:
-                return Frame(step_index, MappingProxyType(self._sealed[step_index]))
-            return None
-
-    def query_series(self, key: VariableKey, start: int, end: int) -> SeriesResult:
-        """Samples of one key over sealed steps [start, end], with gap report.
-
-        A reversed or empty range yields an empty result; a range reaching past
-        the sealed frontier is an error.
-        """
-        with self._lock:
-            known = self._keys.get((key.name, key.source))
-            if known is None:
-                raise UnknownKeyError(f"{key.name}:{key.source.value}")
-            if start > end:
-                return SeriesResult((), ())
-            if end > self.last_sealed:
-                raise NotSealedError(
-                    f"query [{start}, {end}] beyond sealed frontier {self.last_sealed}")
-            start = max(0, start)
-            samples, gaps = [], []
-            for step in range(start, end + 1):
-                s = self._sealed[step].get(known)
-                if s is None:
-                    gaps.append(step)
-                else:
-                    samples.append(s)
-            return SeriesResult(tuple(samples), tuple(gaps))
+    def seal(self, step_index: int) -> None:
+        """Seal the next step; steps seal in strict order."""
+        if step_index != self._sealed:
+            raise OutOfOrderError(
+                f"seal({step_index}) out of order, frontier {self.last_sealed}")
+        self._sealed += 1
 
     def to_runlog(self) -> RunLog:
-        """Snapshot of all sealed frames as an immutable RunLog."""
-        with self._lock:
-            frames = tuple(Frame(i, dict(entries))
-                           for i, entries in enumerate(self._sealed))
-            meta = RunMeta(self.scenario_id, self.seed, self.step_size_s,
-                           self.start_wall_ms, len(frames))
-            return RunLog(meta, frames)
+        """Read-only views of the sealed steps as a RunLog.  Sealed cells never
+        change, so the views need no copy."""
+        n = self._sealed
+        if n > self._capacity:  # steps sealed past the last write
+            self._grow(n)
+        meta = RunMeta(self.scenario_id, self.seed, self.step_size_s,
+                       self.start_wall_ms, n)
+        columns = {}
+        for key, (values, walls) in self._cols.items():
+            values = values[:n]
+            if not np.isnan(values).all():
+                columns[key] = (_read_only(values), _read_only(walls[:n]))
+        return RunLog(meta, columns)
 
 
 CSV_HEADER = "step_index,sim_time_s,variable,source,unit,value,wall_time_ms"
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def iter_rows(log: RunLog) -> Iterable[str]:
-    """CSV data rows in canonical order: by step, then variable name, then source."""
-    for frame in log.frames:
-        items = sorted(frame.entries.items(),
-                       key=lambda kv: (kv[0].name, kv[0].source.value))
-        for key, s in items:
-            wall = "" if s.wall_time_ms is None else str(s.wall_time_ms)
-            yield (f"{s.step_index},{_fmt(s.sim_time_s)},{key.name},"
-                   f"{key.source.value},{key.unit},{_fmt(s.value)},{wall}")
-
-
 def write_csv(log: RunLog, path: str) -> int:
-    """Write the export CSV atomically.  Returns the number of data rows."""
+    """Write the export CSV atomically.  Returns the number of data rows.
+
+    Rows come in canonical order: by step, then variable name, then source;
+    a step without a value for a variable has no row for it."""
+    cols = []
+    for k in log.keys:
+        values, walls = log.columns[k]
+        cols.append((f",{k.name},{k.source.value},{k.unit},", values.tolist(),
+                     walls.tolist()))
+    step_size = log.meta.step_size_s
     tmp = path + ".tmp"
     rows = 0
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as f:
             f.write(CSV_HEADER + "\n")
-            for row in iter_rows(log):
-                f.write(row + "\n")
-                rows += 1
+            for step in range(log.meta.steps):
+                lead = f"{step},{format(step * step_size, '.17g')}"
+                lines = []
+                for mid, values, walls in cols:
+                    v = values[step]
+                    if v != v:  # NaN: no sample at this step
+                        continue
+                    w = walls[step]
+                    lines.append(f"{lead}{mid}{format(v, '.17g')},"
+                                 f"{'' if w != w else int(w)}\n")
+                f.write("".join(lines))
+                rows += len(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -403,9 +340,12 @@ def import_run(csv_path: str, meta=None) -> RunLog:
         lines.pop()
 
     md = _resolve_meta(csv_path, meta)
-    rows: list[tuple[int, VariableKey, Sample]] = []
-    keys: dict[tuple[str, Source], VariableKey] = {}
-    seen: set[tuple[int, str, Source]] = set()
+    # Without metadata the step size comes from the first row past step 0
+    # and the step count from the last step seen.
+    step_size = None if md is None else float(md["step_size_s"])
+    n_steps = None if md is None else int(md["steps"])
+    # (name, source) -> (key, values, wall stamps), lists indexed by step
+    cols: dict[tuple[str, str], tuple[VariableKey, list, list]] = {}
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 7:
@@ -413,43 +353,47 @@ def import_run(csv_path: str, meta=None) -> RunLog:
         try:
             step = int(parts[0])
             sim_time = float(parts[1])
-            source = Source(parts[3])
             value = float(parts[5])
-            wall = None if parts[6] == "" else int(parts[6])
-            key = VariableKey(parts[2], source, parts[4])
+            wall = math.nan if parts[6] == "" else int(parts[6])
+            key = VariableKey(parts[2], parts[3], parts[4])
         except (ValueError, DataIntegrityError) as e:
             raise ExportError(f"{csv_path}: row {n}: {e}") from e
-        if not math.isfinite(value) or step < 0:
-            raise ExportError(f"{csv_path}: row {n}: invalid value or step")
-        known = keys.setdefault((key.name, source), key)
-        if known.unit != key.unit:
+        if not math.isfinite(value) or step < 0 or abs(wall) >= MAX_STAMP_MS:
+            raise ExportError(f"{csv_path}: row {n}: invalid value, step or stamp")
+        col = cols.get((parts[2], parts[3]))
+        if col is None:
+            col = cols[(parts[2], parts[3])] = (key, [], [])
+        elif col[0].unit != key.unit:
             raise ExportError(f"{csv_path}: row {n}: unit mismatch for {key.name}")
-        if (step, key.name, source) in seen:
+        if n_steps is not None and step >= n_steps:
+            raise ExportError(f"{csv_path}: step {step} beyond metadata steps {n_steps}")
+        if step_size is None and step > 0:
+            step_size = sim_time / step
+        if sim_time != (step * step_size if step else 0.0):
+            raise ExportError(
+                f"{csv_path}: sim_time_s {sim_time} at step {step} "
+                f"inconsistent with step size {step_size}")
+        _, values, walls = col
+        if step >= len(values):
+            pad = step + 1 - len(values)
+            values.extend([math.nan] * pad)
+            walls.extend([math.nan] * pad)
+        elif values[step] == values[step]:
             raise ExportError(f"{csv_path}: row {n}: duplicate sample")
-        seen.add((step, key.name, source))
-        rows.append((step, known, Sample(step, sim_time, value, wall)))
+        values[step] = value
+        walls[step] = wall
 
     if md is None:
-        step_size = 1.0
-        for step, _, s in rows:
-            if step > 0:
-                step_size = s.sim_time_s / step
-                break
-        n_steps = max((step for step, _, _ in rows), default=-1) + 1
-        md = {"scenario_id": "imported", "seed": 0, "step_size_s": step_size,
-              "start_wall_ms": 0, "steps": n_steps}
+        md = {"scenario_id": "imported", "seed": 0,
+              "step_size_s": 1.0 if step_size is None else step_size,
+              "start_wall_ms": 0,
+              "steps": max((len(v) for _, v, _ in cols.values()), default=0)}
     meta_obj = RunMeta(str(md["scenario_id"]), int(md["seed"]),
                        float(md["step_size_s"]), int(md["start_wall_ms"]),
                        int(md["steps"]))
-
-    frames: list[dict[VariableKey, Sample]] = [dict() for _ in range(meta_obj.steps)]
-    for step, key, s in rows:
-        if step >= meta_obj.steps:
-            raise ExportError(f"{csv_path}: step {step} beyond metadata steps {meta_obj.steps}")
-        expected = step * meta_obj.step_size_s
-        if s.sim_time_s != expected:
-            raise ExportError(
-                f"{csv_path}: sim_time_s {s.sim_time_s} at step {step} "
-                f"inconsistent with step size {meta_obj.step_size_s}")
-        frames[step][key] = s
-    return RunLog(meta_obj, tuple(Frame(i, d) for i, d in enumerate(frames)))
+    columns = {}
+    for key, values, walls in cols.values():
+        pad = [math.nan] * (meta_obj.steps - len(values))
+        columns[key] = (_read_only(np.array(values + pad)),
+                        _read_only(np.array(walls + pad)))
+    return RunLog(meta_obj, columns)

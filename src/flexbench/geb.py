@@ -4,8 +4,8 @@ A rule-based supervisor shapes the zone setpoints inside configured event
 windows (efficiency widening, load shed, pre-cool/shift, modulation tracking a
 dispatch signal).  Outside every window the baseline passes through exactly.
 A slow-controller harness lets an optimization-style controller run in
-parallel: submitted jobs become visible only at a later step barrier, never
-in the step that submitted them.
+parallel: submitted results become visible only at the start of a later step,
+never in the step that submitted them.
 """
 
 from __future__ import annotations
@@ -150,18 +150,17 @@ class SlowControllerHarness:
     """Runs an expensive controller logically in parallel with the loop.
 
     A job submitted at step N with compute latency L becomes visible at the
-    barrier of step N + max(1, ceil(L / step)); latency zero still lands at
+    start of step N + max(1, ceil(L / step)); latency zero still lands at
     N + 1, never in the submitting step.  Results are consumed exactly once;
     results older than the freshness horizon at poll time are discarded.
     """
 
-    def __init__(self, compute_fn, compute_latency_s: float, step_size_s: float,
+    def __init__(self, compute_latency_s: float, step_size_s: float,
                  freshness_s: float = 600.0):
-        self.compute_fn = compute_fn
         self.latency = compute_latency_s
         self.step_size = step_size_s
         self.freshness = freshness_s
-        self._pending = None  # (submit_step, ready_step, inputs)
+        self._pending = None  # (submit_step, ready_step, result)
         self.discarded = 0
 
     @property
@@ -171,20 +170,21 @@ class SlowControllerHarness:
     def ready_step(self, submit_step: int) -> int:
         return submit_step + max(1, math.ceil(self.latency / self.step_size))
 
-    def submit(self, step: int, inputs) -> None:
+    def submit(self, step: int, result) -> None:
+        """Hand in a finished result; the harness only delays its delivery."""
         if self._pending is not None:
             raise SlowBusyError(f"job from step {self._pending[0]} still pending")
-        self._pending = (step, self.ready_step(step), inputs)
+        self._pending = (step, self.ready_step(step), result)
 
     def poll(self, step: int):
-        """Result if ready at this barrier, else None.  Consumes on return."""
+        """Result if ready at this step, else None.  Consumes on return."""
         if self._pending is None:
             return None
-        submit_step, ready, inputs = self._pending
+        submit_step, ready, result = self._pending
         if step < ready:
             return None
         self._pending = None
         if (step - submit_step) * self.step_size > self.freshness:
             self.discarded += 1
             return None
-        return self.compute_fn(inputs)
+        return result

@@ -66,7 +66,6 @@ class OccupantAgent:
     thermostat_delta_c: float = 0.0
     drink_until_s: float = -1.0
     drink_sign: float = 0.0
-    drink_started_s: float = 0.0
     walk_until_s: float = -1.0
 
     def __post_init__(self):
@@ -213,7 +212,6 @@ def behave(agent: OccupantAgent, score: float, seed: int, step: int, t_s: float,
                                                -band), band)
         elif action is ActionType.DRINK:
             agent.drink_sign = -1.0 if hot else 1.0
-            agent.drink_started_s = t_s
             agent.drink_until_s = t_s + fx.drink_duration_s
         elif action is ActionType.WALK:
             agent.walk_until_s = t_s + fx.walk_duration_s

@@ -43,14 +43,52 @@ COMPUTE_FLOOR_MS = 1
 PACING_TOL_S = 0.05
 
 
-# Units of the plant measurements, and the internals logged only on request.
-PLANT_UNITS = {"t_dis": "C", "rh_dis": "%", "m_dot": "kg/s", "t_zone_emu": "C",
-               "rh_zone_emu": "%", "t_out": "C", "rh_out": "%",
-               "load_sensible": "W", "load_latent": "W", "q_heater": "W",
-               "q_cooling": "W", "m_humidifier": "kg/s", "q_hvac": "W",
-               "t_zone_spt": "C", "rh_zone_spt": "%", "t_out_spt": "C",
-               "t_cool_spt": "C", "t_heat_spt": "C"}
-PLANT_INTERNALS = frozenset({"q_heater", "q_cooling", "m_humidifier", "q_hvac"})
+_E, _S, _P = Source.EMULATED, Source.SIMULATED, Source.SETPOINT
+# Every variable the engine logs: (name, source, unit, plant internal).  Plant
+# internals are published only with logging.plant_internals.
+_VARIABLE_TABLE = (
+    ("plant.t_dis", _E, "C", False),
+    ("plant.rh_dis", _E, "%", False),
+    ("plant.m_dot", _E, "kg/s", False),
+    ("plant.t_zone_emu", _E, "C", False),
+    ("plant.rh_zone_emu", _E, "%", False),
+    ("plant.t_out", _E, "C", False),
+    ("plant.rh_out", _E, "%", False),  # air-chamber outdoor emulator only
+    ("plant.load_sensible", _E, "W", False),
+    ("plant.load_latent", _E, "W", False),
+    ("plant.q_heater", _E, "W", True),
+    ("plant.q_cooling", _E, "W", True),
+    ("plant.m_humidifier", _E, "kg/s", True),
+    ("plant.q_hvac", _E, "W", True),
+    ("plant.t_zone_spt", _E, "C", False),
+    ("plant.rh_zone_spt", _E, "%", False),
+    ("plant.t_out_spt", _E, "C", False),
+    ("plant.t_cool_spt", _E, "C", False),
+    ("plant.t_heat_spt", _E, "C", False),
+    ("zone.t", _S, "C", False),
+    ("zone.rh", _S, "%", False),
+    ("zone.w", _S, "kg/kg", False),
+    ("zone.t_surf", _S, "C", False),
+    ("zone.load_sensible", _S, "W", False),
+    ("zone.load_latent", _S, "W", False),
+    ("out.t", _S, "C", False),
+    ("out.rh", _S, "%", False),
+    ("occ.sensible_w", _S, "W", False),  # occ.* only with occupant agents
+    ("occ.latent_w", _S, "W", False),
+    ("occ.thermostat_delta_c", _S, "C", False),
+    ("occ.n_actions", _S, "count", False),
+    ("occ.discomfort_c", _S, "C", False),
+    ("ctrl.t_cool_spt", _P, "C", False),
+    ("ctrl.t_heat_spt", _P, "C", False),
+    ("ctrl.t_dis_spt", _P, "C", False),  # only with a discharge setpoint
+    ("ctrl.p_duct_spt", _P, "Pa", False),  # only with a duct pressure setpoint
+)
+VARIABLES = {name: VariableKey(name, source, unit)
+             for name, source, unit, _ in _VARIABLE_TABLE}
+# PlantSim.measure() name -> (key, plant internal)
+_PLANT_MEASURED = {name.removeprefix("plant."): (VARIABLES[name], internal)
+                   for name, _, _, internal in _VARIABLE_TABLE
+                   if name.startswith("plant.")}
 
 
 class EngineError(Exception):
@@ -61,8 +99,9 @@ class OverrunAbort(EngineError):
     """Realtime pacing overran with overrun_policy=abort."""
 
 
-def _identity(x):
-    return x
+def step_ms(step_size_s: float) -> int:
+    """The exchange step on the modelled wall timeline, in whole ms."""
+    return int(round(step_size_s * 1000.0))
 
 
 class DelayInjector:
@@ -77,14 +116,20 @@ class DelayInjector:
         self.latency = latency_s
         self.jitter = jitter_s
 
+    def _one_way_ms(self, u: float) -> int:
+        return int(round(self.latency / 2.0 * 1000.0 + u * self.jitter * 1000.0))
+
     def delays_ms(self, step: int) -> tuple[int, int]:
-        half = self.latency / 2.0 * 1000.0
         if self.jitter <= 0:
-            return int(round(half)), int(round(half))
-        rng = substream(self.seed, COMM_DOMAIN, step)
-        u = rng.random(2)
-        return (int(round(half + u[0] * self.jitter * 1000.0)),
-                int(round(half + u[1] * self.jitter * 1000.0)))
+            return self._one_way_ms(0.0), self._one_way_ms(0.0)
+        u = substream(self.seed, COMM_DOMAIN, step).random(2)
+        return self._one_way_ms(u[0]), self._one_way_ms(u[1])
+
+    def worst_exchange_ms(self) -> int:
+        """The longest modelled exchange: uplink and downlink at the top of
+        the jitter band plus the compute floor.  No exchange is late in a
+        step whose step_ms() is at least this."""
+        return 2 * self._one_way_ms(1.0) + COMPUTE_FLOOR_MS
 
 
 class Engine:
@@ -94,7 +139,7 @@ class Engine:
         run = cfg["run"]
         self.cfg = cfg
         self.step_size = run["step_size_s"]
-        self.step_ms = int(round(self.step_size * 1000.0))
+        self.step_ms = step_ms(self.step_size)
         self.horizon = run["horizon"]
         self.seed = run["seed"]
         self.mode = run["mode"]
@@ -158,11 +203,9 @@ class Engine:
         self.dis_schedule = [tuple(p) for p in g["dis_schedule"]]
         self.harness = None
         if g["policy"] == "slow":
-            # Jobs carry the finished result; the harness only delays delivery.
-            self.harness = SlowControllerHarness(_identity,
-                                                g["slow"]["compute_latency_s"],
-                                                self.step_size,
-                                                g["slow"]["freshness_s"])
+            self.harness = SlowControllerHarness(g["slow"]["compute_latency_s"],
+                                                 self.step_size,
+                                                 g["slow"]["freshness_s"])
         self._slow_sp = baseline
         self._slow_flags: list[str] = []
 
@@ -180,15 +223,11 @@ class Engine:
         self.plant_internals = lg["plant_internals"]
         self.include = None if lg["include"] is None else set(lg["include"])
         if self.include is not None:
-            known = self._known_names()
-            bad = sorted(self.include - known)
+            bad = sorted(self.include - VARIABLES.keys())
             if bad:
                 raise EngineError(f"logging.include names unknown variables: {bad}")
 
         self.store = StepStore(self.step_size, run["scenario_id"], self.seed, 0)
-        for prod in ("plant", "sim", "ctrl"):
-            self.store.register_producer(prod)
-        self._keys: dict[tuple[str, str], VariableKey] = {}
         self._step = 0
         self.counters = {"overruns": 0, "stale_steps": 0, "limitation_events": 0,
                          "setpoint_clamps": 0, "hvac_stale_holds": 0,
@@ -213,32 +252,9 @@ class Engine:
             path = os.path.join(base_dir, path)
         return load_weather(path)
 
-    def _known_names(self) -> set[str]:
-        names = {"plant.t_dis", "plant.rh_dis", "plant.m_dot", "plant.t_zone_emu",
-                 "plant.rh_zone_emu", "plant.t_out", "plant.load_sensible",
-                 "plant.load_latent", "plant.t_zone_spt", "plant.rh_zone_spt",
-                 "plant.t_out_spt", "plant.t_cool_spt", "plant.t_heat_spt",
-                 "plant.q_heater", "plant.q_cooling", "plant.m_humidifier",
-                 "plant.q_hvac",
-                 "zone.t", "zone.rh", "zone.w", "zone.t_surf",
-                 "zone.load_sensible", "zone.load_latent",
-                 "out.t", "out.rh",
-                 "ctrl.t_cool_spt", "ctrl.t_heat_spt", "ctrl.t_dis_spt",
-                 "ctrl.p_duct_spt",
-                 "occ.sensible_w", "occ.latent_w", "occ.thermostat_delta_c",
-                 "occ.n_actions", "occ.discomfort_c"}
-        return names
-
-    def _put(self, name: str, source: Source, unit: str, step: int,
-             value: float, wall_ms: int) -> None:
-        if self.include is not None and name not in self.include:
-            return
-        key = self._keys.get((name, source.value))
-        if key is None:
-            key = VariableKey(name, source, unit)
-            self.store.register(key)
-            self._keys[(name, source.value)] = key
-        self.store.upsert(key, step, value, wall_ms)
+    def _put(self, key: VariableKey, step: int, value: float, wall_ms: int) -> None:
+        if self.include is None or key.name in self.include:
+            self.store.upsert(key, step, value, wall_ms)
 
     # -- stepping ------------------------------------------------------------
 
@@ -260,7 +276,6 @@ class Engine:
         # measure: plant state at the top of the interval
         meas = self.plant.measure()
         self._publish_plant(n, meas, send_ms)
-        self.store.producer_done("plant", n)
         # the state measure() just read, humidity as w; RH only for occupants
         discharge = self.plant.hvac.discharge()
 
@@ -275,38 +290,34 @@ class Engine:
         zres = self.zone.step(discharge, out_t, gains_s, occ.gains.latent_w,
                               self.step_size)
 
-        S = Source.SIMULATED
-        self._put("zone.t", S, "C", n, zres.t_c, store_ms)
-        self._put("zone.rh", S, "%", n, zres.rh_pct, store_ms)
-        self._put("zone.w", S, "kg/kg", n, zres.w, store_ms)
-        self._put("zone.t_surf", S, "C", n, zres.t_surf_mean_c, store_ms)
-        self._put("zone.load_sensible", S, "W", n, zres.load_sensible_w, store_ms)
-        self._put("zone.load_latent", S, "W", n, zres.load_latent_w, store_ms)
-        self._put("out.t", S, "C", n, out_t, store_ms)
-        self._put("out.rh", S, "%", n, out_rh, store_ms)
+        put, V = self._put, VARIABLES
+        put(V["zone.t"], n, zres.t_c, store_ms)
+        put(V["zone.rh"], n, zres.rh_pct, store_ms)
+        put(V["zone.w"], n, zres.w, store_ms)
+        put(V["zone.t_surf"], n, zres.t_surf_mean_c, store_ms)
+        put(V["zone.load_sensible"], n, zres.load_sensible_w, store_ms)
+        put(V["zone.load_latent"], n, zres.load_latent_w, store_ms)
+        put(V["out.t"], n, out_t, store_ms)
+        put(V["out.rh"], n, out_rh, store_ms)
         if self.population.agents:
-            self._put("occ.sensible_w", S, "W", n, occ.gains.sensible_w, store_ms)
-            self._put("occ.latent_w", S, "W", n, occ.gains.latent_w, store_ms)
-            self._put("occ.thermostat_delta_c", S, "C", n,
-                      occ.gains.thermostat_delta_c, store_ms)
-            self._put("occ.n_actions", S, "count", n, float(len(occ.actions)),
-                      store_ms)
-            self._put("occ.discomfort_c", S, "C", n, occ.mean_discomfort, store_ms)
+            put(V["occ.sensible_w"], n, occ.gains.sensible_w, store_ms)
+            put(V["occ.latent_w"], n, occ.gains.latent_w, store_ms)
+            put(V["occ.thermostat_delta_c"], n, occ.gains.thermostat_delta_c,
+                store_ms)
+            put(V["occ.n_actions"], n, float(len(occ.actions)), store_ms)
+            put(V["occ.discomfort_c"], n, occ.mean_discomfort, store_ms)
         self.counters["occupant_actions"] += len(occ.actions)
         self._discomfort_sum += occ.mean_discomfort
-        self.store.producer_done("sim", n)
 
         final_sp, flags = self._supervise(n, t_s, occ.gains.thermostat_delta_c)
         for f in flags:
             self.flag_counts[f] = self.flag_counts.get(f, 0) + 1
-        SP = Source.SETPOINT
-        self._put("ctrl.t_cool_spt", SP, "C", n, final_sp.t_cool_c, recv_ms)
-        self._put("ctrl.t_heat_spt", SP, "C", n, final_sp.t_heat_c, recv_ms)
+        put(V["ctrl.t_cool_spt"], n, final_sp.t_cool_c, recv_ms)
+        put(V["ctrl.t_heat_spt"], n, final_sp.t_heat_c, recv_ms)
         if final_sp.t_dis_c is not None:
-            self._put("ctrl.t_dis_spt", SP, "C", n, final_sp.t_dis_c, recv_ms)
+            put(V["ctrl.t_dis_spt"], n, final_sp.t_dis_c, recv_ms)
         if final_sp.p_duct_pa is not None:
-            self._put("ctrl.p_duct_spt", SP, "Pa", n, final_sp.p_duct_pa, recv_ms)
-        self.store.producer_done("ctrl", n)
+            put(V["ctrl.p_duct_spt"], n, final_sp.p_duct_pa, recv_ms)
 
         # actuate: late results (only possible with stale_hold) are dropped
         # and the plant holds; otherwise the fresh setpoints take effect now
@@ -327,11 +338,10 @@ class Engine:
         self._step += 1
 
     def _publish_plant(self, n: int, meas: dict, send_ms: int) -> None:
-        E = Source.EMULATED
         for name, value in meas.items():
-            if name in PLANT_INTERNALS and not self.plant_internals:
-                continue
-            self._put(f"plant.{name}", E, PLANT_UNITS[name], n, value, send_ms)
+            key, internal = _PLANT_MEASURED[name]
+            if self.plant_internals or not internal:
+                self._put(key, n, value, send_ms)
 
     def _supervise(self, n: int, t_s: float,
                    occ_delta: float) -> tuple[SupervisorySetpoints, list[str]]:

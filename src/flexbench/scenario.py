@@ -15,6 +15,7 @@ import os
 from typing import Any
 
 from .occupants import ActionType
+from .orchestrator import DelayInjector, step_ms
 
 
 class ScenarioError(Exception):
@@ -446,6 +447,13 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
             raise ScenarioError(
                 "delays.jitter_s: worst-case round trip reaches the step size "
                 "(or set delays.stale_hold)")
+        worst_ms = DelayInjector(0, delays["comm_latency_s"],
+                                 delays["jitter_s"]).worst_exchange_ms()
+        if step_ms(step) < worst_ms:
+            raise ScenarioError(
+                f"run.step_size_s: {step} s is {step_ms(step)} ms on the exchange "
+                f"timeline, shorter than the worst-case exchange of {worst_ms} ms "
+                f"(or set delays.stale_hold)")
 
     hvac = out["plant"]["hvac"]
     if hvac["t_dis_max_c"] <= hvac["t_dis_min_c"]:
@@ -463,8 +471,9 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     if gb["baseline"]["t_cool_c"] - gb["baseline"]["t_heat_c"] < gb["min_gap_c"]:
         raise ScenarioError("geb.baseline.t_cool_c: heating/cooling setpoints closer "
                             "than geb.min_gap_c")
-    if gb["bounds"]["t_max_c"] <= gb["bounds"]["t_min_c"]:
-        raise ScenarioError("geb.bounds.t_max_c: must exceed t_min_c")
+    if gb["bounds"]["t_max_c"] - gb["bounds"]["t_min_c"] < gb["min_gap_c"]:
+        raise ScenarioError("geb.bounds.t_max_c: must exceed t_min_c by at least "
+                            "geb.min_gap_c")
     wins = sorted(gb["windows"], key=lambda w: w["start_s"])
     for a, b in zip(wins, wins[1:]):
         if b["start_s"] < a["end_s"]:

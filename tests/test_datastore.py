@@ -1,15 +1,14 @@
 import json
 import os
-import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexbench.datastore import (CSV_HEADER, DataIntegrityError, ExportError,
-                                 Frame, NotSealedError, OutOfOrderError, RunLog,
-                                 RunMeta, Sample, Source, StepStore,
+from flexbench.datastore import (CSV_HEADER, MAX_STAMP_MS, DataIntegrityError,
+                                 ExportError, OutOfOrderError, Source, StepStore,
                                  UnknownKeyError, VariableKey, export_run,
-                                 import_run, iter_rows, write_csv, write_meta)
+                                 import_run, write_csv, write_meta)
 
 
 def make_store(**kw):
@@ -42,8 +41,8 @@ class TestUpsertAndSeal:
         s.upsert(key, 0, 21.0)
         s.upsert(key, 0, 22.5)
         s.seal(0)
-        frame = s.fetch_frame(0)
-        assert frame.entries[key].value == 22.5
+        values, _ = s.to_runlog().columns[key]
+        assert values.tolist() == [22.5]
 
     def test_non_finite_rejected(self):
         s = make_store()
@@ -70,53 +69,81 @@ class TestUpsertAndSeal:
         s.seal(1)
         assert s.last_sealed == 1
 
-    def test_seal_waits_for_producers(self):
-        s = make_store()
-        s.register_producer("plant")
-        s.register_producer("sim")
-        s.producer_done("plant", 0)
-        with pytest.raises(OutOfOrderError, match="sim"):
-            s.seal(0)
-        s.producer_done("sim", 0)
-        s.seal(0)
-
-    def test_unregistered_producer(self):
-        s = make_store()
-        with pytest.raises(DataIntegrityError):
-            s.producer_done("ghost", 0)
-
     def test_unit_conflict(self):
         s = make_store()
         s.register(k("zone.t", unit="C"))
         with pytest.raises(DataIntegrityError):
             s.register(k("zone.t", unit="K"))
 
-    def test_fetch_frame_open_step_is_none(self):
-        s = make_store()
-        key = s.register(k("zone.t"))
-        s.upsert(key, 0, 21.0)
-        assert s.fetch_frame(0) is None
-        s.seal(0)
-        assert s.fetch_frame(0).entries[key].value == 21.0
-        assert s.fetch_frame(5) is None
-
     def test_sealed_frame_view_is_immutable(self):
         s = make_store()
         key = s.register(k("zone.t"))
-        s.upsert(key, 0, 21.0)
+        s.upsert(key, 0, 21.0, wall_time_ms=5)
         s.seal(0)
-        frame = s.fetch_frame(0)
-        with pytest.raises(TypeError):
-            frame.entries[key] = Sample(0, 0.0, 9.9)
+        values, walls = s.to_runlog().columns[key]
+        with pytest.raises(ValueError):
+            values[0] = 9.9
+        with pytest.raises(ValueError):
+            walls[0] = 1.0
+        # later steps, and the column growth they cause, leave the log alone
+        for step in range(1, 200):
+            s.upsert(key, step, 30.0)
+            s.seal(step)
+        assert values.tolist() == [21.0] and walls.tolist() == [5.0]
 
-    def test_sim_time_follows_step_size(self):
+    def test_sim_time_follows_step_size(self, tmp_path):
         s = make_store(step_size_s=30.0)
         key = s.register(k("zone.t"))
-        sample = s.upsert(key, 4, 20.0)
-        assert sample.sim_time_s == 120.0
+        for step in range(5):
+            if step == 4:
+                s.upsert(key, step, 20.0)
+            s.seal(step)
+        path = tmp_path / "run.csv"
+        assert write_csv(s.to_runlog(), str(path)) == 1
+        assert path.read_text().split("\n")[1].split(",")[:2] == ["4", "120"]
+
+    def test_late_column_has_gaps_before_its_first_step(self):
+        s = make_store()
+        early, late = k("zone.t"), k("zone.rh", unit="%")
+        for step in range(100):
+            s.upsert(early, step, float(step))
+            if step >= 70:
+                s.upsert(late, step, 50.0)
+            s.seal(step)
+        log = s.to_runlog()
+        assert log.columns[early][0].tolist() == [float(i) for i in range(100)]
+        late_values = log.columns[late][0]
+        assert np.isnan(late_values[:70]).all() and (late_values[70:] == 50.0).all()
+
+    def test_steps_sealed_without_writes_are_gaps(self, tmp_path):
+        s = make_store()
+        key = s.register(k("zone.t"))
+        for step in range(100):
+            if step < 10:
+                s.upsert(key, step, 20.0)
+            s.seal(step)
+        log = s.to_runlog()
+        values, walls = log.columns[key]
+        assert len(values) == len(walls) == 100
+        assert np.isnan(values[10:]).all()
+        assert write_csv(log, str(tmp_path / "run.csv")) == 10
+
+    def test_wall_stamp_must_fit_float64(self, tmp_path):
+        s = make_store()
+        key = s.register(k("zone.t"))
+        for bad in (MAX_STAMP_MS, -MAX_STAMP_MS):
+            with pytest.raises(DataIntegrityError, match="wall stamp"):
+                s.upsert(key, 0, 1.0, wall_time_ms=bad)
+        s.upsert(key, 0, 1.0, wall_time_ms=MAX_STAMP_MS - 1)
+        s.seal(0)
+        path = tmp_path / "run.csv"
+        write_csv(s.to_runlog(), str(path))
+        assert path.read_text().split("\n")[1].endswith(f",{MAX_STAMP_MS - 1}")
 
 
 class TestQuerySeries:
+    """A RunLog column is the series of one variable over the sealed steps."""
+
     def setup_method(self):
         self.s = make_store()
         self.key = self.s.register(k("zone.t"))
@@ -126,43 +153,23 @@ class TestQuerySeries:
             self.s.seal(step)
 
     def test_values_and_gap_report(self):
-        res = self.s.query_series(self.key, 0, 4)
-        assert res.values() == [20.0, 21.0, 23.0, 24.0]
-        assert res.gaps == (2,)
-
-    def test_reversed_range_empty(self):
-        res = self.s.query_series(self.key, 3, 1)
-        assert res.samples == () and res.gaps == ()
+        values, walls = self.s.to_runlog().columns[self.key]
+        assert values[~np.isnan(values)].tolist() == [20.0, 21.0, 23.0, 24.0]
+        assert np.flatnonzero(np.isnan(values)).tolist() == [2]
+        assert np.isnan(walls).all()
 
     def test_beyond_frontier(self):
-        with pytest.raises(NotSealedError):
-            self.s.query_series(self.key, 0, 5)
+        # the open step stays out of the log until it is sealed
+        self.s.upsert(self.key, 5, 99.0)
+        log = self.s.to_runlog()
+        assert log.meta.steps == 5
+        assert len(log.columns[self.key][0]) == 5
+        self.s.seal(5)
+        assert self.s.to_runlog().columns[self.key][0][5] == 99.0
 
     def test_unknown_key(self):
         with pytest.raises(UnknownKeyError):
-            self.s.query_series(k("nope"), 0, 1)
-
-
-def test_concurrent_writers_commute():
-    # Writers on distinct keys within the same open step must produce the
-    # same sealed frame regardless of interleaving.
-    s = make_store()
-    keys = [s.register(k(f"var{i}")) for i in range(8)]
-
-    def writer(key, base):
-        for rep in range(50):
-            s.upsert(key, 0, base + rep)
-
-    threads = [threading.Thread(target=writer, args=(key, 10.0 * i))
-               for i, key in enumerate(keys)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    s.seal(0)
-    frame = s.fetch_frame(0)
-    assert {key.name: frame.entries[key].value for key in keys} == {
-        f"var{i}": 10.0 * i + 49 for i in range(8)}
+            self.s.to_runlog().key("nope", Source.SIMULATED)
 
 
 class TestExportImport:
@@ -236,6 +243,12 @@ class TestExportImport:
         with pytest.raises(ExportError, match="row 3"):
             import_run(str(path))
 
+    def test_import_rejects_stamp_beyond_float64(self, tmp_path):
+        path = tmp_path / "stamp.csv"
+        path.write_text(f"{CSV_HEADER}\n0,0,zone.t,simulated,C,21,{MAX_STAMP_MS}\n")
+        with pytest.raises(ExportError, match="row 2"):
+            import_run(str(path))
+
     def test_import_rejects_unit_mismatch(self, tmp_path):
         path = tmp_path / "units.csv"
         path.write_text(f"{CSV_HEADER}\n"
@@ -302,7 +315,8 @@ def test_runlog_pickles(tmp_path):
     log = s.to_runlog()
     blob = pickle.dumps(log)
     log2 = pickle.loads(blob)
-    assert log2.frames[0].entries[key].value == 20.0
+    assert log2.columns[key][0].tolist() == [20.0]
+    assert log2.key("zone.t", "simulated") == key
 
 
 def test_store_deepcopy_independent():
@@ -316,3 +330,27 @@ def test_store_deepcopy_independent():
     dup.seal(1)
     assert dup.last_sealed == 1
     assert s.last_sealed == 0
+
+
+def test_store_memory_per_logged_sample():
+    # Columns cost 16 B per cell (value + wall stamp), at most doubled by
+    # geometric growth; per-sample objects cost about 200 B each.
+    import tracemalloc
+    from flexbench.orchestrator import Engine
+    from tests.helpers import cfg_from
+    steps = 2000
+    engine = Engine(cfg_from({"run": {"horizon": steps, "step_size_s": 1.0},
+                              "plant": {"control_dt_s": 1.0}}))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(steps):
+            engine.step_once()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    log = engine.store.to_runlog()
+    samples = sum(int(np.count_nonzero(~np.isnan(values)))
+                  for values, _ in log.columns.values())
+    assert samples >= 25 * steps
+    assert grown / samples <= 40.0

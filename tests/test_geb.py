@@ -108,23 +108,19 @@ class TestGebController:
                           [EventWindow(0, 100), EventWindow(50, 150)])
 
 
-def _double(x):
-    return 2 * x
-
-
 class TestSlowHarness:
     def test_zero_latency_still_lands_next_step(self):
-        h = SlowControllerHarness(_double, 0.0, 60.0)
+        h = SlowControllerHarness(0.0, 60.0)
         assert h.ready_step(4) == 5
 
     def test_latency_rounds_up_in_steps(self):
-        h = SlowControllerHarness(_double, 90.0, 60.0)
+        h = SlowControllerHarness(90.0, 60.0)
         assert h.ready_step(4) == 6
-        assert SlowControllerHarness(_double, 60.0, 60.0).ready_step(4) == 5
+        assert SlowControllerHarness(60.0, 60.0).ready_step(4) == 5
 
     def test_result_visible_once_at_barrier(self):
-        h = SlowControllerHarness(_double, 90.0, 60.0, freshness_s=600.0)
-        h.submit(3, 21.0)
+        h = SlowControllerHarness(90.0, 60.0, freshness_s=600.0)
+        h.submit(3, 42.0)
         assert h.poll(3) is None   # submitting step never sees it
         assert h.poll(4) is None   # still computing
         assert h.pending
@@ -133,16 +129,16 @@ class TestSlowHarness:
         assert not h.pending
 
     def test_submit_while_pending_raises(self):
-        h = SlowControllerHarness(_double, 90.0, 60.0)
+        h = SlowControllerHarness(90.0, 60.0)
         h.submit(0, 1.0)
         with pytest.raises(SlowBusyError):
             h.submit(1, 2.0)
 
     def test_stale_result_discarded(self):
-        h = SlowControllerHarness(_double, 60.0, 60.0, freshness_s=120.0)
+        h = SlowControllerHarness(60.0, 60.0, freshness_s=120.0)
         h.submit(0, 1.0)
         assert h.poll(3) is None   # 180 s old at poll: beyond freshness
         assert h.discarded == 1
         assert not h.pending       # slot is free again
-        h.submit(3, 5.0)
+        h.submit(3, 10.0)
         assert h.poll(4) == 10.0

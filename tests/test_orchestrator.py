@@ -5,8 +5,8 @@ import pytest
 
 from flexbench.analysis import exchange_stamps, series_from_log
 from flexbench.datastore import Source
-from flexbench.orchestrator import (COMPUTE_FLOOR_MS, DelayInjector, Engine,
-                                    EngineError, OverrunAbort)
+from flexbench.orchestrator import (COMPUTE_FLOOR_MS, VARIABLES, DelayInjector,
+                                    Engine, EngineError, OverrunAbort)
 from tests.helpers import SCENARIO_DIR, cfg_from, run_doc
 
 FAST_DOC = {
@@ -109,6 +109,20 @@ class TestLoggingControls:
         log, _ = run_doc(doc)
         names = {k.name for k in log.keys}
         assert names == {"zone.t", "plant.t_dis", "ctrl.t_cool_spt"}
+
+    def test_include_accepts_outdoor_rh(self):
+        # plant.rh_out is published by the default air-chamber outdoor emulator
+        doc = {"run": {"horizon": 3},
+               "logging": {"include": ["plant.rh_out", "zone.t"]}}
+        log, _ = run_doc(doc)
+        assert {k.name for k in log.keys} == {"plant.rh_out", "zone.t"}
+
+    def test_every_logged_key_comes_from_the_table(self):
+        log, _ = run_doc(TestOccupantCoupling.DOC,
+                         {"geb": {"dis_schedule": [[0, 14.0]]}})
+        assert all(VARIABLES[k.name] == k for k in log.keys)
+        assert {"plant.rh_out", "plant.q_hvac", "occ.n_actions",
+                "ctrl.t_dis_spt"} <= {k.name for k in log.keys}
 
     def test_unknown_include_name_fails_fast(self):
         with pytest.raises(EngineError, match="zone.bogus"):
@@ -247,8 +261,10 @@ class TestRunControl:
         second = engine.store.to_runlog()
 
         assert first.meta == second.meta
-        for f1, f2 in zip(first.frames, second.frames):
-            assert f1.entries == f2.entries
+        assert first.keys == second.keys
+        for key in first.keys:
+            for a, b in zip(first.columns[key], second.columns[key]):
+                assert np.array_equal(a, b, equal_nan=True)
 
     def test_snapshot_is_isolated_from_live_state(self):
         engine = Engine(cfg_from({"run": {"horizon": 4}}))

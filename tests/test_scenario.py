@@ -178,6 +178,35 @@ class TestCrossField:
         with pytest.raises(ScenarioError, match=r"geb\.bounds\.t_max_c: must exceed"):
             validate_scenario(doc)
 
+    def test_setpoint_bounds_hold_the_gap(self):
+        # narrower than min_gap_c, the gap rule would push the cooling
+        # setpoint above t_max_c on every step
+        doc = {"geb": {"bounds": {"t_min_c": 21.9, "t_max_c": 22.0}}}
+        with pytest.raises(ScenarioError,
+                           match=r"geb\.bounds\.t_max_c: .*geb\.min_gap_c"):
+            validate_scenario(doc)
+        doc["geb"]["bounds"]["t_min_c"] = 21.0  # exactly the 1 C default gap
+        doc["run"] = {"horizon": 3}
+        log = Engine(validate_scenario(doc)).run()
+        assert max(log.columns[log.key("ctrl.t_cool_spt", "setpoint")][0]) <= 22.0
+
+    def test_step_holds_the_modelled_exchange(self):
+        doc = {"run": {"horizon": 5, "step_size_s": 0.0001}}
+        with pytest.raises(ScenarioError, match=r"run\.step_size_s: .* 0 ms"):
+            validate_scenario(doc)
+        # 50 ms each way plus the 1 ms compute floor needs a 101 ms step
+        doc = {"run": {"horizon": 5, "step_size_s": 0.1},
+               "delays": {"comm_latency_s": 0.1 - 1e-6}}
+        with pytest.raises(ScenarioError, match=r"run\.step_size_s"):
+            validate_scenario(doc)
+        doc["run"]["step_size_s"] = 0.101
+        engine = Engine(validate_scenario(doc))
+        engine.run()
+        assert engine.summary()["counts"]["stale_steps"] == 0
+        doc["delays"]["stale_hold"] = True
+        doc["run"]["step_size_s"] = 0.0001
+        validate_scenario(doc)
+
 
 class TestAgents:
     def test_agent_requires_coords(self):
