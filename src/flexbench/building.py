@@ -13,6 +13,7 @@ so a discharge change first shows up in the zone one step late.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,22 @@ def load_weather(path: str) -> WeatherSeries:
         except ValueError as e:
             raise WeatherFormatError(f"{path}: row {n}: {e}") from e
     return WeatherSeries(times, tdb, rh)
+
+
+def build_weather(spec: dict, base_dir: str | None = None) -> WeatherSeries:
+    """The series of a validated `building.weather` block: one of constant,
+    series rows [[time_s, tdb_c, rh_pct], ...], or a CSV path resolved
+    against base_dir."""
+    if "constant" in spec:
+        c = spec["constant"]
+        return WeatherSeries.constant(c["tdb_c"], c["rh_pct"])
+    if "series" in spec:
+        times, tdb, rh = zip(*spec["series"])
+        return WeatherSeries(times, tdb, rh)
+    path = spec["path"]
+    if base_dir is not None and not os.path.isabs(path):
+        path = os.path.join(base_dir, path)
+    return load_weather(path)
 
 
 @dataclass

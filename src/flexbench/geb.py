@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .schedule import Schedule
+
 
 class GebMode(Enum):
     EFFICIENCY = "efficiency"
@@ -49,20 +51,9 @@ def validate_windows(windows: list[EventWindow]) -> list[EventWindow]:
     ordered = sorted(windows, key=lambda w: w.start_s)
     for a, b in zip(ordered, ordered[1:]):
         if b.start_s < a.end_s:
-            raise ValueError(f"windows [{a.start_s}, {a.end_s}) and "
-                             f"[{b.start_s}, {b.end_s}) overlap")
+            raise ValueError(f"[{a.start_s}, {a.end_s}) overlaps "
+                             f"[{b.start_s}, {b.end_s})")
     return ordered
-
-
-def signal_value(breakpoints: list[tuple[float, float]], t_s: float) -> float:
-    """Piecewise-constant dispatch signal; holds the last value at or before t."""
-    v = 0.0
-    for time_s, value in breakpoints:
-        if t_s >= time_s:
-            v = value
-        else:
-            break
-    return v
 
 
 class GebController:
@@ -86,10 +77,10 @@ class GebController:
         self.pre_window = pre_window_s
         self.r_max = r_max_c_per_step
         self.mod_depth = modulation_depth_c
-        self.mod_signal = modulation_signal or []
-        for _, v in self.mod_signal:
+        for _, v in modulation_signal or ():
             if not (-1.0 <= v <= 1.0):
                 raise ValueError(f"modulation signal value {v} outside [-1, 1]")
+        self.mod_signal = Schedule(modulation_signal or [(0.0, 0.0)])
         self.t_min, self.t_max = t_min_c, t_max_c
         self.min_gap = min_gap_c
         if baseline.t_cool_c - baseline.t_heat_c < min_gap_c:
@@ -119,7 +110,7 @@ class GebController:
             elif self._in_pre_window(t_s):
                 cool -= self.delta_pre
         elif self.mode is GebMode.MODULATE and in_win:
-            target = self.mod_depth * signal_value(self.mod_signal, t_s)
+            target = self.mod_depth * self.mod_signal.at(t_s)
             self._mod_offset = min(max(target, self._mod_offset - self.r_max),
                                    self._mod_offset + self.r_max)
             cool += self._mod_offset
@@ -127,19 +118,33 @@ class GebController:
         if self.mode is GebMode.MODULATE and not in_win:
             self._mod_offset = 0.0
 
-        flags = []
-        for name, v in (("t_cool", cool), ("t_heat", heat)):
-            clamped = min(max(v, self.t_min), self.t_max)
-            if clamped != v:
-                flags.append(f"clamp:{name}")
-            if name == "t_cool":
-                cool = clamped
-            else:
-                heat = clamped
-        if cool - heat < self.min_gap:
-            cool = heat + self.min_gap
+        cool, heat, clamped, gap = self.limit(cool, heat)
+        flags = [f"clamp:{name}" for name in clamped]
+        if gap:
             flags.append("gap")
         return SupervisorySetpoints(cool, heat, base.t_dis_c, base.p_duct_pa), flags
+
+    def limit(self, cool: float, heat: float) -> tuple[float, float, list[str], bool]:
+        """Clamp both setpoints into the bounds, then restore the minimum gap.
+
+        The gap opens upward (cooling = heating + gap) unless that would pass
+        t_max; then cooling sits at t_max and heating at t_max - gap.  Returns
+        (cool, heat, names of the clamped setpoints, whether the gap rule
+        moved anything).
+        """
+        lo, hi, gap = self.t_min, self.t_max, self.min_gap
+        cool_c = min(max(cool, lo), hi)
+        heat_c = min(max(heat, lo), hi)
+        clamped = []
+        if cool_c != cool:
+            clamped.append("t_cool")
+        if heat_c != heat:
+            clamped.append("t_heat")
+        if cool_c - heat_c >= gap:
+            return cool_c, heat_c, clamped, False
+        if heat_c + gap > hi:
+            return hi, hi - gap, clamped, True
+        return heat_c + gap, heat_c, clamped, True
 
 
 class SlowBusyError(Exception):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .plant import DischargeAir
+from .schedule import Schedule
 from .streams import OCCUPANT_DOMAIN, substream
 
 
@@ -67,23 +68,19 @@ class OccupantAgent:
     drink_until_s: float = -1.0
     drink_sign: float = 0.0
     walk_until_s: float = -1.0
+    _presence: Schedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.clo_ref = self.clo
+        self._presence = Schedule(self.presence or [(0.0, 1)])
         for p in self.action_probs.values():
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"agent {self.agent_id}: action probability {p} outside [0, 1]")
 
     def present(self, t_s: float) -> bool:
-        if not self.presence:
-            return True
-        state = 1
-        for time_s, flag in self.presence:
-            if t_s >= time_s:
-                state = flag
-            else:
-                break
-        return bool(state)
+        """Presence follows the [[time_s, 0|1], ...] schedule; always present
+        without one."""
+        return bool(self._presence.at(t_s))
 
     def drink_offset(self, t_s: float, fx: EffectConfig) -> float:
         if t_s >= self.drink_until_s or self.drink_sign == 0.0:

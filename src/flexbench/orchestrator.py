@@ -25,18 +25,18 @@ realtime mode anchors at the actual start epoch.
 from __future__ import annotations
 
 import copy
-import os
 import time
 
-from .building import WeatherSeries, ZoneModel, load_weather
+from .building import ZoneModel, build_weather
 from .datastore import Source, StepStore, VariableKey
 from .geb import (EventWindow, GebController, SlowControllerHarness,
-                  SupervisorySetpoints, signal_value)
+                  SupervisorySetpoints)
 from .occupants import (ActionType, EffectConfig, NearOccupantSurrogate,
                         OccupantAgent, Population)
 from .plant import (AppliedSetpoints, HvacUnit, OutdoorEmulator, PlantSim,
                     ZoneEmulator)
 from .psychro import w_from_rh
+from .schedule import Schedule
 from .streams import COMM_DOMAIN, substream
 
 COMPUTE_FLOOR_MS = 1
@@ -162,11 +162,11 @@ class Engine:
                               b["moisture_capacity_kg"], b["surface_tau_s"],
                               b["n_surfaces"], d["inherited_delay"],
                               b["t_init_c"], b["rh_init_pct"])
-        self.weather = self._build_weather(b["weather"], base_dir)
+        self.weather = build_weather(b["weather"], base_dir)
         self.weather.ensure_coverage((self.horizon - 1) * self.step_size)
         gains = b["internal_gains_w"]  # float or [[t, w], ...]
-        self.gains_bp = [tuple(p) for p in gains] if isinstance(gains, list) \
-            else float(gains)
+        self.internal_gains = Schedule(gains if isinstance(gains, list)
+                                       else [(0.0, gains)])
 
         o = cfg["occupants"]
         fx = EffectConfig(**o["effects"])
@@ -178,11 +178,9 @@ class Engine:
         agents = []
         for i, a in enumerate(o["agents"]):
             probs = {ActionType(name): v for name, v in a["action_probs"].items()}
-            presence = None if a["presence"] is None else \
-                [(t, int(flag)) for t, flag in a["presence"]]
             agents.append(OccupantAgent(i, tuple(a["coords"]), a["clo"],
                                         a["t_pref_c"], a["deadband_c"], probs,
-                                        presence))
+                                        a["presence"]))
         self.population = Population(agents, surrogate, fx, self.seed)
 
         g = cfg["geb"]
@@ -197,10 +195,12 @@ class Engine:
             delta_pre_c=g["delta_pre_c"], pre_window_s=g["pre_window_s"],
             r_max_c_per_step=g["r_max_c_per_step"],
             modulation_depth_c=g["modulation"]["depth_c"],
-            modulation_signal=[tuple(p) for p in g["modulation"]["signal"]],
+            modulation_signal=g["modulation"]["signal"],
             t_min_c=g["bounds"]["t_min_c"], t_max_c=g["bounds"]["t_max_c"],
             min_gap_c=g["min_gap_c"])
-        self.dis_schedule = [tuple(p) for p in g["dis_schedule"]]
+        # without a schedule the baseline discharge setpoint (or None) holds
+        self.dis_schedule = Schedule(g["dis_schedule"]
+                                     or [(0.0, baseline.t_dis_c)])
         self.harness = None
         if g["policy"] == "slow":
             self.harness = SlowControllerHarness(g["slow"]["compute_latency_s"],
@@ -211,11 +211,9 @@ class Engine:
 
         zone_w0 = w_from_rh(b["t_init_c"], b["rh_init_pct"])
         out_t0, out_rh0 = self.weather.value_at(0.0)
-        dis0 = signal_value(self.dis_schedule, 0.0) if self.dis_schedule \
-            else baseline.t_dis_c
         applied0 = AppliedSetpoints(b["t_init_c"], zone_w0, out_t0, out_rh0,
                                     baseline.t_cool_c, baseline.t_heat_c,
-                                    dis0, baseline.p_duct_pa)
+                                    self.dis_schedule.at(0.0), baseline.p_duct_pa)
         self.plant = PlantSim(hvac, emulator, outdoor, applied0,
                               p["control_dt_s"], p["ideal_actuators"])
 
@@ -229,28 +227,13 @@ class Engine:
 
         self.store = StepStore(self.step_size, run["scenario_id"], self.seed, 0)
         self._step = 0
+        self._t0 = None  # monotonic start of a paced run(), set by run()
         self.counters = {"overruns": 0, "stale_steps": 0, "limitation_events": 0,
                          "setpoint_clamps": 0, "hvac_stale_holds": 0,
                          "slow_discarded": 0, "occupant_actions": 0}
         self.flag_counts: dict[str, int] = {}
         self._discomfort_sum = 0.0
         self._pacing = {"max_drift_ms": 0.0, "sum_drift_ms": 0.0, "paced_steps": 0}
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _build_weather(spec: dict, base_dir: str | None) -> WeatherSeries:
-        if "constant" in spec:
-            c = spec["constant"]
-            return WeatherSeries.constant(c["tdb_c"], c["rh_pct"])
-        if "series" in spec:
-            rows = spec["series"]
-            return WeatherSeries([r[0] for r in rows], [r[1] for r in rows],
-                                 [r[2] for r in rows])
-        path = spec["path"]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return load_weather(path)
 
     def _put(self, key: VariableKey, step: int, value: float, wall_ms: int) -> None:
         if self.include is None or key.name in self.include:
@@ -259,9 +242,7 @@ class Engine:
     # -- stepping ------------------------------------------------------------
 
     def internal_gains_at(self, t_s: float) -> float:
-        if isinstance(self.gains_bp, list):
-            return signal_value(self.gains_bp, t_s)
-        return self.gains_bp
+        return self.internal_gains.at(t_s)
 
     def step_once(self) -> None:
         n = self._step
@@ -356,23 +337,18 @@ class Engine:
             self.counters["slow_discarded"] = self.harness.discarded
             sp, flags = self._slow_sp, list(self._slow_flags)
 
-        cool = sp.t_cool_c + occ_delta
-        heat = sp.t_heat_c + occ_delta
-        lo, hi = self.geb.t_min, self.geb.t_max
-        cool_c = min(max(cool, lo), hi)
-        heat_c = min(max(heat, lo), hi)
-        if occ_delta != 0.0 and (cool_c != cool or heat_c != heat):
+        cool, heat, clamped, gap = self.geb.limit(sp.t_cool_c + occ_delta,
+                                                  sp.t_heat_c + occ_delta)
+        if occ_delta != 0.0 and clamped:
             flags = flags + ["clamp:occ"]
             self.counters["setpoint_clamps"] += 1
-        if cool_c - heat_c < self.geb.min_gap:
-            cool_c = heat_c + self.geb.min_gap
+        if gap:
             flags = flags + ["gap:occ"]
-        t_dis = signal_value(self.dis_schedule, t_s) if self.dis_schedule \
-            else sp.t_dis_c
-        return SupervisorySetpoints(cool_c, heat_c, t_dis, sp.p_duct_pa), flags
+        return SupervisorySetpoints(cool, heat, self.dis_schedule.at(t_s),
+                                    sp.p_duct_pa), flags
 
     def _realtime_overrun(self, n: int) -> bool:
-        if self.mode != "realtime" or not hasattr(self, "_t0"):
+        if self.mode != "realtime" or self._t0 is None:
             return False
         target = self._t0 + (n + 1) * self.step_size
         drift = time.monotonic() - target

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import copy
 import json
-import os
+import math
 from typing import Any
 
+from .building import (WeatherCoverageError, WeatherFormatError,
+                       build_weather)
+from .geb import EventWindow, validate_windows
 from .occupants import ActionType
 from .orchestrator import DelayInjector, step_ms
 
@@ -71,28 +74,44 @@ def _pct(v):
 
 
 _ACTION_NAMES = {a.value for a in ActionType}
+_NUMBER = (int, float)
 
 
-def _number_or_breakpoints(value, path):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+def _breakpoints(value, path: str, names: tuple[str, ...], empty_ok: bool = False,
+                 ties_ok: bool = False) -> list[list[float]]:
+    """Parse [[time_s, *values], ...]: rows of len(names) numbers (bools are
+    not numbers) with strictly increasing times (with ties_ok, non-decreasing:
+    the later of two equal times wins), returned as floats.  Every scheduled
+    input goes through here; see `schedule.Schedule` for how a series is read
+    between and outside its breakpoints."""
+    shape = f"[{', '.join(names)}]"
+    if not isinstance(value, list) or not (value or empty_ok):
+        raise ScenarioError(f"{path}: expected a {'' if empty_ok else 'non-empty '}"
+                            f"[{shape}, ...] list")
+    order = "not decrease" if ties_ok else "be strictly increasing"
+    out = []
+    last = -math.inf
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != len(names):
+            raise ScenarioError(f"{path}[{i}]: expected {shape}")
+        floats = []
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, _NUMBER):
+                raise ScenarioError(f"{path}[{i}]: expected {shape}")
+            floats.append(float(x))
+        if floats[0] < last or (floats[0] == last and not ties_ok):
+            raise ScenarioError(f"{path}[{i}]: times must {order}")
+        last = floats[0]
+        out.append(floats)
+    return out
+
+
+def _gains(value, path):
+    if isinstance(value, _NUMBER) and not isinstance(value, bool):
         return float(value)
-    if isinstance(value, list):
-        out = []
-        last_t = None
-        for i, item in enumerate(value):
-            if (not isinstance(item, list) or len(item) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in item)):
-                raise ScenarioError(f"{path}[{i}]: expected [time_s, value]")
-            t, v = float(item[0]), float(item[1])
-            if last_t is not None and t <= last_t:
-                raise ScenarioError(f"{path}[{i}]: times must be strictly increasing")
-            last_t = t
-            out.append([t, v])
-        if not out:
-            raise ScenarioError(f"{path}: breakpoint list must not be empty")
-        return out
-    raise ScenarioError(f"{path}: expected a number or a [[time_s, value], ...] list")
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a number or a [[time_s, value], ...] list")
+    return _breakpoints(value, path, ("time_s", "value"))
 
 
 def _weather(value, path):
@@ -120,56 +139,55 @@ def _weather(value, path):
         rh = Leaf(None, "float", check=_pct, msg="outside [0, 100]").validate(
             v.get("rh_pct", 50.0), f"{path}.constant.rh_pct")
         return {"constant": {"tdb_c": tdb, "rh_pct": rh}}
-    rows = []
-    last_t = None
-    if not isinstance(v, list) or not v:
-        raise ScenarioError(f"{path}.series: expected a non-empty list")
-    for i, item in enumerate(v):
-        if (not isinstance(item, list) or len(item) != 3
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in item)):
-            raise ScenarioError(f"{path}.series[{i}]: expected [time_s, tdb_c, rh_pct]")
-        t = float(item[0])
-        if last_t is not None and t <= last_t:
-            raise ScenarioError(f"{path}.series[{i}]: times must be strictly increasing")
-        last_t = t
-        rows.append([t, float(item[1]), float(item[2])])
-    return {"series": rows}
+    return {"series": _breakpoints(v, f"{path}.series", ("time_s", "tdb_c", "rh_pct"))}
 
 
-def _increasing_times(rows, path):
-    for i in range(1, len(rows)):
-        if rows[i][0] <= rows[i - 1][0]:
-            raise ScenarioError(f"{path}[{i}]: times must be strictly increasing")
+def _presence(value, path):
+    rows = _breakpoints(value, path, ("time_s", "flag"), empty_ok=True, ties_ok=True)
+    for i, (_, flag) in enumerate(rows):
+        if flag not in (0.0, 1.0):
+            raise ScenarioError(f"{path}[{i}]: flag must be 0 or 1")
+    return rows
 
 
-def _pairs(value, path, inner_len, names):
-    if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected a list")
-    out = []
-    for i, item in enumerate(value):
-        if (not isinstance(item, list) or len(item) != inner_len
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in item)):
-            raise ScenarioError(f"{path}[{i}]: expected [{', '.join(names)}]")
-        out.append([float(x) for x in item])
-    return out
+def _signal(value, path):
+    rows = _breakpoints(value, path, ("time_s", "value"), empty_ok=True)
+    for i, (_, v) in enumerate(rows):
+        if not -1.0 <= v <= 1.0:
+            raise ScenarioError(f"{path}[{i}]: signal value {v} outside [-1, 1]")
+    return rows
 
 
-def _agent(value, path, index):
+def _dis_schedule(value, path):
+    return _breakpoints(value, path, ("time_s", "t_dis_c"), empty_ok=True)
+
+
+def _xyz(value, path):
+    if (not isinstance(value, list) or len(value) != 3
+            or not all(isinstance(x, _NUMBER) and not isinstance(x, bool)
+                       for x in value)):
+        raise ScenarioError(f"{path}: expected [x, y, z]")
+    return [float(x) for x in value]
+
+
+def _zone_bounds(value, path):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(f"{path}: expected [[lo...], [hi...]]")
+    lo, hi = (_xyz(c, f"{path}[{i}]") for i, c in enumerate(value))
+    if any(h <= l for l, h in zip(lo, hi)):
+        raise ScenarioError(f"{path}: upper corner must exceed lower corner")
+    return [lo, hi]
+
+
+def _agent(value, path):
     if not isinstance(value, dict):
         raise ScenarioError(f"{path}: expected an object")
     allowed = {"coords", "clo", "t_pref_c", "deadband_c", "action_probs", "presence"}
     unknown = set(value) - allowed
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    coords = value.get("coords")
-    if (not isinstance(coords, list) or len(coords) != 3
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in coords)):
-        raise ScenarioError(f"{path}.coords: expected [x, y, z]")
     out = {
-        "coords": [float(c) for c in coords],
+        "coords": _xyz(value.get("coords"), f"{path}.coords"),
         "clo": Leaf(0.7, "float", check=_nonneg, msg="must be >= 0").validate(
             value.get("clo", 0.7), f"{path}.clo"),
         "t_pref_c": Leaf(22.5, "float").validate(
@@ -177,7 +195,8 @@ def _agent(value, path, index):
         "deadband_c": Leaf(1.0, "float", check=_pos, msg="must be > 0").validate(
             value.get("deadband_c", 1.0), f"{path}.deadband_c"),
         "action_probs": {},
-        "presence": None,
+        "presence": None if value.get("presence") is None
+        else _presence(value["presence"], f"{path}.presence"),
     }
     probs = value.get("action_probs", {})
     if not isinstance(probs, dict):
@@ -190,14 +209,41 @@ def _agent(value, path, index):
             raise ScenarioError(f"{path}.action_probs.{name}: probability {p!r} "
                                 f"outside [0, 1]")
         out["action_probs"][name] = float(p)
-    presence = value.get("presence")
-    if presence is not None:
-        rows = _pairs(presence, f"{path}.presence", 2, ("time_s", "flag"))
-        for i, (_, flag) in enumerate(rows):
-            if flag not in (0.0, 1.0):
-                raise ScenarioError(f"{path}.presence[{i}]: flag must be 0 or 1")
-        out["presence"] = rows
     return out
+
+
+def _agents(value, path):
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a list")
+    return [_agent(a, f"{path}[{i}]") for i, a in enumerate(value)]
+
+
+def _windows(value, path):
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a list")
+    out = []
+    for i, win in enumerate(value):
+        if not isinstance(win, dict) or set(win) != {"start_s", "end_s"}:
+            raise ScenarioError(f"{path}[{i}]: expected {{start_s, end_s}}")
+        start = Leaf(None, "float", check=_nonneg, msg="must be >= 0").validate(
+            win["start_s"], f"{path}[{i}].start_s")
+        end = Leaf(None, "float").validate(win["end_s"], f"{path}[{i}].end_s")
+        if end <= start:
+            raise ScenarioError(f"{path}[{i}]: end_s must exceed start_s")
+        out.append({"start_s": start, "end_s": end})
+    try:
+        validate_windows([EventWindow(w["start_s"], w["end_s"]) for w in out])
+    except ValueError as e:
+        raise ScenarioError(f"{path}: {e}") from e
+    return out
+
+
+def _include(value, path):
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScenarioError(f"{path}: expected a list of variable names")
+    return list(value)
 
 
 SCHEMA: dict[str, Any] = {
@@ -261,11 +307,11 @@ SCHEMA: dict[str, Any] = {
         "n_surfaces": Leaf(4, "int", check=_nonneg, msg="must be >= 0"),
         "t_init_c": Leaf(23.0, "float"),
         "rh_init_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
-        "internal_gains_w": _number_or_breakpoints,
-        "weather": _weather,
+        "internal_gains_w": (300.0, _gains),
+        "weather": ({"constant": {"tdb_c": 30.0, "rh_pct": 40.0}}, _weather),
     },
     "occupants": {
-        "agents": None,  # handled specially
+        "agents": ([], _agents),
         "effects": {
             "fan_offset_c": Leaf(0.8, "float", check=_nonneg, msg="must be >= 0"),
             "clo_step": Leaf(0.5, "float", check=_pos, msg="must be > 0"),
@@ -288,8 +334,8 @@ SCHEMA: dict[str, Any] = {
             "w_zone": Leaf(0.6, "float", check=_nonneg, msg="must be >= 0"),
             "w_surfaces": Leaf(0.2, "float", check=_nonneg, msg="must be >= 0"),
             "decay_length_m": Leaf(3.0, "float", check=_pos, msg="must be > 0"),
-            "diffuser_xyz": None,  # handled specially
-            "zone_bounds": None,   # handled specially
+            "diffuser_xyz": ([0.0, 0.0, 2.5], _xyz),
+            "zone_bounds": ([[0.0, 0.0, 0.0], [6.0, 6.0, 3.0]], _zone_bounds),
         },
     },
     "geb": {
@@ -301,8 +347,8 @@ SCHEMA: dict[str, Any] = {
             "t_dis_c": Leaf(None, "float?"),
             "p_duct_pa": Leaf(None, "float?"),
         },
-        "windows": None,  # handled specially
-        "dis_schedule": None,  # handled specially
+        "windows": ([], _windows),
+        "dis_schedule": ([], _dis_schedule),
         "delta_eff_c": Leaf(1.0, "float", check=_nonneg, msg="must be >= 0"),
         "delta_shed_c": Leaf(2.0, "float", check=_nonneg, msg="must be >= 0"),
         "delta_pre_c": Leaf(1.5, "float", check=_nonneg, msg="must be >= 0"),
@@ -310,7 +356,7 @@ SCHEMA: dict[str, Any] = {
         "r_max_c_per_step": Leaf(0.5, "float", check=_pos, msg="must be > 0"),
         "modulation": {
             "depth_c": Leaf(1.0, "float", check=_nonneg, msg="must be >= 0"),
-            "signal": None,  # handled specially
+            "signal": ([], _signal),
         },
         "bounds": {
             "t_min_c": Leaf(12.0, "float"),
@@ -325,7 +371,7 @@ SCHEMA: dict[str, Any] = {
     },
     "logging": {
         "plant_internals": Leaf(True, "bool"),
-        "include": None,  # handled specially
+        "include": (None, _include),
     },
 }
 
@@ -345,78 +391,11 @@ def _validate_level(doc: dict, schema: dict, path: str, out: dict) -> None:
             out[name] = {}
             _validate_level(value or {}, spec, child_path, out[name])
         elif isinstance(spec, Leaf):
-            out[name] = spec.validate(value if present else spec.default, child_path) \
-                if present else copy.deepcopy(spec.default)
-        elif callable(spec):
-            default = {"internal_gains_w": 300.0,
-                       "weather": {"constant": {"tdb_c": 30.0, "rh_pct": 40.0}}}[name]
-            out[name] = spec(value, child_path) if present else default
+            out[name] = spec.validate(value, child_path) if present \
+                else copy.deepcopy(spec.default)
         else:
-            out[name] = _validate_special(name, value, present, child_path)
-
-
-def _validate_special(name: str, value, present: bool, path: str):
-    if name == "agents":
-        if not present:
-            return []
-        if not isinstance(value, list):
-            raise ScenarioError(f"{path}: expected a list")
-        return [_agent(a, f"{path}[{i}]", i) for i, a in enumerate(value)]
-    if name == "windows":
-        if not present:
-            return []
-        if not isinstance(value, list):
-            raise ScenarioError(f"{path}: expected a list")
-        out = []
-        for i, win in enumerate(value):
-            if not isinstance(win, dict) or set(win) != {"start_s", "end_s"}:
-                raise ScenarioError(f"{path}[{i}]: expected {{start_s, end_s}}")
-            start = Leaf(None, "float", check=_nonneg, msg="must be >= 0").validate(
-                win["start_s"], f"{path}[{i}].start_s")
-            end = Leaf(None, "float").validate(win["end_s"], f"{path}[{i}].end_s")
-            if end <= start:
-                raise ScenarioError(f"{path}[{i}]: end_s must exceed start_s")
-            out.append({"start_s": start, "end_s": end})
-        return out
-    if name == "signal":
-        if not present:
-            return []
-        rows = _pairs(value, path, 2, ("time_s", "value"))
-        _increasing_times(rows, path)
-        for i, (_, v) in enumerate(rows):
-            if not -1.0 <= v <= 1.0:
-                raise ScenarioError(f"{path}[{i}]: signal value {v} outside [-1, 1]")
-        return rows
-    if name == "dis_schedule":
-        if not present:
-            return []
-        rows = _pairs(value, path, 2, ("time_s", "t_dis_c"))
-        _increasing_times(rows, path)
-        return rows
-    if name == "diffuser_xyz":
-        if not present:
-            return [0.0, 0.0, 2.5]
-        if (not isinstance(value, list) or len(value) != 3
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in value)):
-            raise ScenarioError(f"{path}: expected [x, y, z]")
-        return [float(x) for x in value]
-    if name == "zone_bounds":
-        if not present:
-            return [[0.0, 0.0, 0.0], [6.0, 6.0, 3.0]]
-        rows = _pairs(value, path, 3, ("x", "y", "z"))
-        if len(rows) != 2:
-            raise ScenarioError(f"{path}: expected [[lo...], [hi...]]")
-        if any(h <= l for l, h in zip(rows[0], rows[1])):
-            raise ScenarioError(f"{path}: upper corner must exceed lower corner")
-        return rows
-    if name == "include":
-        if not present or value is None:
-            return None
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ScenarioError(f"{path}: expected a list of variable names")
-        return list(value)
-    raise AssertionError(name)
+            default, parse = spec
+            out[name] = parse(value, child_path) if present else copy.deepcopy(default)
 
 
 def validate_scenario(doc: dict, base_dir: str | None = None,
@@ -426,8 +405,9 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
 
     Cross-field rules live here: exchange latency must fit inside the step
     (unless stale_hold opts in), discharge limits and setpoint bounds must be
-    ordered, the emulator coil needs some capacity, windows must not overlap,
-    and referenced weather must exist and cover the horizon.
+    ordered, the emulator coil needs some capacity, and weather series or
+    files must cover the horizon.  Rules of one field (breakpoint order,
+    window overlap) live in that field's parser in SCHEMA.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected an object")
@@ -474,36 +454,22 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     if gb["bounds"]["t_max_c"] - gb["bounds"]["t_min_c"] < gb["min_gap_c"]:
         raise ScenarioError("geb.bounds.t_max_c: must exceed t_min_c by at least "
                             "geb.min_gap_c")
-    wins = sorted(gb["windows"], key=lambda w: w["start_s"])
-    for a, b in zip(wins, wins[1:]):
-        if b["start_s"] < a["end_s"]:
-            raise ScenarioError(f"geb.windows: [{a['start_s']}, {a['end_s']}) overlaps "
-                                f"[{b['start_s']}, {b['end_s']})")
 
     sur = out["occupants"]["surrogate"]
     if sur["w_discharge"] + sur["w_zone"] + sur["w_surfaces"] <= 0:
         raise ScenarioError("occupants.surrogate.w_zone: weights must sum above 0")
 
     weather = out["building"]["weather"]
-    if check_files and "path" in weather:
-        wpath = weather["path"]
-        if base_dir is not None and not os.path.isabs(wpath):
-            wpath = os.path.join(base_dir, wpath)
-        if not os.path.exists(wpath):
-            raise ScenarioError(f"building.weather.path: file not found: {wpath}")
-        from .building import WeatherCoverageError, WeatherFormatError, load_weather
+    [form] = weather  # path, constant or series; a constant covers any horizon
+    if form == "series" or (form == "path" and check_files):
         try:
-            series = load_weather(wpath)
-            series.ensure_coverage((run["horizon"] - 1) * step)
+            build_weather(weather, base_dir).ensure_coverage(
+                (run["horizon"] - 1) * step)
+        except FileNotFoundError as e:
+            raise ScenarioError(f"building.weather.path: file not found: "
+                                f"{e.filename}") from e
         except (WeatherCoverageError, WeatherFormatError) as e:
-            raise ScenarioError(f"building.weather.path: {e}") from e
-    elif "series" in weather:
-        last = weather["series"][-1][0]
-        needed = (run["horizon"] - 1) * step
-        if len(weather["series"]) > 1 and needed > last + 1e-9:
-            raise ScenarioError(
-                f"building.weather.series: ends at {last:.0f} s but the horizon "
-                f"needs {needed:.0f} s")
+            raise ScenarioError(f"building.weather.{form}: {e}") from e
     return out
 
 

@@ -2,8 +2,8 @@ import pytest
 
 from flexbench.geb import (EventWindow, GebController, GebMode,
                            SlowBusyError, SlowControllerHarness,
-                           SupervisorySetpoints, signal_value,
-                           validate_windows)
+                           SupervisorySetpoints, validate_windows)
+from flexbench.schedule import Schedule
 
 BASE = SupervisorySetpoints(t_cool_c=24.0, t_heat_c=20.0)
 
@@ -26,11 +26,11 @@ class TestWindows:
             validate_windows([EventWindow(0, 11), EventWindow(10, 20)])
 
     def test_signal_holds_last_value(self):
-        sig = [(0.0, 0.5), (600.0, -1.0)]
-        assert signal_value(sig, 0.0) == 0.5
-        assert signal_value(sig, 599.0) == 0.5
-        assert signal_value(sig, 600.0) == -1.0
-        assert signal_value([(100.0, 0.7)], 0.0) == 0.0  # before first point
+        sig = Schedule([(0.0, 0.5), (600.0, -1.0)])
+        assert sig.at(0.0) == 0.5
+        assert sig.at(599.0) == 0.5
+        assert sig.at(600.0) == -1.0
+        assert Schedule([(100.0, 0.7)]).at(0.0) == 0.7  # before first point
 
 
 class TestGebController:
@@ -87,6 +87,18 @@ class TestGebController:
         assert sp.t_heat_c == 20.0
         assert sp.t_cool_c == 22.0  # pushed back above heat + gap
         assert flags == ["gap"]
+
+    def test_gap_opens_downward_at_the_upper_bound(self):
+        # cooling clamps to t_max_c; heating + gap would pass it, so heating
+        # moves down to t_max_c - gap instead of cooling moving up
+        base = SupervisorySetpoints(22.5, 21.5)
+        ctl = GebController("efficiency", base, t_min_c=20.0, t_max_c=22.0)
+        sp, flags = ctl.step(0.0)
+        assert (sp.t_cool_c, sp.t_heat_c) == (22.0, 21.0)
+        assert flags == ["clamp:t_cool", "gap"]
+        assert ctl.limit(23.0, 22.5) == (22.0, 21.0, ["t_cool", "t_heat"], True)
+        assert ctl.limit(21.0, 20.5) == (21.5, 20.5, [], True)
+        assert ctl.limit(21.0, 20.0) == (21.0, 20.0, [], False)
 
     def test_discharge_and_duct_pass_through(self):
         base = SupervisorySetpoints(24.0, 20.0, t_dis_c=14.0, p_duct_pa=250.0)

@@ -231,7 +231,9 @@ class TestPresence:
         assert a.present(1200.0)
 
     def test_before_first_entry_defaults_present(self):
-        assert agent(presence=[(300.0, 0)]).present(0.0)
+        # before its first entry a schedule holds that entry's flag
+        assert not agent(presence=[(300.0, 0)]).present(0.0)
+        assert agent(presence=[(300.0, 1), (600.0, 0)]).present(0.0)
 
 
 class TestPopulation:

@@ -171,6 +171,13 @@ class TestPlantVariants:
         assert a[0] == b[0]          # identical before the schedule departs
         assert not np.array_equal(a[1:], b[1:])
 
+    def test_schedules_hold_their_first_value_before_it(self):
+        engine = Engine(cfg_from({"building": {"internal_gains_w": [[120, 800]]}}))
+        assert engine.internal_gains_at(0.0) == 800.0
+        _, engine = run_doc({"run": {"horizon": 5},
+                             "geb": {"dis_schedule": [[120, 22]]}})
+        assert engine.summary()["counts"]["discharge_clamps"] == 0
+
     def test_internal_gains_lookup(self):
         engine = Engine(cfg_from({"building": {"internal_gains_w":
                                                [[0, 100], [300, 900]]}}))
@@ -209,6 +216,19 @@ class TestOccupantCoupling:
         assert cools.max() == 25.5
         assert engine.flag_counts.get("clamp:occ", 0) > 0
         assert engine.counters["setpoint_clamps"] > 0
+
+    def test_occupant_offset_keeps_the_gap_inside_the_bounds(self):
+        # a cold occupant lifts the heating setpoint to t_max_c; the gap then
+        # opens downward instead of pushing cooling above t_max_c
+        doc = {**self.DOC, "run": {"horizon": 4},
+               "geb": {"bounds": {"t_min_c": 20.0, "t_max_c": 22.0},
+                       "baseline": {"t_cool_c": 22.0, "t_heat_c": 21.0}}}
+        log, engine = run_doc(doc)
+        cools = series_from_log(log, "ctrl.t_cool_spt:setpoint")
+        heats = series_from_log(log, "ctrl.t_heat_spt:setpoint")
+        assert list(cools) == [22.0] * 4
+        assert list(heats) == [21.0] * 4
+        assert engine.flag_counts == {"clamp:occ": 4, "gap:occ": 4}
 
     def test_no_agents_means_no_occ_channels(self):
         log, _ = run_doc({"run": {"horizon": 2}})
@@ -287,6 +307,13 @@ class TestRealtime:
         assert log.meta.start_wall_ms == engine.run_start_ms
         assert engine.counters["overruns"] == 0
         assert "pacing" in engine.summary()
+
+    def test_step_once_without_run_counts_no_overrun(self):
+        engine = Engine(cfg_from({"run": {"mode": "realtime", "horizon": 4}}))
+        assert engine._t0 is None  # no paced run() has started
+        engine.step_once()
+        assert engine.counters["overruns"] == 0
+        assert engine.plant.stale_count == 0
 
     def test_forced_overrun_hold_policy(self):
         engine = Engine(cfg_from({"run": {"mode": "realtime", "horizon": 4}}))

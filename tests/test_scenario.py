@@ -232,6 +232,19 @@ class TestAgents:
         with pytest.raises(ScenarioError, match=r"outside \[0, 1\]"):
             validate_scenario(doc)
 
+    def test_presence_times_must_not_decrease(self):
+        doc = {"occupants": {"agents": [
+            {"coords": [1, 2, 1]},
+            {"coords": [1, 2, 1], "presence": [[600, 0], [0, 1]]}]}}
+        with pytest.raises(ScenarioError, match=r"^occupants\.agents\[1\]\.presence\[1\]: "
+                                                r"times must not decrease"):
+            validate_scenario(doc)
+        # the later of two entries at one time wins
+        doc["occupants"]["agents"][1]["presence"] = [[0, 0], [0, 1], [600, 0]]
+        engine = Engine(validate_scenario(doc))
+        assert engine.population.agents[1].present(0.0)
+        assert not engine.population.agents[1].present(700.0)
+
     def test_presence_flags(self):
         doc = {"occupants": {"agents": [
             {"coords": [1, 2, 1], "presence": [[0, 1], [600, 2]]}]}}
