@@ -110,7 +110,8 @@ def _gains(value, path):
     if isinstance(value, _NUMBER) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected a number or a [[time_s, value], ...] list")
+        raise ScenarioError(f"{path}: expected a number or a "
+                            f"[[time_s, value], ...] list")
     return _breakpoints(value, path, ("time_s", "value"))
 
 
@@ -391,8 +392,8 @@ def _validate_level(doc: dict, schema: dict, path: str, out: dict) -> None:
             out[name] = {}
             _validate_level(value or {}, spec, child_path, out[name])
         elif isinstance(spec, Leaf):
-            out[name] = spec.validate(value, child_path) if present \
-                else copy.deepcopy(spec.default)
+            # leaf defaults are immutable scalars (or None): shared, not copied
+            out[name] = spec.validate(value, child_path) if present else spec.default
         else:
             default, parse = spec
             out[name] = parse(value, child_path) if present else copy.deepcopy(default)

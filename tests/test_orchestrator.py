@@ -172,7 +172,8 @@ class TestPlantVariants:
         assert not np.array_equal(a[1:], b[1:])
 
     def test_schedules_hold_their_first_value_before_it(self):
-        engine = Engine(cfg_from({"building": {"internal_gains_w": [[120, 800]]}}))
+        engine = Engine(cfg_from({"building": {"internal_gains_w":
+                                               [[120, 800]]}}))
         assert engine.internal_gains_at(0.0) == 800.0
         _, engine = run_doc({"run": {"horizon": 5},
                              "geb": {"dis_schedule": [[120, 22]]}})
