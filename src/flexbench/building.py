@@ -86,6 +86,8 @@ def load_weather(path: str) -> WeatherSeries:
             rh.append(float(parts[2]))
         except ValueError as e:
             raise WeatherFormatError(f"{path}: row {n}: {e}") from e
+    if not all(map(math.isfinite, times + tdb + rh)):
+        raise WeatherFormatError(f"{path}: values must be finite")
     return WeatherSeries(times, tdb, rh)
 
 

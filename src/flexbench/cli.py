@@ -10,7 +10,6 @@ Exit status contract (scripts rely on it):
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,7 +19,8 @@ from .analysis import (AnalysisError, InsufficientDataError, capacity_check,
                        response_time, rmse_shift, series_from_log)
 from .building import WeatherCoverageError, WeatherFormatError
 from .datastore import (DatastoreError, ExportError, UnknownKeyError,
-                        export_run, import_run, meta_dict, write_csv)
+                        export_run, import_run, meta_dict, write_csv,
+                        write_json)
 from .orchestrator import Engine, EngineError
 from .scenario import ScenarioError, apply_overrides, load_scenario, validate_scenario
 
@@ -56,13 +56,9 @@ def cmd_run(args) -> int:
     summary = engine.summary()
     summary["log"] = meta_dict(log.meta)
     summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(summary, summary_path)
     eff_path = os.path.join(out_dir, "scenario.effective.json")
-    with open(eff_path, "w", encoding="utf-8") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(cfg, eff_path)
 
     print(f"run {cfg['run']['scenario_id']}: {log.meta.steps} steps, {rows} rows")
     for path in (csv_path, summary_path, eff_path):

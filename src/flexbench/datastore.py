@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -218,6 +219,22 @@ class StepStore:
 CSV_HEADER = "step_index,sim_time_s,variable,source,unit,value,wall_time_ms"
 
 
+@contextmanager
+def _atomic(path: str):
+    """A text file that replaces path only once it is completely written: the
+    content goes to path + ".tmp", which is renamed onto path on success and
+    removed on failure, so no reader ever sees half a file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(log: RunLog, path: str) -> int:
     """Write the export CSV atomically.  Returns the number of data rows.
 
@@ -229,28 +246,21 @@ def write_csv(log: RunLog, path: str) -> int:
         cols.append((f",{k.name},{k.source.value},{k.unit},", values.tolist(),
                      walls.tolist()))
     step_size = log.meta.step_size_s
-    tmp = path + ".tmp"
     rows = 0
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            f.write(CSV_HEADER + "\n")
-            for step in range(log.meta.steps):
-                lead = f"{step},{format(step * step_size, '.17g')}"
-                lines = []
-                for mid, values, walls in cols:
-                    v = values[step]
-                    if v != v:  # NaN: no sample at this step
-                        continue
-                    w = walls[step]
-                    lines.append(f"{lead}{mid}{format(v, '.17g')},"
-                                 f"{'' if w != w else int(w)}\n")
-                f.write("".join(lines))
-                rows += len(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with _atomic(path) as f:
+        f.write(CSV_HEADER + "\n")
+        for step in range(log.meta.steps):
+            lead = f"{step},{format(step * step_size, '.17g')}"
+            lines = []
+            for mid, values, walls in cols:
+                v = values[step]
+                if v != v:  # NaN: no sample at this step
+                    continue
+                w = walls[step]
+                lines.append(f"{lead}{mid}{format(v, '.17g')},"
+                             f"{'' if w != w else int(w)}\n")
+            f.write("".join(lines))
+            rows += len(lines)
     return rows
 
 
@@ -264,17 +274,15 @@ def meta_dict(meta: RunMeta) -> dict:
     }
 
 
+def write_json(obj, path: str) -> None:
+    """Write obj as indented, key-sorted JSON atomically."""
+    with _atomic(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def write_meta(meta: RunMeta, path: str) -> None:
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            json.dump(meta_dict(meta), f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    write_json(meta_dict(meta), path)
 
 
 def export_run(log: RunLog, dest: str) -> ExportSummary:

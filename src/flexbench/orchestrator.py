@@ -163,7 +163,6 @@ class Engine:
                               b["n_surfaces"], d["inherited_delay"],
                               b["t_init_c"], b["rh_init_pct"])
         self.weather = build_weather(b["weather"], base_dir)
-        self.weather.ensure_coverage((self.horizon - 1) * self.step_size)
         gains = b["internal_gains_w"]  # float or [[t, w], ...]
         self.internal_gains = Schedule(gains if isinstance(gains, list)
                                        else [(0.0, gains)])
@@ -220,17 +219,12 @@ class Engine:
         lg = cfg["logging"]
         self.plant_internals = lg["plant_internals"]
         self.include = None if lg["include"] is None else set(lg["include"])
-        if self.include is not None:
-            bad = sorted(self.include - VARIABLES.keys())
-            if bad:
-                raise EngineError(f"logging.include names unknown variables: {bad}")
 
         self.store = StepStore(self.step_size, run["scenario_id"], self.seed, 0)
         self._step = 0
         self._t0 = None  # monotonic start of a paced run(), set by run()
         self.counters = {"overruns": 0, "stale_steps": 0, "limitation_events": 0,
-                         "setpoint_clamps": 0, "hvac_stale_holds": 0,
-                         "slow_discarded": 0, "occupant_actions": 0}
+                         "setpoint_clamps": 0, "occupant_actions": 0}
         self.flag_counts: dict[str, int] = {}
         self._discomfort_sum = 0.0
         self._pacing = {"max_drift_ms": 0.0, "sum_drift_ms": 0.0, "paced_steps": 0}
@@ -334,7 +328,6 @@ class Engine:
                 self._slow_sp, self._slow_flags = delivered
             if not self.harness.pending:
                 self.harness.submit(n, self.geb.step(t_s))
-            self.counters["slow_discarded"] = self.harness.discarded
             sp, flags = self._slow_sp, list(self._slow_flags)
 
         cool, heat, clamped, gap = self.geb.limit(sp.t_cool_c + occ_delta,
@@ -386,6 +379,7 @@ class Engine:
         counts = dict(self.counters)
         counts["plant_setpoint_holds"] = self.plant.stale_count
         counts["hvac_stale_holds"] = self.plant.hvac.stale_holds
+        counts["slow_discarded"] = self.harness.discarded if self.harness else 0
         counts["discharge_clamps"] = self.plant.clamp_count
         steps = self._step
         out = {

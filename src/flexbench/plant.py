@@ -60,11 +60,6 @@ class PidController:
         self.last_command = min(max(0.0, out_min), out_max)
         self.fault = False
 
-    def reset(self) -> None:
-        self.integral = 0.0
-        self.last_pv = None
-        self.fault = False
-
     def step(self, setpoint: float, pv: float, dt: float) -> float:
         if not (math.isfinite(setpoint) and math.isfinite(pv) and dt > 0):
             self.fault = True
@@ -170,8 +165,6 @@ class HvacUnit:
         if pv_mode not in self.PV_MODES:
             raise ValueError(f"pv_mode must be one of {self.PV_MODES}")
         self.m_dot = m_dot_kg_s
-        self.rated_cooling = rated_cooling_w
-        self.rated_heating = rated_heating_w
         self.tau_dis = tau_dis_s
         self.t_dis_min, self.t_dis_max = t_dis_min_c, t_dis_max_c
         self.pv_mode = pv_mode
@@ -257,15 +250,12 @@ class OutdoorEmulator:
     }
 
     def __init__(self, kind: str = "air", tau_s: float = 300.0,
-                 t_init_c: float = 15.0, rh_init_pct: float = 50.0,
-                 envelope: dict | None = None):
+                 t_init_c: float = 15.0, rh_init_pct: float = 50.0):
         if kind not in self.ENVELOPES:
             raise ValueError(f"kind must be one of {tuple(self.ENVELOPES)}")
         self.kind = kind
         self.tau = tau_s
-        self.env = dict(self.ENVELOPES[kind])
-        if envelope:
-            self.env.update(envelope)
+        self.env = self.ENVELOPES[kind]
         self.t = min(max(t_init_c, self.env["t_min"]), self.env["t_max"])
         self.rh = rh_init_pct if kind == "air" else 0.0
 

@@ -12,17 +12,38 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from typing import Any
 
 from .building import (WeatherCoverageError, WeatherFormatError,
                        build_weather)
 from .geb import EventWindow, validate_windows
 from .occupants import ActionType
-from .orchestrator import DelayInjector, step_ms
+from .orchestrator import VARIABLES, DelayInjector, step_ms
 
 
 class ScenarioError(Exception):
     """Invalid scenario document; message names the offending key path."""
+
+
+# Default of a key the document must give.
+REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, _NUMBER) and not isinstance(x, bool)
+
+
+_MAX = sys.float_info.max  # a number outside ±_MAX is NaN, ±Infinity or too big
+
+
+def _finite(x, path: str) -> float:
+    """A number as a finite float.  Python's json reads NaN and Infinity, and
+    the store rejects them, so validation does too."""
+    if not -_MAX <= x <= _MAX:
+        raise ScenarioError(f"{path}: {x!r} is not a finite number")
+    return float(x)
 
 
 class Leaf:
@@ -42,9 +63,9 @@ class Leaf:
         if k.endswith("?"):
             k = k[:-1]
         if k == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, _NUMBER):
                 raise ScenarioError(f"{path}: expected a number, got {value!r}")
-            value = float(value)
+            value = _finite(value, path)
         elif k == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ScenarioError(f"{path}: expected an integer, got {value!r}")
@@ -74,16 +95,15 @@ def _pct(v):
 
 
 _ACTION_NAMES = {a.value for a in ActionType}
-_NUMBER = (int, float)
 
 
 def _breakpoints(value, path: str, names: tuple[str, ...], empty_ok: bool = False,
                  ties_ok: bool = False) -> list[list[float]]:
-    """Parse [[time_s, *values], ...]: rows of len(names) numbers (bools are
-    not numbers) with strictly increasing times (with ties_ok, non-decreasing:
-    the later of two equal times wins), returned as floats.  Every scheduled
-    input goes through here; see `schedule.Schedule` for how a series is read
-    between and outside its breakpoints."""
+    """Parse [[time_s, *values], ...]: rows of len(names) finite numbers (bools
+    are not numbers) with strictly increasing times (with ties_ok,
+    non-decreasing: the later of two equal times wins), returned as floats.
+    Every scheduled input goes through here; see `schedule.Schedule` for how
+    a series is read between and outside its breakpoints."""
     shape = f"[{', '.join(names)}]"
     if not isinstance(value, list) or not (value or empty_ok):
         raise ScenarioError(f"{path}: expected a {'' if empty_ok else 'non-empty '}"
@@ -98,7 +118,9 @@ def _breakpoints(value, path: str, names: tuple[str, ...], empty_ok: bool = Fals
         for x in row:
             if isinstance(x, bool) or not isinstance(x, _NUMBER):
                 raise ScenarioError(f"{path}[{i}]: expected {shape}")
-            floats.append(float(x))
+            # series can be long: build a cell's path only to report it
+            floats.append(float(x) if -_MAX <= x <= _MAX
+                          else _finite(x, f"{path}[{i}][{len(floats)}]"))
         if floats[0] < last or (floats[0] == last and not ties_ok):
             raise ScenarioError(f"{path}[{i}]: times must {order}")
         last = floats[0]
@@ -107,43 +129,45 @@ def _breakpoints(value, path: str, names: tuple[str, ...], empty_ok: bool = Fals
 
 
 def _gains(value, path):
-    if isinstance(value, _NUMBER) and not isinstance(value, bool):
-        return float(value)
+    if _is_number(value):
+        return _finite(value, path)
     if not isinstance(value, list):
         raise ScenarioError(f"{path}: expected a number or a "
                             f"[[time_s, value], ...] list")
     return _breakpoints(value, path, ("time_s", "value"))
 
 
+def _objects(schema: dict):
+    """Parser of a list of objects, each validated against schema."""
+    def parse(value, path):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{path}: expected a list")
+        return [_validate_level(v, schema, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+_WEATHER_CONSTANT = {
+    "tdb_c": Leaf(REQUIRED, "float"),
+    "rh_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
+}
+_WEATHER = {
+    "path": Leaf(None, "str", check=bool, msg="is not a file path"),
+    "constant": (None, lambda v, p: _validate_level(v, _WEATHER_CONSTANT, p)),
+    "series": (None, lambda v, p: _breakpoints(v, p, ("time_s", "tdb_c", "rh_pct"))),
+}
+
+
 def _weather(value, path):
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    forms = [k for k in ("path", "constant", "series") if k in value]
-    unknown = set(value) - {"path", "constant", "series"}
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
+    forms = {k: v for k, v in _validate_level(value, _WEATHER, path).items()
+             if v is not None}
     if len(forms) != 1:
         raise ScenarioError(f"{path}: give exactly one of path / constant / series")
-    form = forms[0]
-    v = value[form]
-    if form == "path":
-        if not isinstance(v, str) or not v:
-            raise ScenarioError(f"{path}.path: expected a file path string")
-        return {"path": v}
-    if form == "constant":
-        if not isinstance(v, dict):
-            raise ScenarioError(f"{path}.constant: expected an object")
-        extra = set(v) - {"tdb_c", "rh_pct"}
-        if extra:
-            raise ScenarioError(f"{path}.constant: unknown keys {sorted(extra)}")
-        tdb = Leaf(None, "float").validate(v.get("tdb_c"), f"{path}.constant.tdb_c")
-        rh = Leaf(None, "float", check=_pct, msg="outside [0, 100]").validate(
-            v.get("rh_pct", 50.0), f"{path}.constant.rh_pct")
-        return {"constant": {"tdb_c": tdb, "rh_pct": rh}}
-    return {"series": _breakpoints(v, f"{path}.series", ("time_s", "tdb_c", "rh_pct"))}
+    return forms
 
 
 def _presence(value, path):
+    if value is None:  # present throughout
+        return None
     rows = _breakpoints(value, path, ("time_s", "flag"), empty_ok=True, ties_ok=True)
     for i, (_, flag) in enumerate(rows):
         if flag not in (0.0, 1.0):
@@ -165,10 +189,9 @@ def _dis_schedule(value, path):
 
 def _xyz(value, path):
     if (not isinstance(value, list) or len(value) != 3
-            or not all(isinstance(x, _NUMBER) and not isinstance(x, bool)
-                       for x in value)):
+            or not all(map(_is_number, value))):
         raise ScenarioError(f"{path}: expected [x, y, z]")
-    return [float(x) for x in value]
+    return [_finite(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
 def _zone_bounds(value, path):
@@ -180,59 +203,40 @@ def _zone_bounds(value, path):
     return [lo, hi]
 
 
-def _agent(value, path):
+_PROBABILITY = Leaf(None, "float", check=lambda p: 0.0 <= p <= 1.0,
+                    msg="outside [0, 1]")
+
+
+def _action_probs(value, path):
+    """A map from action name to probability: its keys are data, so it keeps
+    only the actions it is given."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{path}: expected an object")
-    allowed = {"coords", "clo", "t_pref_c", "deadband_c", "action_probs", "presence"}
-    unknown = set(value) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    out = {
-        "coords": _xyz(value.get("coords"), f"{path}.coords"),
-        "clo": Leaf(0.7, "float", check=_nonneg, msg="must be >= 0").validate(
-            value.get("clo", 0.7), f"{path}.clo"),
-        "t_pref_c": Leaf(22.5, "float").validate(
-            value.get("t_pref_c", 22.5), f"{path}.t_pref_c"),
-        "deadband_c": Leaf(1.0, "float", check=_pos, msg="must be > 0").validate(
-            value.get("deadband_c", 1.0), f"{path}.deadband_c"),
-        "action_probs": {},
-        "presence": None if value.get("presence") is None
-        else _presence(value["presence"], f"{path}.presence"),
-    }
-    probs = value.get("action_probs", {})
-    if not isinstance(probs, dict):
-        raise ScenarioError(f"{path}.action_probs: expected an object")
-    for name, p in probs.items():
+    for name in value:
         if name not in _ACTION_NAMES:
-            raise ScenarioError(f"{path}.action_probs.{name}: unknown action")
-        if (isinstance(p, bool) or not isinstance(p, (int, float))
-                or not 0.0 <= p <= 1.0):
-            raise ScenarioError(f"{path}.action_probs.{name}: probability {p!r} "
-                                f"outside [0, 1]")
-        out["action_probs"][name] = float(p)
-    return out
+            raise ScenarioError(f"{path}.{name}: unknown action")
+    return {name: _PROBABILITY.validate(p, f"{path}.{name}")
+            for name, p in value.items()}
 
 
-def _agents(value, path):
-    if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected a list")
-    return [_agent(a, f"{path}[{i}]") for i, a in enumerate(value)]
+_AGENT = {
+    "coords": (REQUIRED, _xyz),
+    "clo": Leaf(0.7, "float", check=_nonneg, msg="must be >= 0"),
+    "t_pref_c": Leaf(22.5, "float"),
+    "deadband_c": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
+    "action_probs": ({}, _action_probs),
+    "presence": (None, _presence),
+}
+
+_WINDOW = {
+    "start_s": Leaf(REQUIRED, "float", check=_nonneg, msg="must be >= 0"),
+    "end_s": Leaf(REQUIRED, "float"),
+}
 
 
 def _windows(value, path):
-    if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected a list")
-    out = []
-    for i, win in enumerate(value):
-        if not isinstance(win, dict) or set(win) != {"start_s", "end_s"}:
-            raise ScenarioError(f"{path}[{i}]: expected {{start_s, end_s}}")
-        start = Leaf(None, "float", check=_nonneg, msg="must be >= 0").validate(
-            win["start_s"], f"{path}[{i}].start_s")
-        end = Leaf(None, "float").validate(win["end_s"], f"{path}[{i}].end_s")
-        if end <= start:
-            raise ScenarioError(f"{path}[{i}]: end_s must exceed start_s")
-        out.append({"start_s": start, "end_s": end})
-    try:
+    out = _objects(_WINDOW)(value, path)
+    try:  # each window ends after it starts, and no two overlap
         validate_windows([EventWindow(w["start_s"], w["end_s"]) for w in out])
     except ValueError as e:
         raise ScenarioError(f"{path}: {e}") from e
@@ -244,6 +248,9 @@ def _include(value, path):
         return None
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ScenarioError(f"{path}: expected a list of variable names")
+    unknown = sorted(set(value) - VARIABLES.keys())
+    if unknown:
+        raise ScenarioError(f"{path}: unknown variables {unknown}")
     return list(value)
 
 
@@ -312,7 +319,7 @@ SCHEMA: dict[str, Any] = {
         "weather": ({"constant": {"tdb_c": 30.0, "rh_pct": 40.0}}, _weather),
     },
     "occupants": {
-        "agents": ([], _agents),
+        "agents": ([], _objects(_AGENT)),
         "effects": {
             "fan_offset_c": Leaf(0.8, "float", check=_nonneg, msg="must be >= 0"),
             "clo_step": Leaf(0.5, "float", check=_pos, msg="must be > 0"),
@@ -377,31 +384,35 @@ SCHEMA: dict[str, Any] = {
 }
 
 
-def _validate_level(doc: dict, schema: dict, path: str, out: dict) -> None:
+def _validate_level(doc, schema: dict, path: str) -> dict:
+    """Validate one object against its schema: no unknown keys, every REQUIRED
+    key given, and every other absent key filled with its default."""
+    where = path or "top level"
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}: expected an object")
     unknown = set(doc) - set(schema)
     if unknown:
-        where = path or "top level"
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    out = {}
     for name, spec in schema.items():
         child_path = f"{path}.{name}" if path else name
-        present = name in doc
-        value = doc.get(name)
         if isinstance(spec, dict):
-            if present and not isinstance(value, dict):
-                raise ScenarioError(f"{child_path}: expected an object")
-            out[name] = {}
-            _validate_level(value or {}, spec, child_path, out[name])
-        elif isinstance(spec, Leaf):
-            # leaf defaults are immutable scalars (or None): shared, not copied
-            out[name] = spec.validate(value, child_path) if present else spec.default
-        else:
-            default, parse = spec
-            out[name] = parse(value, child_path) if present else copy.deepcopy(default)
+            out[name] = _validate_level(doc.get(name, {}), spec, child_path)
+            continue
+        leaf = isinstance(spec, Leaf)
+        if name in doc:
+            out[name] = (spec.validate if leaf else spec[1])(doc[name], child_path)
+            continue
+        default = spec.default if leaf else spec[0]
+        if default is REQUIRED:
+            raise ScenarioError(f"{child_path}: missing required key")
+        # leaf defaults are immutable scalars (or None): shared, not copied
+        out[name] = default if leaf else copy.deepcopy(default)
+    return out
 
 
 def validate_scenario(doc: dict, base_dir: str | None = None,
-                      default_id: str | None = None,
-                      check_files: bool = True) -> dict:
+                      default_id: str | None = None) -> dict:
     """Validate a scenario tree and return the effective configuration.
 
     Cross-field rules live here: exchange latency must fit inside the step
@@ -410,10 +421,7 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     files must cover the horizon.  Rules of one field (breakpoint order,
     window overlap) live in that field's parser in SCHEMA.
     """
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level: expected an object")
-    out: dict[str, Any] = {}
-    _validate_level(doc, SCHEMA, "", out)
+    out = _validate_level(doc, SCHEMA, "")
 
     run, delays = out["run"], out["delays"]
     if run["scenario_id"] is None:
@@ -462,7 +470,7 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
 
     weather = out["building"]["weather"]
     [form] = weather  # path, constant or series; a constant covers any horizon
-    if form == "series" or (form == "path" and check_files):
+    if form != "constant":
         try:
             build_weather(weather, base_dir).ensure_coverage(
                 (run["horizon"] - 1) * step)

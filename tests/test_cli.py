@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 
 import pytest
 
+from flexbench import orchestrator
 from flexbench.cli import main
 
 
@@ -60,11 +62,30 @@ class TestRun:
         assert summary["log"]["steps"] == 3
         assert summary["log"]["seed"] == 99
 
-    def test_engine_failure_is_exit_2(self, tmp_path, scenario, capsys):
+    def test_engine_failure_is_exit_2(self, tmp_path, scenario, capsys,
+                                      monkeypatch):
+        # each monotonic reading is 1000 s after the last, so the first
+        # paced step overruns its slot and overrun_policy=abort stops the run
+        clock = itertools.count(0.0, 1000.0)
+        monkeypatch.setattr(orchestrator.time, "monotonic", lambda: next(clock))
         rc = main(["run", scenario, "--out", str(tmp_path / "x"),
-                   "--set", "logging.include=[\"zone.bogus\"]"])
+                   "--mode", "realtime", "--set", "run.overrun_policy=abort"])
         assert rc == 2
-        assert "run error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run error" in err and "overran" in err
+
+    @pytest.mark.parametrize("setting, path", [
+        ('logging.include=["zone.t", "zone.bogus"]', "logging.include"),
+        ("building.t_init_c=NaN", "building.t_init_c"),
+        ("building.internal_gains_w=[[0, Infinity]]",
+         "building.internal_gains_w[0][1]"),
+    ])
+    def test_invalid_scenario_is_exit_1_before_running(self, tmp_path, scenario,
+                                                       capsys, setting, path):
+        out = tmp_path / "x"
+        assert main(["run", scenario, "--out", str(out), "--set", setting]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
 
 
 class TestValidate:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flexbench.datastore import (CSV_HEADER, MAX_STAMP_MS, DataIntegrityError,
                                  ExportError, OutOfOrderError, Source, StepStore,
                                  UnknownKeyError, VariableKey, export_run,
-                                 import_run, write_csv, write_meta)
+                                 import_run, write_csv, write_json, write_meta)
 
 
 def make_store(**kw):
@@ -273,6 +273,15 @@ class TestExportImport:
             write_csv(log, str(target))
         assert not target.exists()
         assert not target.with_suffix(".csv.tmp").exists()
+
+    def test_failed_json_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "summary.json"
+        write_json({"steps": 3}, str(target))
+        before = target.read_bytes()
+        with pytest.raises(TypeError):  # not serializable, after the first key
+            write_json({"a": 1, "b": object()}, str(target))
+        assert target.read_bytes() == before == b'{\n  "steps": 3\n}\n'
+        assert os.listdir(tmp_path) == ["summary.json"]
 
 
 _VALUES = st.floats(allow_nan=False, allow_infinity=False,

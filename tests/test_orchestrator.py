@@ -7,6 +7,7 @@ from flexbench.analysis import exchange_stamps, series_from_log
 from flexbench.datastore import Source
 from flexbench.orchestrator import (COMPUTE_FLOOR_MS, VARIABLES, DelayInjector,
                                     Engine, EngineError, OverrunAbort)
+from flexbench.scenario import ScenarioError
 from tests.helpers import SCENARIO_DIR, cfg_from, run_doc
 
 FAST_DOC = {
@@ -125,8 +126,8 @@ class TestLoggingControls:
                 "ctrl.t_dis_spt"} <= {k.name for k in log.keys}
 
     def test_unknown_include_name_fails_fast(self):
-        with pytest.raises(EngineError, match="zone.bogus"):
-            Engine(cfg_from({"logging": {"include": ["zone.bogus"]}}))
+        with pytest.raises(ScenarioError, match=r"^logging\.include: .*zone\.bogus"):
+            cfg_from({"logging": {"include": ["zone.bogus"]}})
 
     def test_plant_internals_toggle(self):
         with_doc, _ = run_doc({"run": {"horizon": 2}})
@@ -250,7 +251,7 @@ class TestSlowPolicy:
         # The shed request from t=0 appears at step 2; the post-window
         # baseline computed at t=600 (step 10) appears at step 12.
         assert cools == [24.0, 24.0] + [26.0] * 10 + [24.0, 24.0]
-        assert engine.counters["slow_discarded"] == 0
+        assert engine.summary()["counts"]["slow_discarded"] == 0
 
     def test_rbc_policy_reacts_in_the_same_step(self):
         doc = {"run": {"horizon": 4},

@@ -186,12 +186,6 @@ class TestOutdoorEmulator:
     def test_initial_value_clamped_to_envelope(self):
         assert OutdoorEmulator(kind="water", t_init_c=2.0).t == 10.0
 
-    def test_custom_envelope_override(self):
-        out = OutdoorEmulator(kind="water", tau_s=0.0, t_init_c=15.0,
-                              envelope={"t_min": 4.0})
-        assert out.step(5.0, 0.0, out.decay(60.0)) == []
-        assert out.t == 5.0
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             OutdoorEmulator(kind="soil")

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flexbench.cli import main
 from flexbench.orchestrator import Engine
 from flexbench.scenario import (ScenarioError, apply_overrides, load_scenario,
                                 validate_scenario)
@@ -97,8 +104,6 @@ class TestWeatherField:
         doc = {"building": {"weather": {"path": "nope.csv"}}}
         with pytest.raises(ScenarioError, match="file not found"):
             validate_scenario(doc, base_dir=str(tmp_path))
-        # file checking can be skipped for dry validation
-        validate_scenario(doc, base_dir=str(tmp_path), check_files=False)
 
     def test_file_coverage_checked(self, tmp_path):
         p = tmp_path / "w.csv"
@@ -250,6 +255,123 @@ class TestAgents:
             {"coords": [1, 2, 1], "presence": [[0, 1], [600, 2]]}]}}
         with pytest.raises(ScenarioError, match="flag must be 0 or 1"):
             validate_scenario(doc)
+
+
+class TestRequiredKeys:
+    def test_window_needs_start_and_end(self):
+        with pytest.raises(ScenarioError,
+                           match=r"^geb\.windows\[1\]\.end_s: missing required key"):
+            validate_scenario({"geb": {"windows": [{"start_s": 0, "end_s": 60},
+                                                   {"start_s": 120}]}})
+        with pytest.raises(ScenarioError, match=r"^geb\.windows\[0\]: unknown keys"):
+            validate_scenario({"geb": {"windows": [
+                {"start_s": 0, "end_s": 60, "end": 90}]}})
+        with pytest.raises(ScenarioError,
+                           match=r"^geb\.windows\[0\]: expected an object"):
+            validate_scenario({"geb": {"windows": [[0, 60]]}})
+
+    def test_weather_constant_needs_tdb(self):
+        with pytest.raises(ScenarioError, match=r"^building\.weather\.constant\.tdb_c: "
+                                                r"missing required key"):
+            validate_scenario({"building": {"weather": {"constant": {"rh_pct": 50}}}})
+        cfg = validate_scenario({"building": {"weather": {"constant": {"tdb_c": 5}}}})
+        assert cfg["building"]["weather"] == {
+            "constant": {"tdb_c": 5.0, "rh_pct": 50.0}}
+
+    def test_explicit_null_presence_means_always_present(self):
+        doc = {"occupants": {"agents": [{"coords": [1, 2, 1], "presence": None}]}}
+        assert validate_scenario(doc)["occupants"]["agents"][0]["presence"] is None
+
+
+# Two valid documents that between them hold every kind of float: scalar
+# leaves, both weather forms, the four other series, agent coordinates and
+# probabilities, window bounds and the surrogate geometry.
+_FINITE_BASES = [
+    {"run": {"horizon": 3},
+     "building": {"internal_gains_w": [[0, 300], [60, 500]],
+                  "weather": {"series": [[0, 28, 40], [600, 30, 50]]}},
+     "occupants": {"agents": [{"coords": [1, 2, 1], "presence": [[0, 1], [60, 0]],
+                               "action_probs": {"drink": 0.2}}]},
+     "geb": {"mode": "modulate", "windows": [{"start_s": 0, "end_s": 120}],
+             "dis_schedule": [[0, 14]], "modulation": {"signal": [[0, 0.5]]},
+             "baseline": {"t_dis_c": 14.0, "p_duct_pa": 250.0}}},
+    {"run": {"horizon": 3},
+     "building": {"weather": {"constant": {"tdb_c": 30, "rh_pct": 40}}}},
+]
+
+
+def _float_sites(node, path=""):
+    """(dotted path, key path) of every float in a validated configuration."""
+    if isinstance(node, float):
+        yield path, ()
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        child = f"{path}[{k}]" if isinstance(k, int) else f"{path}.{k}" if path else k
+        for site, keys in _float_sites(v, child):
+            yield site, (k, *keys)
+
+
+_SITES = [(i, site, keys) for i, base in enumerate(_FINITE_BASES)
+          for site, keys in _float_sites(validate_scenario(base))]
+
+
+class TestFiniteNumbers:
+    def test_sites_cover_leaves_and_series_cells(self):
+        names = {site for _, site, _ in _SITES}
+        assert {"building.t_init_c", "building.internal_gains_w[1][1]",
+                "building.weather.series[0][2]", "building.weather.constant.tdb_c",
+                "occupants.agents[0].coords[2]", "occupants.agents[0].presence[1][0]",
+                "occupants.agents[0].action_probs.drink", "geb.windows[0].end_s",
+                "geb.modulation.signal[0][1]", "geb.dis_schedule[0][0]",
+                "occupants.surrogate.zone_bounds[1][0]",
+                "geb.baseline.p_duct_pa"} <= names
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_SITES), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_value_fails_at_its_path(self, site, bad):
+        i, path, keys = site
+        doc = validate_scenario(_FINITE_BASES[i])  # a complete valid document
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = bad
+        with pytest.raises(ScenarioError) as e:
+            validate_scenario(doc)
+        assert str(e.value).startswith(f"{path}: ")
+        with tempfile.TemporaryDirectory() as d:
+            scenario = os.path.join(d, "s.json")
+            with open(scenario, "w", encoding="utf-8") as f:
+                json.dump(doc, f)  # writes NaN / Infinity / -Infinity
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["validate", scenario]) == 1
+        assert err.getvalue().startswith(f"error: {path}: ")
+
+    def test_explicit_cases(self):
+        with pytest.raises(ScenarioError,
+                           match=r"^building\.t_init_c: nan is not a finite"):
+            validate_scenario(json.loads('{"building": {"t_init_c": NaN}}'))
+        with pytest.raises(ScenarioError,
+                           match=r"^building\.internal_gains_w\[0\]\[1\]: inf is not"):
+            validate_scenario(json.loads(
+                '{"building": {"internal_gains_w": [[0, Infinity]]}}'))
+        with pytest.raises(ScenarioError, match=r"^building\.internal_gains_w: -inf"):
+            validate_scenario(json.loads(
+                '{"building": {"internal_gains_w": -Infinity}}'))
+        # an integer too large for a float is not finite either
+        with pytest.raises(ScenarioError, match=r"^run\.step_size_s: .* not a finite"):
+            validate_scenario({"run": {"step_size_s": 10 ** 400}})
+        # the type messages are unchanged
+        with pytest.raises(ScenarioError,
+                           match=r"^building\.t_init_c: expected a number"):
+            validate_scenario({"building": {"t_init_c": "warm"}})
+
+    def test_weather_file_values_must_be_finite(self, tmp_path):
+        (tmp_path / "w.csv").write_text("time_s,tdb_c,rh_pct\n0,25,40\n600,nan,50\n")
+        doc = {"run": {"horizon": 5}, "building": {"weather": {"path": "w.csv"}}}
+        with pytest.raises(ScenarioError, match=r"^building\.weather\.path: .*finite"):
+            validate_scenario(doc, base_dir=str(tmp_path))
 
 
 class TestOverrides:

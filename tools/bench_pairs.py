@@ -9,10 +9,13 @@ each checkout, one process at a time, with a fresh seed per pair (S = --seed0
 + pair index) and the side that runs first alternating between pairs.  For
 every end-to-end metric named in the change's BENCHMARK.json the output holds
 each side's median and quartiles (inclusive method), every run's value, the
-relative change of the medians, how many pairs the change won, and whether a
-gain is claimable: the change wins at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile range.  Failed
-operations and the sha256 of every run's run.csv are kept too.
+relative change of the medians, whether that change stays within the metric's
+bound (the change's median is no worse than the parent's by more than the
+bound), how many pairs the change won, and whether a gain is claimable: the
+change wins at least nine tenths of the pairs and the medians differ by more
+than the parent's interquartile range.  Failed operations, the sha256 of every
+run's run.csv and whether every pair's digests agree are kept too.  A run that
+prints no result line stops the tool with the command and its return code.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=root)
-    last = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
+    try:
+        last = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"{' '.join(cmd)} (in {root}) printed no result line, "
+                         f"return code {proc.returncode}") from None
     result_file = root / ".perfbench_out" / "results" / f"{workload}-seed{seed}-trace0.json"
     detail = json.loads(result_file.read_text(encoding="utf-8"))
     return {"returncode": proc.returncode, "attempted": last["attempted"],
@@ -53,10 +60,12 @@ def summarise(runs: list[dict], spec: dict) -> dict:
         change = spread([c for _, c in pairs])
         wins = sum(1 for p, c in pairs if sign * (p - c) > 0)
         gap = sign * (parent["median"] - change["median"])
+        median_change = change["median"] / parent["median"] - 1.0
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": parent, "change": change,
-            "median_change": change["median"] / parent["median"] - 1.0,
+            "median_change": median_change,
+            "within_bound": sign * median_change <= m["bound"],
             "change_wins": wins, "pairs": len(pairs),
             "gain_claimable": wins >= 0.9 * len(pairs)
             and gap > parent["q3"] - parent["q1"],
@@ -100,6 +109,8 @@ def main(argv=None) -> int:
             "attempted_ops": {s: sum(r[s]["attempted"] for r in runs) for s in sides},
             "run_csv_sha256": [{"seed": r["seed"], "parent": r["parent"]["run_csv_sha256"],
                                 "change": r["change"]["run_csv_sha256"]} for r in runs],
+            "run_csv_identical": all(r["parent"]["run_csv_sha256"]
+                                     == r["change"]["run_csv_sha256"] for r in runs),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
