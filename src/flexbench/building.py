@@ -124,8 +124,6 @@ class ZoneModel:
                  moisture_capacity_kg: float = 800.0, surface_tau_s: float = 1800.0,
                  n_surfaces: int = 4, inherited_delay: bool = False,
                  t_init_c: float = 23.0, rh_init_pct: float = 50.0):
-        if not (c_z_j_per_k > 0) or not (moisture_capacity_kg > 0):
-            raise ValueError("capacitances must be positive")
         self.c = c_z_j_per_k
         self.ua = ua_w_per_k
         self.c_w = moisture_capacity_kg

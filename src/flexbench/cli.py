@@ -224,10 +224,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ScenarioError, WeatherFormatError, WeatherCoverageError, ExportError,
-            UnknownKeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+            UnknownKeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (EngineError, DatastoreError) as e:

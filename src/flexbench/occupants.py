@@ -32,21 +32,21 @@ class ActionType(Enum):
 class EffectConfig:
     """Magnitudes and durations of action effects, shared across agents."""
 
-    fan_offset_c: float = 0.8
-    clo_step: float = 0.5
-    clo_offset_c_per_clo: float = 2.0   # +0.5 clo feels 1.0 degC warmer
-    clo_min: float = 0.3
-    clo_max: float = 1.5
-    drink_offset_c: float = 0.5
-    drink_duration_s: float = 900.0
-    walk_offset_c: float = 0.3
-    walk_duration_s: float = 300.0
-    thermostat_step_c: float = 0.5
-    thermostat_band_c: float = 2.0
-    base_sensible_w: float = 75.0
-    base_latent_w: float = 55.0
-    heater_w: float = 800.0
-    walk_sensible_w: float = 40.0
+    fan_offset_c: float
+    clo_step: float
+    clo_offset_c_per_clo: float   # +0.5 clo feels 1.0 degC warmer
+    clo_min: float
+    clo_max: float
+    drink_offset_c: float
+    drink_duration_s: float
+    walk_offset_c: float
+    walk_duration_s: float
+    thermostat_step_c: float
+    thermostat_band_c: float
+    base_sensible_w: float
+    base_latent_w: float
+    heater_w: float
+    walk_sensible_w: float
 
 
 @dataclass
@@ -73,9 +73,6 @@ class OccupantAgent:
     def __post_init__(self):
         self.clo_ref = self.clo
         self._presence = Schedule(self.presence or [(0.0, 1)])
-        for p in self.action_probs.values():
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"agent {self.agent_id}: action probability {p} outside [0, 1]")
 
     def present(self, t_s: float) -> bool:
         """Presence follows the [[time_s, 0|1], ...] schedule; always present
@@ -108,12 +105,9 @@ class NearOccupantSurrogate:
     temperature always lies inside the range of its inputs.
     """
 
-    def __init__(self, w_discharge: float = 0.2, w_zone: float = 0.6,
-                 w_surfaces: float = 0.2, decay_length_m: float = 3.0,
-                 diffuser_xyz: tuple[float, float, float] = (0.0, 0.0, 2.5),
-                 zone_bounds: tuple = ((0.0, 0.0, 0.0), (6.0, 6.0, 3.0))):
-        if min(w_discharge, w_zone, w_surfaces) < 0 or (w_discharge + w_zone + w_surfaces) <= 0:
-            raise ValueError("surrogate weights must be non-negative with positive sum")
+    def __init__(self, w_discharge: float, w_zone: float, w_surfaces: float,
+                 decay_length_m: float, diffuser_xyz: list[float],
+                 zone_bounds: list[list[float]]):
         self.w_discharge = w_discharge
         self.w_zone = w_zone
         self.w_surfaces = w_surfaces
@@ -255,9 +249,6 @@ class Population:
     def __init__(self, agents: list[OccupantAgent], surrogate: NearOccupantSurrogate,
                  effects: EffectConfig, seed: int):
         self.agents = sorted(agents, key=lambda a: a.agent_id)
-        ids = [a.agent_id for a in self.agents]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate agent ids")
         self.surrogate = surrogate
         self.fx = effects
         self.seed = seed

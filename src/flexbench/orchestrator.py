@@ -133,7 +133,11 @@ class DelayInjector:
 
 
 class Engine:
-    """One configured run: all components plus the shared datastore."""
+    """One configured run: all components plus the shared datastore.
+
+    cfg must be the output of `scenario.validate_scenario`: every default is
+    filled in and every rule checked there, so the components assume both.
+    """
 
     def __init__(self, cfg: dict, base_dir: str | None = None):
         run = cfg["run"]
@@ -153,9 +157,7 @@ class Engine:
         p = cfg["plant"]
         hvac = HvacUnit(**p["hvac"])
         emulator = ZoneEmulator(**p["zone_emulator"])
-        out = p["outdoor"]
-        outdoor = OutdoorEmulator(out["kind"], out["tau_s"], out["t_init_c"],
-                                  out["rh_init_pct"])
+        outdoor = OutdoorEmulator(**p["outdoor"])
 
         b = cfg["building"]
         self.zone = ZoneModel(b["c_z_j_per_k"], b["ua_w_per_k"],
@@ -169,11 +171,7 @@ class Engine:
 
         o = cfg["occupants"]
         fx = EffectConfig(**o["effects"])
-        sur = o["surrogate"]
-        surrogate = NearOccupantSurrogate(
-            sur["w_discharge"], sur["w_zone"], sur["w_surfaces"],
-            sur["decay_length_m"], tuple(sur["diffuser_xyz"]),
-            (tuple(sur["zone_bounds"][0]), tuple(sur["zone_bounds"][1])))
+        surrogate = NearOccupantSurrogate(**o["surrogate"])
         agents = []
         for i, a in enumerate(o["agents"]):
             probs = {ActionType(name): v for name, v in a["action_probs"].items()}

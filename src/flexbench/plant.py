@@ -51,8 +51,6 @@ class PidController:
 
     def __init__(self, kp: float, ki: float = 0.0, kd: float = 0.0,
                  out_min: float = 0.0, out_max: float = 1.0):
-        if not (out_max > out_min):
-            raise ValueError("out_max must exceed out_min")
         self.kp, self.ki, self.kd = kp, ki, kd
         self.out_min, self.out_max = out_min, out_max
         self.integral = 0.0
@@ -98,15 +96,11 @@ class ZoneEmulator:
     thermal and moisture factors of one substep.
     """
 
-    def __init__(self, c_emu_j_per_k: float = 50000.0, air_mass_kg: float = 60.0,
-                 heater_w_max: float = 5000.0, cooling_w_max: float = 5000.0,
-                 humidifier_kg_s_max: float = 0.002,
-                 kp_w_per_k: float = 800.0, ki_w_per_k_s: float = 4.0,
-                 kd_w_s_per_k: float = 0.0,
-                 hum_kp: float = 0.05, hum_ki: float = 0.002,
-                 t_init_c: float = 22.0, rh_init_pct: float = 50.0):
-        if not (c_emu_j_per_k > 0) or not (air_mass_kg > 0):
-            raise ValueError("thermal and moisture capacitances must be positive")
+    def __init__(self, c_emu_j_per_k: float, air_mass_kg: float,
+                 heater_w_max: float, cooling_w_max: float,
+                 humidifier_kg_s_max: float, kp_w_per_k: float,
+                 ki_w_per_k_s: float, kd_w_s_per_k: float, hum_kp: float,
+                 hum_ki: float, t_init_c: float, rh_init_pct: float):
         self.c = c_emu_j_per_k
         self.m_air = air_mass_kg
         self.t = t_init_c
@@ -154,16 +148,11 @@ class HvacUnit:
     interval, which decouples the loop from emulator dynamics).
     """
 
-    PV_MODES = ("method1", "method2")
-
-    def __init__(self, m_dot_kg_s: float = 0.5, rated_cooling_w: float = 8000.0,
-                 rated_heating_w: float = 6000.0, kp_w_per_k: float = 400.0,
-                 ki_w_per_k_s: float = 2.0, tau_dis_s: float = 120.0,
-                 t_dis_min_c: float = 8.0, t_dis_max_c: float = 45.0,
-                 pv_mode: str = "method2", t_dis_init_c: float = 20.0,
-                 rh_dis_init_pct: float = 60.0, bleed_tau_s: float = 300.0):
-        if pv_mode not in self.PV_MODES:
-            raise ValueError(f"pv_mode must be one of {self.PV_MODES}")
+    def __init__(self, m_dot_kg_s: float, rated_cooling_w: float,
+                 rated_heating_w: float, kp_w_per_k: float, ki_w_per_k_s: float,
+                 tau_dis_s: float, t_dis_min_c: float, t_dis_max_c: float,
+                 pv_mode: str, t_dis_init_c: float, rh_dis_init_pct: float,
+                 bleed_tau_s: float):
         self.m_dot = m_dot_kg_s
         self.tau_dis = tau_dis_s
         self.t_dis_min, self.t_dis_max = t_dis_min_c, t_dis_max_c
@@ -249,10 +238,8 @@ class OutdoorEmulator:
         "water": {"t_min": 10.0, "t_max": 55.0},
     }
 
-    def __init__(self, kind: str = "air", tau_s: float = 300.0,
-                 t_init_c: float = 15.0, rh_init_pct: float = 50.0):
-        if kind not in self.ENVELOPES:
-            raise ValueError(f"kind must be one of {tuple(self.ENVELOPES)}")
+    def __init__(self, kind: str, tau_s: float, t_init_c: float,
+                 rh_init_pct: float):
         self.kind = kind
         self.tau = tau_s
         self.env = self.ENVELOPES[kind]

@@ -17,6 +17,7 @@ from typing import Any
 
 from .building import (WeatherCoverageError, WeatherFormatError,
                        build_weather)
+from .datastore import MAX_STAMP_MS
 from .geb import EventWindow, validate_windows
 from .occupants import ActionType
 from .orchestrator import VARIABLES, DelayInjector, step_ms
@@ -28,6 +29,9 @@ class ScenarioError(Exception):
 
 # Default of a key the document must give.
 REQUIRED = object()
+# Most control substeps PlantSim.advance may run in one exchange step: one
+# hour of 1 s control.  The shipped scenarios use at most 60.
+MAX_SUBSTEPS = 3600
 _NUMBER = (int, float)
 
 
@@ -415,11 +419,15 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
                       default_id: str | None = None) -> dict:
     """Validate a scenario tree and return the effective configuration.
 
+    This is the only gate: the engine and its components assume its output.
     Cross-field rules live here: exchange latency must fit inside the step
-    (unless stale_hold opts in), discharge limits and setpoint bounds must be
-    ordered, the emulator coil needs some capacity, and weather series or
-    files must cover the horizon.  Rules of one field (breakpoint order,
-    window overlap) live in that field's parser in SCHEMA.
+    (unless stale_hold opts in); the last exchange stamp, (horizon - 1) steps
+    plus the worst-case exchange in whole ms, must stay below the store's
+    2**53 ms; without ideal actuators a step may hold at most MAX_SUBSTEPS
+    control substeps (step_size_s / control_dt_s); discharge limits and
+    setpoint bounds must be ordered, the emulator coil needs some capacity,
+    and weather series or files must cover the horizon.  Rules of one field
+    (breakpoint order, window overlap) live in that field's parser in SCHEMA.
     """
     out = _validate_level(doc, SCHEMA, "")
 
@@ -427,6 +435,16 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     if run["scenario_id"] is None:
         run["scenario_id"] = default_id or "scenario"
     step = run["step_size_s"]
+    try:  # the engine's own integer-ms arithmetic
+        worst_ms = DelayInjector(0, delays["comm_latency_s"],
+                                 delays["jitter_s"]).worst_exchange_ms()
+        last_ms = (run["horizon"] - 1) * step_ms(step) + worst_ms
+    except OverflowError:  # a time near 1e305 s is infinite in ms
+        last_ms = math.inf
+    if last_ms >= MAX_STAMP_MS:
+        raise ScenarioError(
+            f"run.step_size_s: {step} s steps over a horizon of {run['horizon']} "
+            f"stamp the last exchange at {last_ms} ms, past the store's 2**53 ms")
     if not delays["stale_hold"]:
         if delays["comm_latency_s"] >= step:
             raise ScenarioError(
@@ -436,18 +454,21 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
             raise ScenarioError(
                 "delays.jitter_s: worst-case round trip reaches the step size "
                 "(or set delays.stale_hold)")
-        worst_ms = DelayInjector(0, delays["comm_latency_s"],
-                                 delays["jitter_s"]).worst_exchange_ms()
         if step_ms(step) < worst_ms:
             raise ScenarioError(
                 f"run.step_size_s: {step} s is {step_ms(step)} ms on the exchange "
                 f"timeline, shorter than the worst-case exchange of {worst_ms} ms "
                 f"(or set delays.stale_hold)")
 
-    hvac = out["plant"]["hvac"]
+    plant = out["plant"]
+    if not plant["ideal_actuators"] and step / plant["control_dt_s"] > MAX_SUBSTEPS:
+        raise ScenarioError(
+            f"plant.control_dt_s: {plant['control_dt_s']} s control in {step} s "
+            f"steps needs more than {MAX_SUBSTEPS} substeps per step")
+    hvac = plant["hvac"]
     if hvac["t_dis_max_c"] <= hvac["t_dis_min_c"]:
         raise ScenarioError("plant.hvac.t_dis_max_c: must exceed t_dis_min_c")
-    emu = out["plant"]["zone_emulator"]
+    emu = plant["zone_emulator"]
     if emu["heater_w_max"] + emu["cooling_w_max"] <= 0:
         raise ScenarioError("plant.zone_emulator.heater_w_max: heater_w_max and "
                             "cooling_w_max cannot both be 0")

@@ -14,17 +14,14 @@ from bisect import bisect_right
 
 
 class Schedule:
-    """A non-empty step-hold series of (time_s, value) breakpoints."""
+    """A step-hold series of (time_s, value) breakpoints, non-empty and with
+    times that do not decrease, as `scenario._breakpoints` returns them."""
 
     __slots__ = ("times", "values")
 
     def __init__(self, rows):
         self.times = [r[0] for r in rows]
         self.values = [r[1] for r in rows]
-        if not self.times:
-            raise ValueError("a schedule needs at least one breakpoint")
-        if self.times != sorted(self.times):
-            raise ValueError("schedule times must not decrease")
 
     def at(self, t_s: float):
         i = bisect_right(self.times, t_s)

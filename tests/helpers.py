@@ -22,6 +22,16 @@ def deep_merge(base: dict, patch: dict) -> dict:
     return out
 
 
+def block(dotted: str, **overrides) -> dict:
+    """A fresh copy of one sub-block of validate_scenario({}), with overrides:
+    the keyword arguments of the component built from that block, e.g.
+    HvacUnit(**block("plant.hvac", tau_dis_s=0.0))."""
+    node = validate_scenario({})
+    for part in dotted.split("."):
+        node = node[part]
+    return {**node, **overrides}
+
+
 def cfg_from(doc: dict | None = None, patch: dict | None = None,
              default_id: str = "test") -> dict:
     merged = deep_merge(doc or {}, patch or {})

@@ -20,7 +20,7 @@ from flexbench.datastore import export_run, import_run
 from flexbench.occupants import ActionType, EffectConfig, OccupantAgent, behave
 from flexbench.psychro import CP_AIR
 
-from tests.helpers import run_doc, run_scenario
+from tests.helpers import block, run_doc, run_scenario
 
 
 def _series(log, key):
@@ -192,7 +192,7 @@ def test_ac07_outdoor_envelope_clamps():
 
 def test_ac08_occupant_action_statistics():
     """AC8 occupant statistics: a 0.3 action probability over 10000 discomfort steps lands in [0.285, 0.315], probability 0 never acts, and equal seeds replay identical action logs"""
-    fx = EffectConfig()
+    fx = EffectConfig(**block("occupants.effects"))
 
     def action_log(prob, seed):
         agent = OccupantAgent(agent_id=0, coords=(1.0, 1.0, 1.0), t_pref_c=22.0,

@@ -87,6 +87,21 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, path", [
+        # each would hang (1e302 substeps) or fail mid-run (stamp 1e16 ms)
+        ({"run": {"horizon": 3}, "plant": {"control_dt_s": 1e-300}},
+         "plant.control_dt_s"),
+        ({"run": {"step_size_s": 1e13, "horizon": 3},
+          "plant": {"ideal_actuators": True}}, "run.step_size_s"),
+    ], ids=["substeps", "stamps"])
+    def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert main(["run", str(scenario), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
+
 
 class TestValidate:
     def test_ok(self, scenario, capsys):

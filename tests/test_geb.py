@@ -110,15 +110,6 @@ class TestGebController:
         assert GebController("shed", BASE).mode is GebMode.SHED
         assert GebController(GebMode.SHIFT, BASE).mode is GebMode.SHIFT
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="gap"):
-            GebController("shed", SupervisorySetpoints(20.5, 20.0))
-        with pytest.raises(ValueError, match="outside"):
-            GebController("modulate", BASE, modulation_signal=[(0.0, 1.5)])
-        with pytest.raises(ValueError, match="overlap"):
-            GebController("shed", BASE,
-                          [EventWindow(0, 100), EventWindow(50, 150)])
-
 
 class TestSlowHarness:
     def test_zero_latency_still_lands_next_step(self):

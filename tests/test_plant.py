@@ -6,6 +6,7 @@ from flexbench.plant import (AppliedSetpoints, DischargeAir, HvacUnit,
                              OutdoorEmulator, PidController, PlantSim,
                              ZoneEmulator)
 from flexbench.psychro import CP_AIR, w_from_rh, w_sat
+from tests.helpers import block
 
 
 class TestPid:
@@ -57,10 +58,6 @@ class TestPid:
         assert PidController(1.0, out_min=-5.0, out_max=5.0).last_command == 0.0
         assert PidController(1.0, out_min=2.0, out_max=5.0).last_command == 2.0
 
-    def test_invalid_span(self):
-        with pytest.raises(ValueError):
-            PidController(1.0, out_min=1.0, out_max=1.0)
-
 
 def emu_step(emu, target_t, target_w, air, dt):
     return emu.step(target_t, target_w, air.t_c, air.w, air.m_dot_kg_s, dt,
@@ -71,9 +68,10 @@ class TestZoneEmulator:
     def test_integrator_mode_heater_clamped(self):
         # No airflow: pure integrator.  Coil pegged at 500 W for 60 s into
         # 5000 J/K moves the node by exactly 6 K.
-        emu = ZoneEmulator(c_emu_j_per_k=5000.0, heater_w_max=500.0,
-                           cooling_w_max=500.0, kp_w_per_k=800.0,
-                           ki_w_per_k_s=0.0, t_init_c=22.0)
+        emu = ZoneEmulator(**block("plant.zone_emulator", c_emu_j_per_k=5000.0,
+                                   heater_w_max=500.0, cooling_w_max=500.0,
+                                   kp_w_per_k=800.0, ki_w_per_k_s=0.0,
+                                   t_init_c=22.0))
         q, _ = emu_step(emu, 40.0, emu.w,
                         DischargeAir(20.0, w_from_rh(20.0, 50.0), 0.0), 60.0)
         assert emu.t == 28.0
@@ -85,9 +83,10 @@ class TestZoneEmulator:
         # discharge temperature.  Exact integration means one 600 s step and
         # 600 one-second steps land on the same temperature.
         def fresh():
-            return ZoneEmulator(c_emu_j_per_k=40000.0, kp_w_per_k=0.0,
-                                ki_w_per_k_s=0.0, hum_kp=0.0, hum_ki=0.0,
-                                t_init_c=28.0)
+            return ZoneEmulator(**block("plant.zone_emulator",
+                                        c_emu_j_per_k=40000.0, kp_w_per_k=0.0,
+                                        ki_w_per_k_s=0.0, hum_kp=0.0, hum_ki=0.0,
+                                        t_init_c=28.0))
         air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.4)
         one = fresh()
         emu_step(one, 28.0, one.w, air, 600.0)
@@ -98,18 +97,15 @@ class TestZoneEmulator:
         assert one.w == pytest.approx(many.w, abs=1e-12)
 
     def test_moisture_never_negative(self):
-        emu = ZoneEmulator(hum_kp=0.0, hum_ki=0.0, kp_w_per_k=0.0,
-                           ki_w_per_k_s=0.0, t_init_c=24.0, rh_init_pct=40.0)
+        emu = ZoneEmulator(**block("plant.zone_emulator", hum_kp=0.0, hum_ki=0.0,
+                                   kp_w_per_k=0.0, ki_w_per_k_s=0.0,
+                                   t_init_c=24.0, rh_init_pct=40.0))
         dry = DischargeAir(24.0, 0.0, 1.0)
         last = emu.w
         for _ in range(200):
             emu_step(emu, 24.0, 0.0, dry, 60.0)
             assert 0.0 <= emu.w <= last
             last = emu.w
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            ZoneEmulator(c_emu_j_per_k=0.0)
 
 
 def hv_step(hv, pv_t, pv_w, cool_spt, heat_spt, dt, dis_spt=None):
@@ -118,14 +114,15 @@ def hv_step(hv, pv_t, pv_w, cool_spt, heat_spt, dt, dis_spt=None):
 
 class TestHvacUnit:
     def test_cooling_command_from_proportional_loop(self):
-        hv = HvacUnit(m_dot_kg_s=0.5, kp_w_per_k=400.0, ki_w_per_k_s=0.0,
-                      tau_dis_s=0.0, t_dis_init_c=20.0)
+        hv = HvacUnit(**block("plant.hvac", m_dot_kg_s=0.5, kp_w_per_k=400.0,
+                              ki_w_per_k_s=0.0, tau_dis_s=0.0, t_dis_init_c=20.0))
         q, _ = hv_step(hv, 26.0, 0.008, 24.0, 20.0, 60.0)
         assert q == pytest.approx(-800.0)
         assert hv.t_dis == pytest.approx(26.0 - 800.0 / (0.5 * CP_AIR))
 
     def test_deadband_bleeds_integral(self):
-        hv = HvacUnit(ki_w_per_k_s=2.0, tau_dis_s=0.0, bleed_tau_s=100.0)
+        hv = HvacUnit(**block("plant.hvac", ki_w_per_k_s=2.0, tau_dis_s=0.0,
+                              bleed_tau_s=100.0))
         hv.pid.integral = 10.0
         q, _ = hv_step(hv, 23.0, 0.008, 24.0, 20.0, 100.0)
         assert hv.pid.integral == pytest.approx(10.0 / math.e)
@@ -133,19 +130,19 @@ class TestHvacUnit:
         assert q == pytest.approx(2.0 * 10.0 / math.e)
 
     def test_discharge_override_and_clamp(self):
-        hv = HvacUnit(tau_dis_s=0.0)
+        hv = HvacUnit(**block("plant.hvac", tau_dis_s=0.0))
         _, clamped = hv_step(hv, 23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=14.0)
         assert hv.t_dis == 14.0 and not clamped
         _, clamped = hv_step(hv, 23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=5.0)
         assert hv.t_dis == 8.0 and clamped
 
     def test_discharge_lag_first_order(self):
-        hv = HvacUnit(tau_dis_s=120.0, t_dis_init_c=20.0)
+        hv = HvacUnit(**block("plant.hvac", tau_dis_s=120.0, t_dis_init_c=20.0))
         hv_step(hv, 23.0, 0.008, 24.0, 20.0, 60.0, dis_spt=14.0)
         assert hv.t_dis == pytest.approx(14.0 + 6.0 * math.exp(-0.5))
 
     def test_stale_input_holds_everything(self):
-        hv = HvacUnit(tau_dis_s=0.0, t_dis_init_c=19.0)
+        hv = HvacUnit(**block("plant.hvac", tau_dis_s=0.0, t_dis_init_c=19.0))
         before = (hv.t_dis, hv.w_dis, hv.pid.integral)
         # a held step reports no command and no clamp
         assert hv_step(hv, float("nan"), 0.008, 24.0, 20.0, 60.0) == (0.0, False)
@@ -153,48 +150,45 @@ class TestHvacUnit:
         assert (hv.t_dis, hv.w_dis, hv.pid.integral) == before
 
     def test_discharge_never_supersaturated(self):
-        hv = HvacUnit(tau_dis_s=0.0)
+        hv = HvacUnit(**block("plant.hvac", tau_dis_s=0.0))
         for pv in (30.0, 26.0, 22.0, 18.0):
             hv_step(hv, pv, 0.02, 24.0, 20.0, 60.0)
             assert hv.w_dis <= w_sat(hv.t_dis) + 1e-15
 
-    def test_bad_pv_mode(self):
-        with pytest.raises(ValueError):
-            HvacUnit(pv_mode="method3")
-
 
 class TestOutdoorEmulator:
     def test_water_loop_floor(self):
-        out = OutdoorEmulator(kind="water", tau_s=0.0, t_init_c=15.0)
+        out = OutdoorEmulator(**block("plant.outdoor", kind="water", tau_s=0.0,
+                                      t_init_c=15.0))
         events = out.step(5.0, 0.0, out.decay(60.0))
         assert out.t == 10.0
         assert [(e.channel, e.requested, e.delivered) for e in events] == [
             ("water_t", 5.0, 10.0)]
 
     def test_air_chamber_ceiling_and_rh_floor(self):
-        out = OutdoorEmulator(kind="air", tau_s=0.0, t_init_c=30.0,
-                              rh_init_pct=50.0)
+        out = OutdoorEmulator(**block("plant.outdoor", kind="air", tau_s=0.0,
+                                      t_init_c=30.0, rh_init_pct=50.0))
         events = out.step(70.0, 5.0, out.decay(60.0))
         assert out.t == 65.0 and out.rh == 10.0
         assert {e.channel for e in events} == {"air_t", "air_rh"}
 
     def test_first_order_tracking(self):
-        out = OutdoorEmulator(kind="air", tau_s=300.0, t_init_c=20.0)
+        out = OutdoorEmulator(**block("plant.outdoor", kind="air", tau_s=300.0,
+                                      t_init_c=20.0))
         out.step(30.0, 50.0, out.decay(300.0))
         assert out.t == pytest.approx(30.0 - 10.0 / math.e)
 
     def test_initial_value_clamped_to_envelope(self):
-        assert OutdoorEmulator(kind="water", t_init_c=2.0).t == 10.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            OutdoorEmulator(kind="soil")
+        out = OutdoorEmulator(**block("plant.outdoor", kind="water", t_init_c=2.0))
+        assert out.t == 10.0
 
 
 def default_plant(pv_mode="method2", **kw):
-    hvac = HvacUnit(pv_mode=pv_mode, tau_dis_s=0.0, ki_w_per_k_s=0.0)
-    emu = ZoneEmulator(t_init_c=kw.pop("emu_t", 23.0))
-    out = OutdoorEmulator(kind="air", tau_s=0.0, t_init_c=30.0)
+    hvac = HvacUnit(**block("plant.hvac", pv_mode=pv_mode, tau_dis_s=0.0,
+                            ki_w_per_k_s=0.0))
+    emu = ZoneEmulator(**block("plant.zone_emulator", t_init_c=kw.pop("emu_t", 23.0)))
+    out = OutdoorEmulator(**block("plant.outdoor", kind="air", tau_s=0.0,
+                                  t_init_c=30.0))
     applied = AppliedSetpoints(zone_t=23.0, zone_w=w_from_rh(23.0, 45.0),
                                out_t=30.0, out_rh=50.0,
                                cool_spt=24.0, heat_spt=20.0)
@@ -256,10 +250,12 @@ class TestPlantSim:
 def lagged_plant(pv_mode, **applied):
     """A plant whose every loop carries state across substeps: discharge lag,
     integrating HVAC and emulator PIDs, a tracking outdoor chamber."""
-    hvac = HvacUnit(pv_mode=pv_mode, tau_dis_s=120.0, ki_w_per_k_s=2.0,
-                    bleed_tau_s=300.0, t_dis_init_c=18.0)
-    emu = ZoneEmulator(t_init_c=27.0, rh_init_pct=40.0)
-    out = OutdoorEmulator(kind="air", tau_s=300.0, t_init_c=64.5, rh_init_pct=10.5)
+    hvac = HvacUnit(**block("plant.hvac", pv_mode=pv_mode, tau_dis_s=120.0,
+                            ki_w_per_k_s=2.0, bleed_tau_s=300.0,
+                            t_dis_init_c=18.0))
+    emu = ZoneEmulator(**block("plant.zone_emulator", t_init_c=27.0, rh_init_pct=40.0))
+    out = OutdoorEmulator(**block("plant.outdoor", kind="air", tau_s=300.0,
+                                  t_init_c=64.5, rh_init_pct=10.5))
     sp = dict(zone_t=25.5, zone_w=w_from_rh(25.5, 55.0), out_t=70.0, out_rh=5.0,
               cool_spt=24.0, heat_spt=20.0)
     sp.update(applied)

@@ -212,6 +212,63 @@ class TestCrossField:
         doc["run"]["step_size_s"] = 0.0001
         validate_scenario(doc)
 
+    def test_substeps_per_step_are_capped(self):
+        # PlantSim.advance runs ceil(step / control_dt) substeps per step
+        doc = {"run": {"horizon": 1, "step_size_s": 3600.0}}
+        Engine(validate_scenario(doc)).run()  # exactly the cap
+        for control_dt in (0.999, 1e-300):
+            doc["plant"] = {"control_dt_s": control_dt}
+            with pytest.raises(ScenarioError,
+                               match=r"^plant\.control_dt_s: .* 3600 substeps"):
+                validate_scenario(doc)
+        # ideal actuators snap to their targets without substeps
+        doc["plant"]["ideal_actuators"] = True
+        Engine(validate_scenario(doc)).run()
+
+    def test_exchange_stamps_stay_in_range(self):
+        # step 1 would be stamped 1e16 ms, past the store's 2**53 ms
+        doc = {"run": {"step_size_s": 1e13, "horizon": 3},
+               "plant": {"ideal_actuators": True}}
+        with pytest.raises(ScenarioError,
+                           match=r"^run\.step_size_s: .* 2\*\*53 ms"):
+            validate_scenario(doc)
+        # too large for whole ms at all, whatever the horizon
+        for patch in ({"run": {"step_size_s": 1e306, "horizon": 1}},
+                      {"delays": {"comm_latency_s": 1e306, "stale_hold": True}}):
+            with pytest.raises(ScenarioError, match=r"^run\.step_size_s: .* inf ms"):
+                validate_scenario({**doc, **patch})
+        doc["run"]["horizon"] = 1  # one step: stamped 0 to 1 ms
+        engine = Engine(validate_scenario(doc))
+        engine.run()
+        assert engine.summary()["steps_completed"] == 1
+
+
+# Rules the components assume and do not check: each fails validation at its
+# dotted path.  (document, dotted path of the error)
+_COMPONENT_RULES = [
+    ({"plant": {"hvac": {"rated_cooling_w": 0}}}, "plant.hvac.rated_cooling_w"),
+    ({"plant": {"hvac": {"rated_heating_w": 0}}}, "plant.hvac.rated_heating_w"),
+    ({"plant": {"hvac": {"pv_mode": "method3"}}}, "plant.hvac.pv_mode"),
+    ({"plant": {"zone_emulator": {"c_emu_j_per_k": 0}}},
+     "plant.zone_emulator.c_emu_j_per_k"),
+    ({"plant": {"zone_emulator": {"air_mass_kg": 0}}},
+     "plant.zone_emulator.air_mass_kg"),
+    ({"plant": {"outdoor": {"kind": "soil"}}}, "plant.outdoor.kind"),
+    ({"building": {"c_z_j_per_k": -1.0}}, "building.c_z_j_per_k"),
+    ({"building": {"moisture_capacity_kg": 0}}, "building.moisture_capacity_kg"),
+    ({"building": {"internal_gains_w": []}}, "building.internal_gains_w"),
+    ({"geb": {"modulation": {"signal": [[0, 1.5]]}}}, "geb.modulation.signal[0]"),
+    ({"occupants": {"surrogate": {"w_zone": -1.0}}}, "occupants.surrogate.w_zone"),
+]
+
+
+@pytest.mark.parametrize("doc, path", _COMPONENT_RULES,
+                         ids=[path.split("[")[0] for _, path in _COMPONENT_RULES])
+def test_component_rule_fails_at_its_path(doc, path):
+    with pytest.raises(ScenarioError) as e:
+        validate_scenario(doc)
+    assert str(e.value).startswith(f"{path}: ")
+
 
 class TestAgents:
     def test_agent_requires_coords(self):

@@ -148,10 +148,3 @@ def test_schedule_matches_a_reference_scan(rows, queries):
     sched = Schedule(rows)
     for t in queries + [r[0] for r in rows]:
         assert sched.at(t) == _reference(rows, t)
-
-
-def test_schedule_rejects_empty_and_decreasing_times():
-    with pytest.raises(ValueError, match="at least one"):
-        Schedule([])
-    with pytest.raises(ValueError, match="must not decrease"):
-        Schedule([(10.0, 1.0), (5.0, 2.0)])
