@@ -8,9 +8,13 @@ exponential update so trajectories are independent of substep choice for
 constant inputs.
 
 Humidity is carried as humidity ratio end to end; relative humidity appears
-only in measure() and, for the occupants, in DischargeAir.rh_pct.  Decay
-factors depend only on the substep, so advance() computes them once per call
-and hands them to each component's step().
+only in measure() and, for the occupants, in DischargeAir.rh_pct.
+
+PlantSim.advance() is the production integrator: one loop over local
+variables that performs, substep by substep, the operations of HvacUnit.step,
+ZoneEmulator.step and OutdoorEmulator.step (with their PidController.step
+calls) in the same order.  Those step() methods are the tested reference that
+advance() must reproduce bit for bit; a change to one is a change to both.
 """
 
 from __future__ import annotations
@@ -350,6 +354,28 @@ class PlantSim:
         return True
 
     def advance(self, dt: float) -> None:
+        """Integrate the plant over one dt-long exchange interval.
+
+        Without ideal actuators the interval is split into n equal substeps
+        of at most control_dt.  Decay factors depend only on the substep, so
+        they are computed once per call.  Each substep then does, in this
+        order, exactly what these reference calls would do:
+
+        1. HvacUnit.step: pv from the emulator (method1) or the applied zone
+           target (method2); a non-finite pv holds everything and counts a
+           stale hold; otherwise the deadband error (bleeding the integral
+           inside the band), the capacity PidController.step, the discharge
+           target and its clamp (counted in clamp_count), and the discharge
+           lag capped at saturation;
+        2. ZoneEmulator.step on the new discharge: the coil PID, then the
+           humidifier PID, both on the emulator state before this substep,
+           then the exact air-node update and the w >= 0 floor;
+        3. OutdoorEmulator.step: track and clamp t, then rh for an air
+           chamber, appending one LimitationEvent per clamp in that order.
+
+        Component state is read into locals once and written back at the
+        end.  tests/test_plant.py pins the equivalence bit for bit.
+        """
         sp, hvac, emu, out = self.applied, self.hvac, self.emulator, self.outdoor
         events = self.limitation_events
         if self.ideal:
@@ -365,21 +391,170 @@ class PlantSim:
         m = hvac.m_dot
         k_t, k_w = emu.decay(m, sub)
         k_out = out.decay(sub)
+        isfinite = math.isfinite
         method1 = hvac.pv_mode == "method1"
-        pv_t, pv_w = sp.zone_t, sp.zone_w
+        zone_t, zone_w = sp.zone_t, sp.zone_w
+        cool, heat, dis_spt = sp.cool_spt, sp.heat_spt, sp.dis_spt
+        out_t_spt, out_rh_spt = sp.out_t, sp.out_rh
+        pv_t, pv_w = zone_t, zone_w
+        dt_ok = sub > 0
+        flow = m > 0
+        mcp = m * CP_AIR
+        lag = hvac.tau_dis > 0
+        dis_lo, dis_hi = hvac.t_dis_min, hvac.t_dis_max
+        c_emu, m_air = emu.c, emu.m_air
+        tracked = out.tau > 0
+        air = out.kind == "air"
+        env = out.env
+        o_tlo, o_thi = env["t_min"], env["t_max"]
+        o_rhlo, o_rhhi = (env["rh_min"], env["rh_max"]) if air else (0.0, 0.0)
+        channel_t = f"{out.kind}_t"
+
+        # PidController constants (span as in its anti-windup bound) and state.
+        hp, cp, mp = hvac.pid, emu.coil_pid, emu.hum_pid
+        h_kp, h_ki, h_kd, h_lo, h_hi = hp.kp, hp.ki, hp.kd, hp.out_min, hp.out_max
+        c_kp, c_ki, c_kd, c_lo, c_hi = cp.kp, cp.ki, cp.kd, cp.out_min, cp.out_max
+        m_kp, m_ki, m_kd, m_lo, m_hi = mp.kp, mp.ki, mp.kd, mp.out_min, mp.out_max
+        h_span = (h_hi - h_lo) / abs(h_ki) if h_ki != 0.0 else 0.0
+        c_span = (c_hi - c_lo) / abs(c_ki) if c_ki != 0.0 else 0.0
+        m_span = (m_hi - m_lo) / abs(m_ki) if m_ki != 0.0 else 0.0
+        h_i, h_pv, h_u, h_fault = hp.integral, hp.last_pv, hp.last_command, hp.fault
+        c_i, c_pv, c_u, c_fault = cp.integral, cp.last_pv, cp.last_command, cp.fault
+        m_i, m_pv, m_u, m_fault = mp.integral, mp.last_pv, mp.last_command, mp.fault
+
+        t_dis, w_dis, stale = hvac.t_dis, hvac.w_dis, hvac.stale_holds
+        emu_t, emu_w = emu.t, emu.w
+        o_t, o_rh = out.t, out.rh
+        clamps = self.clamp_count
+        # min(max(x, lo), hi) is written "x = lo if lo > x else x;
+        # x = hi if hi < x else x", which matches it for every x, NaN included.
         for _ in range(n):
+            # 1. HvacUnit.step
             if method1:
-                pv_t, pv_w = emu.t, emu.w
-            q_cmd, clamped = hvac.step(pv_t, pv_w, sp.cool_spt, sp.heat_spt, sub,
-                                       k_dis, k_bleed, sp.dis_spt)
-            self.clamp_count += clamped
-            q_coil, m_hum = emu.step(sp.zone_t, sp.zone_w, hvac.t_dis, hvac.w_dis,
-                                     m, sub, k_t, k_w)
-            events.extend(out.step(sp.out_t, sp.out_rh, k_out))
+                pv_t, pv_w = emu_t, emu_w
+            if not (isfinite(pv_t) and isfinite(pv_w)):
+                stale += 1
+                q_cmd = 0.0
+            else:
+                if pv_t > cool:
+                    err = cool - pv_t
+                elif pv_t < heat:
+                    err = heat - pv_t
+                else:
+                    err = 0.0
+                    h_i *= k_bleed
+                # hvac.pid.step(err, 0.0, sub); err - 0.0 is err.
+                if isfinite(err) and dt_ok:
+                    h_fault = False
+                    if h_ki != 0.0 and not (h_u >= h_hi and err > 0
+                                            or h_u <= h_lo and err < 0):
+                        h_i += err * sub
+                        h_i = -h_span if -h_span > h_i else h_i
+                        h_i = h_span if h_span < h_i else h_i
+                    d = 0.0
+                    if h_kd != 0.0 and h_pv is not None:
+                        d = -h_kd * (0.0 - h_pv) / sub
+                    h_pv = 0.0
+                    u = h_kp * err + h_ki * h_i + d
+                    u = h_lo if h_lo > u else u
+                    h_u = h_hi if h_hi < u else u
+                else:
+                    h_fault = True
+                q_cmd = h_u
+
+                if dis_spt is not None:
+                    target = dis_spt
+                elif flow:
+                    target = pv_t + q_cmd / mcp
+                else:
+                    target = pv_t
+                clamped = dis_lo if dis_lo > target else target
+                clamped = dis_hi if dis_hi < clamped else clamped
+                if clamped != target:
+                    clamps += 1
+                if lag:
+                    t_dis = clamped + (t_dis - clamped) * k_dis
+                    w_target = w_sat(clamped)
+                    w_target = w_target if w_target < pv_w else pv_w
+                    w_dis = w_target + (w_dis - w_target) * k_dis
+                    w_cap = w_sat(t_dis)
+                    w_dis = w_cap if w_cap < w_dis else w_dis
+                else:
+                    t_dis = clamped
+                    w_cap = w_sat(clamped)
+                    w_dis = w_cap if w_cap < pv_w else pv_w
+
+            # 2. ZoneEmulator.step: coil_pid.step(zone_t, emu_t, sub) ...
+            if isfinite(zone_t) and isfinite(emu_t) and dt_ok:
+                c_fault = False
+                err = zone_t - emu_t
+                if c_ki != 0.0 and not (c_u >= c_hi and err > 0
+                                        or c_u <= c_lo and err < 0):
+                    c_i += err * sub
+                    c_i = -c_span if -c_span > c_i else c_i
+                    c_i = c_span if c_span < c_i else c_i
+                d = 0.0
+                if c_kd != 0.0 and c_pv is not None:
+                    d = -c_kd * (emu_t - c_pv) / sub
+                c_pv = emu_t
+                u = c_kp * err + c_ki * c_i + d
+                u = c_lo if c_lo > u else u
+                c_u = c_hi if c_hi < u else u
+            else:
+                c_fault = True
+            # ... then hum_pid.step(zone_w, emu_w, sub)
+            if isfinite(zone_w) and isfinite(emu_w) and dt_ok:
+                m_fault = False
+                err = zone_w - emu_w
+                if m_ki != 0.0 and not (m_u >= m_hi and err > 0
+                                        or m_u <= m_lo and err < 0):
+                    m_i += err * sub
+                    m_i = -m_span if -m_span > m_i else m_i
+                    m_i = m_span if m_span < m_i else m_i
+                d = 0.0
+                if m_kd != 0.0 and m_pv is not None:
+                    d = -m_kd * (emu_w - m_pv) / sub
+                m_pv = emu_w
+                u = m_kp * err + m_ki * m_i + d
+                u = m_lo if m_lo > u else u
+                m_u = m_hi if m_hi < u else u
+            else:
+                m_fault = True
+            if flow:
+                t_eq = t_dis + c_u / mcp
+                emu_t = t_eq + (emu_t - t_eq) * k_t
+                w_eq = w_dis + m_u / m
+                emu_w = w_eq + (emu_w - w_eq) * k_w
+            else:
+                emu_t = emu_t + c_u * sub / c_emu
+                emu_w = emu_w + m_u * sub / m_air
+            emu_w = emu_w if emu_w > 0.0 else 0.0
+
+            # 3. OutdoorEmulator.step
+            raw = out_t_spt + (o_t - out_t_spt) * k_out if tracked else out_t_spt
+            o_t = o_tlo if o_tlo > raw else raw
+            o_t = o_thi if o_thi < o_t else o_t
+            if o_t != raw:
+                events.append(LimitationEvent(channel_t, raw, o_t))
+            if air:
+                raw = (out_rh_spt + (o_rh - out_rh_spt) * k_out if tracked
+                       else out_rh_spt)
+                o_rh = o_rhlo if o_rhlo > raw else raw
+                o_rh = o_rhhi if o_rhhi < o_rh else o_rh
+                if o_rh != raw:
+                    events.append(LimitationEvent("air_rh", raw, o_rh))
+
+        hvac.t_dis, hvac.w_dis, hvac.stale_holds = t_dis, w_dis, stale
+        hp.integral, hp.last_pv, hp.last_command, hp.fault = h_i, h_pv, h_u, h_fault
+        cp.integral, cp.last_pv, cp.last_command, cp.fault = c_i, c_pv, c_u, c_fault
+        mp.integral, mp.last_pv, mp.last_command, mp.fault = m_i, m_pv, m_u, m_fault
+        emu.t, emu.w = emu_t, emu_w
+        out.t, out.rh = o_t, o_rh
+        self.clamp_count = clamps
         self.last_q_cmd = q_cmd
-        self.last_q_heater = max(q_coil, 0.0)
-        self.last_q_cooling = max(-q_coil, 0.0)
-        self.last_m_hum = m_hum
+        self.last_q_heater = max(c_u, 0.0)
+        self.last_q_cooling = max(-c_u, 0.0)
+        self.last_m_hum = m_u
 
     def drain_events(self) -> list[LimitationEvent]:
         ev, self.limitation_events = self.limitation_events, []

@@ -485,9 +485,12 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
         raise ScenarioError("geb.bounds.t_max_c: must exceed t_min_c by at least "
                             "geb.min_gap_c")
 
+    # The discharge weight decays with distance to the diffuser and can
+    # underflow to 0, so the blend needs weight on the zone or the surfaces.
     sur = out["occupants"]["surrogate"]
-    if sur["w_discharge"] + sur["w_zone"] + sur["w_surfaces"] <= 0:
-        raise ScenarioError("occupants.surrogate.w_zone: weights must sum above 0")
+    if sur["w_zone"] + sur["w_surfaces"] <= 0:
+        raise ScenarioError("occupants.surrogate.w_zone: w_zone and w_surfaces "
+                            "must sum above 0")
 
     weather = out["building"]["weather"]
     [form] = weather  # path, constant or series; a constant covers any horizon

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 
@@ -300,3 +301,133 @@ class TestHoistedSubsteps:
         assert (air.t_c, air.w, air.m_dot_kg_s) == (
             plant.hvac.t_dis, plant.hvac.w_dis, plant.hvac.m_dot)
         assert air.rh_pct == plant.measure()["rh_dis"]
+
+
+def reference_advance(plant, dt):
+    """PlantSim.advance for a non-ideal plant as the per-substep composition
+    of the component step() methods it fuses."""
+    sp, hvac, emu, out = plant.applied, plant.hvac, plant.emulator, plant.outdoor
+    n = max(1, math.ceil(dt / plant.control_dt - 1e-9))
+    sub = dt / n
+    k_dis, k_bleed = hvac.decay(sub)
+    m = hvac.m_dot
+    k_t, k_w = emu.decay(m, sub)
+    k_out = out.decay(sub)
+    pv_t, pv_w = sp.zone_t, sp.zone_w
+    for _ in range(n):
+        if hvac.pv_mode == "method1":
+            pv_t, pv_w = emu.t, emu.w
+        q_cmd, clamped = hvac.step(pv_t, pv_w, sp.cool_spt, sp.heat_spt, sub,
+                                   k_dis, k_bleed, sp.dis_spt)
+        plant.clamp_count += clamped
+        q_coil, m_hum = emu.step(sp.zone_t, sp.zone_w, hvac.t_dis, hvac.w_dis,
+                                 m, sub, k_t, k_w)
+        plant.limitation_events.extend(out.step(sp.out_t, sp.out_rh, k_out))
+    plant.last_q_cmd = q_cmd
+    plant.last_q_heater = max(q_coil, 0.0)
+    plant.last_q_cooling = max(-q_coil, 0.0)
+    plant.last_m_hum = m_hum
+
+
+def _bits(x):
+    """Floats compared bit for bit (signed zeros and NaN included)."""
+    return struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def full_state(plant):
+    hvac, emu, out = plant.hvac, plant.emulator, plant.outdoor
+    values = [hvac.t_dis, hvac.w_dis, hvac.stale_holds, emu.t, emu.w, out.t,
+              out.rh, plant.clamp_count, plant.last_q_cmd, plant.last_q_heater,
+              plant.last_q_cooling, plant.last_m_hum]
+    for pid in (hvac.pid, emu.coil_pid, emu.hum_pid):
+        values += [pid.integral, pid.last_pv, pid.last_command, pid.fault]
+    for ev in plant.limitation_events:
+        values += [ev.channel, ev.requested, ev.delivered]
+    return [_bits(v) for v in values]
+
+
+def varied_plant(pv_mode, hvac=(), emulator=(), outdoor=(), applied=(),
+                 emu_w=None):
+    hv = HvacUnit(**block("plant.hvac", **{"pv_mode": pv_mode,
+                                           "t_dis_init_c": 18.0, **dict(hvac)}))
+    emu = ZoneEmulator(**block("plant.zone_emulator", **{
+        "t_init_c": 27.0, "rh_init_pct": 40.0, **dict(emulator)}))
+    out = OutdoorEmulator(**block("plant.outdoor", **{
+        "t_init_c": 60.0, "rh_init_pct": 12.0, **dict(outdoor)}))
+    sp = dict(zone_t=25.5, zone_w=w_from_rh(25.5, 55.0), out_t=70.0,
+              out_rh=5.0, cool_spt=24.0, heat_spt=20.0)
+    sp.update(applied)
+    if emu_w is not None:
+        emu.w = emu_w
+    return PlantSim(hv, emu, out, AppliedSetpoints(**sp), control_dt_s=1.0)
+
+
+class TestFusedAdvance:
+    """The fused PlantSim.advance reproduces the component step() methods bit
+    for bit: every state field, all three PIDs, the counters and every
+    limitation event, after each of several consecutive advances."""
+
+    CASES = {
+        "lagged": {},
+        "no_lag": {"hvac": {"tau_dis_s": 0.0}},
+        "no_flow": {"hvac": {"m_dot_kg_s": 0.0}},
+        "no_flow_no_lag": {"hvac": {"m_dot_kg_s": 0.0, "tau_dis_s": 0.0}},
+        "water": {"outdoor": {"kind": "water", "t_init_c": 50.0}},
+        # a tracked -0.0 would come out as +0.0
+        "outdoor_snaps": {"outdoor": {"tau_s": 0.0}, "applied": {"out_t": -0.0}},
+        "water_snaps": {"outdoor": {"kind": "water", "tau_s": 0.0}},
+        "coil_kd": {"emulator": {"kd_w_s_per_k": 5000.0}},
+        "dis_inside": {"applied": {"dis_spt": 14.0}},
+        # the lagged discharge cools from saturation: capped at w_sat(t_dis)
+        "dis_below": {"applied": {"dis_spt": 5.0},
+                      "hvac": {"rh_dis_init_pct": 100.0}},
+        "dis_above": {"applied": {"dis_spt": 50.0}, "hvac": {"tau_dis_s": 0.0}},
+        "deadband_bleed": {"applied": {"zone_t": 22.0}},
+        "heating": {"applied": {"zone_t": 17.0, "zone_w": 0.004}},
+        "stale_zone": {"applied": {"zone_t": math.nan, "zone_w": math.nan}},
+        # integrals that reach their anti-windup bound, one sign per case
+        "windup_a": {"hvac": {"ki_w_per_k_s": 2e4},
+                     "emulator": {"ki_w_per_k_s": 1e4, "hum_ki": 1.0},
+                     "applied": {"zone_t": 30.0, "zone_w": 0.002}},
+        "windup_b": {"hvac": {"ki_w_per_k_s": 2e4},
+                     "emulator": {"ki_w_per_k_s": 1e4, "hum_ki": 1.0},
+                     "applied": {"zone_t": 17.0, "zone_w": 0.015}},
+        "capacity_fault": {"applied": {"cool_spt": -math.inf}},
+        "dry_floor": {"hvac": {"m_dot_kg_s": 0.0}, "emu_w": -1e-3},
+    }
+
+    @pytest.mark.parametrize("pv_mode", ["method1", "method2"])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_component_steps(self, pv_mode, case):
+        fused = varied_plant(pv_mode, **case)
+        ref = varied_plant(pv_mode, **case)
+        assert full_state(fused) == full_state(ref)
+        for dt in (60.0, 60.0, 45.0, 1.5, 600.0):
+            fused.advance(dt)
+            reference_advance(ref, dt)
+            assert full_state(fused) == full_state(ref)
+
+    def test_cases_reach_every_branch(self):
+        def run(pv_mode, case):
+            plant = varied_plant(pv_mode, **self.CASES[case])
+            for dt in (60.0, 60.0, 45.0, 1.5, 600.0):
+                plant.advance(dt)
+            return plant
+
+        assert run("method2", "stale_zone").hvac.stale_holds > 0
+        assert run("method1", "stale_zone").emulator.coil_pid.fault
+        plant = run("method2", "dis_below")
+        assert plant.clamp_count > 0
+        assert plant.hvac.w_dis == w_sat(plant.hvac.t_dis)
+        assert run("method2", "capacity_fault").hvac.pid.fault
+        assert run("method2", "dis_inside").clamp_count == 0
+        assert {ev.channel for ev in run("method2", "lagged").limitation_events} == {
+            "air_t", "air_rh"}
+        assert {ev.channel for ev in run("method2", "water").limitation_events} == {
+            "water_t"}
+        plant = varied_plant("method1", **self.CASES["deadband_bleed"])
+        plant.advance(600.0)
+        assert 20.0 < plant.emulator.t < 24.0 and plant.last_q_cmd != 0.0
+        held = plant.hvac.pid.integral
+        plant.advance(60.0)
+        assert abs(plant.hvac.pid.integral) < abs(held)  # bled in the deadband

@@ -162,6 +162,18 @@ class TestCrossField:
         with pytest.raises(ScenarioError, match="sum above 0"):
             validate_scenario(doc)
 
+    def test_discharge_weight_cannot_carry_the_blend_alone(self):
+        # far from the diffuser w_discharge * exp(-dist / 0.001) is 0.0
+        doc = {"run": {"horizon": 3},
+               "occupants": {"agents": [{"coords": [3, 3, 1]}],
+                             "surrogate": {"w_zone": 0, "w_surfaces": 0,
+                                           "decay_length_m": 0.001}}}
+        with pytest.raises(ScenarioError,
+                           match=r"^occupants\.surrogate\.w_zone: .*sum above 0"):
+            validate_scenario(doc)
+        doc["occupants"]["surrogate"]["w_surfaces"] = 0.1
+        Engine(validate_scenario(doc)).run()
+
     def test_humidifier_needs_capacity(self):
         doc = {"plant": {"zone_emulator": {"humidifier_kg_s_max": 0}}}
         with pytest.raises(ScenarioError,
