@@ -118,22 +118,21 @@ class ZoneStepResult:
 
 
 class ZoneModel:
-    """Single-zone thermal and moisture state with surface temperature filters."""
+    """Single-zone thermal and moisture state with surface temperature filters,
+    built from the validated `building` block (its weather and gains aside)."""
 
-    def __init__(self, c_z_j_per_k: float = 2.0e7, ua_w_per_k: float = 250.0,
-                 moisture_capacity_kg: float = 800.0, surface_tau_s: float = 1800.0,
-                 n_surfaces: int = 4, inherited_delay: bool = False,
-                 t_init_c: float = 23.0, rh_init_pct: float = 50.0):
-        self.c = c_z_j_per_k
-        self.ua = ua_w_per_k
-        self.c_w = moisture_capacity_kg
+    def __init__(self, b: dict, inherited_delay: bool):
+        self.c = b["c_z_j_per_k"]
+        self.ua = b["ua_w_per_k"]
+        self.c_w = b["moisture_capacity_kg"]
         self.inherited_delay = inherited_delay
-        self.t = t_init_c
-        self.w = w_from_rh(t_init_c, rh_init_pct)
+        self.t = b["t_init_c"]
+        self.w = w_from_rh(self.t, b["rh_init_pct"])
         # Staggered surface time constants give the near-occupant surrogate
         # some spread without per-surface configuration.
-        self.surface_tau = [surface_tau_s * (1.0 + 0.25 * i) for i in range(n_surfaces)]
-        self.surfaces = [t_init_c] * n_surfaces
+        n = b["n_surfaces"]
+        self.surface_tau = [b["surface_tau_s"] * (1.0 + 0.25 * i) for i in range(n)]
+        self.surfaces = [self.t] * n
         self._buffer: DischargeAir | None = None
 
     @property

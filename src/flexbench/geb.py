@@ -30,8 +30,8 @@ class SupervisorySetpoints:
 
     t_cool_c: float
     t_heat_c: float
-    t_dis_c: float | None = None
-    p_duct_pa: float | None = None
+    t_dis_c: float | None
+    p_duct_pa: float | None
 
 
 @dataclass(frozen=True)
@@ -57,29 +57,22 @@ def validate_windows(windows: list[EventWindow]) -> None:
 
 
 class GebController:
-    """Rule-based supervisor producing one SupervisorySetpoints per step."""
+    """Rule-based supervisor producing one SupervisorySetpoints per step, built
+    from the validated `geb` block (its dis_schedule, policy and slow aside)."""
 
-    def __init__(self, mode: GebMode | str, baseline: SupervisorySetpoints,
-                 windows: list[EventWindow] | None = None,
-                 delta_eff_c: float = 1.0, delta_shed_c: float = 2.0,
-                 delta_pre_c: float = 1.5, pre_window_s: float = 7200.0,
-                 r_max_c_per_step: float = 0.5,
-                 modulation_depth_c: float = 1.0,
-                 modulation_signal: list[tuple[float, float]] | None = None,
-                 t_min_c: float = 12.0, t_max_c: float = 32.0,
-                 min_gap_c: float = 1.0):
-        self.mode = GebMode(mode)
-        self.baseline = baseline
-        self.windows = windows or []
-        self.delta_eff = delta_eff_c
-        self.delta_shed = delta_shed_c
-        self.delta_pre = delta_pre_c
-        self.pre_window = pre_window_s
-        self.r_max = r_max_c_per_step
-        self.mod_depth = modulation_depth_c
-        self.mod_signal = Schedule(modulation_signal or [(0.0, 0.0)])
-        self.t_min, self.t_max = t_min_c, t_max_c
-        self.min_gap = min_gap_c
+    def __init__(self, g: dict):
+        self.mode = GebMode(g["mode"])
+        self.baseline = SupervisorySetpoints(**g["baseline"])
+        self.windows = [EventWindow(**w) for w in g["windows"]]
+        self.delta_eff = g["delta_eff_c"]
+        self.delta_shed = g["delta_shed_c"]
+        self.delta_pre = g["delta_pre_c"]
+        self.pre_window = g["pre_window_s"]
+        self.r_max = g["r_max_c_per_step"]
+        self.mod_depth = g["modulation"]["depth_c"]
+        self.mod_signal = Schedule(g["modulation"]["signal"] or [(0.0, 0.0)])
+        self.t_min, self.t_max = g["bounds"]["t_min_c"], g["bounds"]["t_max_c"]
+        self.min_gap = g["min_gap_c"]
         self._mod_offset = 0.0
 
     def _in_window(self, t_s: float) -> bool:
@@ -155,8 +148,8 @@ class SlowControllerHarness:
     results older than the freshness horizon at poll time are discarded.
     """
 
-    def __init__(self, compute_latency_s: float, step_size_s: float,
-                 freshness_s: float = 600.0):
+    def __init__(self, step_size_s: float, compute_latency_s: float,
+                 freshness_s: float):
         self.latency = compute_latency_s
         self.step_size = step_size_s
         self.freshness = freshness_s

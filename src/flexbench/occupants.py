@@ -28,6 +28,10 @@ class ActionType(Enum):
     WALK = "walk"
 
 
+# (action, its value) in enum order: action_probs is keyed by the value
+_ACTIONS = tuple((a, a.value) for a in ActionType)
+
+
 @dataclass
 class EffectConfig:
     """Magnitudes and durations of action effects, shared across agents."""
@@ -51,15 +55,16 @@ class EffectConfig:
 
 @dataclass
 class OccupantAgent:
-    """One occupant: placement, preference, action propensities, effect state."""
+    """One occupant: placement, preference, action propensities, effect state.
+    The first fields are one validated `occupants.agents` entry."""
 
     agent_id: int
-    coords: tuple[float, float, float]
-    clo: float = 0.7
-    t_pref_c: float = 22.5
-    deadband_c: float = 1.0
-    action_probs: dict[ActionType, float] = field(default_factory=dict)
-    presence: list[tuple[float, int]] | None = None
+    coords: list[float]                  # [x, y, z]
+    clo: float
+    t_pref_c: float
+    deadband_c: float
+    action_probs: dict[str, float]       # ActionType value -> probability
+    presence: list[list[float]] | None   # [[time_s, 0|1], ...]
 
     heater_on: bool = False
     fan_on: bool = False
@@ -184,8 +189,8 @@ def behave(agent: OccupantAgent, score: float, seed: int, step: int, t_s: float,
     draws = rng.random(len(ActionType))
     fired = []
     hot = score > 0
-    for action, u in zip(ActionType, draws):
-        p = agent.action_probs.get(action, 0.0)
+    for (action, name), u in zip(_ACTIONS, draws):
+        p = agent.action_probs.get(name, 0.0)
         if p <= 0.0 or u >= p or not _applicable(agent, action, score, fx):
             continue
         fired.append(action)

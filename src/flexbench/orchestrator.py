@@ -29,13 +29,11 @@ import time
 
 from .building import ZoneModel, build_weather
 from .datastore import Source, StepStore, VariableKey
-from .geb import (EventWindow, GebController, SlowControllerHarness,
-                  SupervisorySetpoints)
-from .occupants import (ActionType, EffectConfig, NearOccupantSurrogate,
-                        OccupantAgent, Population)
+from .geb import GebController, SlowControllerHarness, SupervisorySetpoints
+from .occupants import (EffectConfig, NearOccupantSurrogate, OccupantAgent,
+                        Population)
 from .plant import (AppliedSetpoints, HvacUnit, OutdoorEmulator, PlantSim,
                     ZoneEmulator)
-from .psychro import w_from_rh
 from .schedule import Schedule
 from .streams import COMM_DOMAIN, substream
 
@@ -137,6 +135,7 @@ class Engine:
 
     cfg must be the output of `scenario.validate_scenario`: every default is
     filled in and every rule checked there, so the components assume both.
+    Each component takes its block as it comes and declares no defaults.
     """
 
     def __init__(self, cfg: dict, base_dir: str | None = None):
@@ -152,66 +151,40 @@ class Engine:
 
         d = cfg["delays"]
         self.injector = DelayInjector(self.seed, d["comm_latency_s"], d["jitter_s"])
-        self.stale_hold = d["stale_hold"]
-
-        p = cfg["plant"]
-        hvac = HvacUnit(**p["hvac"])
-        emulator = ZoneEmulator(**p["zone_emulator"])
-        outdoor = OutdoorEmulator(**p["outdoor"])
 
         b = cfg["building"]
-        self.zone = ZoneModel(b["c_z_j_per_k"], b["ua_w_per_k"],
-                              b["moisture_capacity_kg"], b["surface_tau_s"],
-                              b["n_surfaces"], d["inherited_delay"],
-                              b["t_init_c"], b["rh_init_pct"])
+        self.zone = ZoneModel(b, d["inherited_delay"])
         self.weather = build_weather(b["weather"], base_dir)
         gains = b["internal_gains_w"]  # float or [[t, w], ...]
         self.internal_gains = Schedule(gains if isinstance(gains, list)
                                        else [(0.0, gains)])
 
         o = cfg["occupants"]
-        fx = EffectConfig(**o["effects"])
-        surrogate = NearOccupantSurrogate(**o["surrogate"])
-        agents = []
-        for i, a in enumerate(o["agents"]):
-            probs = {ActionType(name): v for name, v in a["action_probs"].items()}
-            agents.append(OccupantAgent(i, tuple(a["coords"]), a["clo"],
-                                        a["t_pref_c"], a["deadband_c"], probs,
-                                        a["presence"]))
-        self.population = Population(agents, surrogate, fx, self.seed)
+        agents = [OccupantAgent(i, **a) for i, a in enumerate(o["agents"])]
+        self.population = Population(agents,
+                                     NearOccupantSurrogate(**o["surrogate"]),
+                                     EffectConfig(**o["effects"]), self.seed)
 
         g = cfg["geb"]
-        baseline = SupervisorySetpoints(g["baseline"]["t_cool_c"],
-                                        g["baseline"]["t_heat_c"],
-                                        g["baseline"]["t_dis_c"],
-                                        g["baseline"]["p_duct_pa"])
-        windows = [EventWindow(w["start_s"], w["end_s"]) for w in g["windows"]]
-        self.geb = GebController(
-            g["mode"], baseline, windows,
-            delta_eff_c=g["delta_eff_c"], delta_shed_c=g["delta_shed_c"],
-            delta_pre_c=g["delta_pre_c"], pre_window_s=g["pre_window_s"],
-            r_max_c_per_step=g["r_max_c_per_step"],
-            modulation_depth_c=g["modulation"]["depth_c"],
-            modulation_signal=g["modulation"]["signal"],
-            t_min_c=g["bounds"]["t_min_c"], t_max_c=g["bounds"]["t_max_c"],
-            min_gap_c=g["min_gap_c"])
+        self.geb = GebController(g)
+        baseline = self.geb.baseline
         # without a schedule the baseline discharge setpoint (or None) holds
         self.dis_schedule = Schedule(g["dis_schedule"]
                                      or [(0.0, baseline.t_dis_c)])
         self.harness = None
         if g["policy"] == "slow":
-            self.harness = SlowControllerHarness(g["slow"]["compute_latency_s"],
-                                                 self.step_size,
-                                                 g["slow"]["freshness_s"])
+            self.harness = SlowControllerHarness(self.step_size, **g["slow"])
         self._slow_sp = baseline
         self._slow_flags: list[str] = []
 
-        zone_w0 = w_from_rh(b["t_init_c"], b["rh_init_pct"])
+        p = cfg["plant"]
         out_t0, out_rh0 = self.weather.value_at(0.0)
-        applied0 = AppliedSetpoints(b["t_init_c"], zone_w0, out_t0, out_rh0,
+        applied0 = AppliedSetpoints(self.zone.t, self.zone.w, out_t0, out_rh0,
                                     baseline.t_cool_c, baseline.t_heat_c,
                                     self.dis_schedule.at(0.0), baseline.p_duct_pa)
-        self.plant = PlantSim(hvac, emulator, outdoor, applied0,
+        self.plant = PlantSim(HvacUnit(**p["hvac"]),
+                              ZoneEmulator(**p["zone_emulator"]),
+                              OutdoorEmulator(**p["outdoor"]), applied0,
                               p["control_dt_s"], p["ideal_actuators"])
 
         lg = cfg["logging"]
@@ -220,7 +193,7 @@ class Engine:
 
         self.store = StepStore(self.step_size, run["scenario_id"], self.seed, 0)
         self._step = 0
-        self._t0 = None  # monotonic start of a paced run(), set by run()
+        self._t0 = None  # monotonic start of step 0's slot, set by run()
         self.counters = {"overruns": 0, "stale_steps": 0, "limitation_events": 0,
                          "setpoint_clamps": 0, "occupant_actions": 0}
         self.flag_counts: dict[str, int] = {}
@@ -354,10 +327,12 @@ class Engine:
 
     def run(self):
         """Execute all remaining steps; returns the finished RunLog."""
-        if self.mode == "realtime" and self._step == 0:
-            self.run_start_ms = int(time.time() * 1000)
-            self.store.start_wall_ms = self.run_start_ms
-            self._t0 = time.monotonic()
+        if self.mode == "realtime":
+            if self._step == 0:
+                self.run_start_ms = int(time.time() * 1000)
+                self.store.start_wall_ms = self.run_start_ms
+            if self._t0 is None:  # step n's slot ends at _t0 + (n+1)*step
+                self._t0 = time.monotonic() - self._step * self.step_size
         while self._step < self.horizon:
             self.step_once()
             if self.mode == "realtime":
@@ -412,3 +387,4 @@ class Engine:
         snap = copy.deepcopy(snap)
         for a in self._STATE_ATTRS:
             setattr(self, a, snap[a])
+        self._t0 = None  # the next paced run() restarts the pacing clock

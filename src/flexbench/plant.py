@@ -299,7 +299,7 @@ class PlantSim:
 
     def __init__(self, hvac: HvacUnit, emulator: ZoneEmulator,
                  outdoor: OutdoorEmulator, applied: AppliedSetpoints,
-                 control_dt_s: float = 1.0, ideal_actuators: bool = False):
+                 control_dt_s: float, ideal_actuators: bool):
         self.hvac = hvac
         self.emulator = emulator
         self.outdoor = outdoor

@@ -32,6 +32,9 @@ REQUIRED = object()
 # Most control substeps PlantSim.advance may run in one exchange step: one
 # hour of 1 s control.  The shipped scenarios use at most 60.
 MAX_SUBSTEPS = 3600
+# Largest supply air flow, kg/s: a large air handler moves about 100 kg/s.
+# Flows near the float limit overflow the plant's loads to infinity.
+MAX_M_DOT = 100.0
 _NUMBER = (int, float)
 
 
@@ -241,7 +244,7 @@ _WINDOW = {
 def _windows(value, path):
     out = _objects(_WINDOW)(value, path)
     try:  # each window ends after it starts, and no two overlap
-        validate_windows([EventWindow(w["start_s"], w["end_s"]) for w in out])
+        validate_windows([EventWindow(**w) for w in out])
     except ValueError as e:
         raise ScenarioError(f"{path}: {e}") from e
     return out
@@ -277,7 +280,8 @@ SCHEMA: dict[str, Any] = {
         "ideal_actuators": Leaf(False, "bool"),
         "control_dt_s": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
         "hvac": {
-            "m_dot_kg_s": Leaf(0.5, "float", check=_nonneg, msg="must be >= 0"),
+            "m_dot_kg_s": Leaf(0.5, "float", check=lambda v: 0.0 <= v <= MAX_M_DOT,
+                               msg=f"outside [0, {MAX_M_DOT:g}]"),
             "rated_cooling_w": Leaf(8000.0, "float", check=_pos, msg="must be > 0"),
             "rated_heating_w": Leaf(6000.0, "float", check=_pos, msg="must be > 0"),
             "kp_w_per_k": Leaf(400.0, "float", check=_nonneg, msg="must be >= 0"),

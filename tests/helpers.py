@@ -23,13 +23,24 @@ def deep_merge(base: dict, patch: dict) -> dict:
 
 
 def block(dotted: str, **overrides) -> dict:
-    """A fresh copy of one sub-block of validate_scenario({}), with overrides:
-    the keyword arguments of the component built from that block, e.g.
-    HvacUnit(**block("plant.hvac", tau_dis_s=0.0))."""
+    """A fresh copy of one sub-block of validate_scenario({}) with overrides
+    merged in (into nested objects too), for the component built from it:
+    unpacked for keyword constructors, HvacUnit(**block("plant.hvac",
+    tau_dis_s=0.0)), or as it is for dict-taking ones,
+    GebController(block("geb", baseline={"t_cool_c": 31.5})).  Overrides
+    are not validated, so give them in validated form (a window is a
+    {"start_s", "end_s"} object)."""
     node = validate_scenario({})
     for part in dotted.split("."):
         node = node[part]
-    return {**node, **overrides}
+    return deep_merge(node, overrides)
+
+
+def agent_block(**fields) -> dict:
+    """One validated occupants.agents entry (fields need coords), for
+    OccupantAgent(agent_id, **agent_block(...))."""
+    doc = {"occupants": {"agents": [fields]}}
+    return validate_scenario(doc)["occupants"]["agents"][0]
 
 
 def cfg_from(doc: dict | None = None, patch: dict | None = None,

@@ -17,10 +17,10 @@ from flexbench.analysis import (comm_delay_bound, exchange_stamps,
                                 hunting_metric, response_time, rmse_shift,
                                 series_from_log)
 from flexbench.datastore import export_run, import_run
-from flexbench.occupants import ActionType, EffectConfig, OccupantAgent, behave
+from flexbench.occupants import EffectConfig, OccupantAgent, behave
 from flexbench.psychro import CP_AIR
 
-from tests.helpers import block, run_doc, run_scenario
+from tests.helpers import agent_block, block, run_doc, run_scenario
 
 
 def _series(log, key):
@@ -195,9 +195,9 @@ def test_ac08_occupant_action_statistics():
     fx = EffectConfig(**block("occupants.effects"))
 
     def action_log(prob, seed):
-        agent = OccupantAgent(agent_id=0, coords=(1.0, 1.0, 1.0), t_pref_c=22.0,
-                              deadband_c=1.0,
-                              action_probs={ActionType.DRINK: prob})
+        agent = OccupantAgent(0, **agent_block(coords=[1.0, 1.0, 1.0],
+                                               t_pref_c=22.0, deadband_c=1.0,
+                                               action_probs={"drink": prob}))
         out = []
         for n in range(10_000):
             acts = behave(agent, 1.5, seed, n, n * 60.0, fx)

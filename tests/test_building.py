@@ -7,6 +7,7 @@ from flexbench.building import (WeatherCoverageError, WeatherFormatError,
                                 load_weather)
 from flexbench.plant import DischargeAir
 from flexbench.psychro import CP_AIR, H_FG, w_from_rh
+from tests.helpers import block
 
 
 class TestWeatherSeries:
@@ -72,9 +73,9 @@ class TestLoadWeather:
 AIR = DischargeAir(15.0, w_from_rh(15.0, 60.0), 0.5)
 
 
-def zone(**kw):
-    kw.setdefault("t_init_c", 24.0)
-    return ZoneModel(**kw)
+def zone(inherited_delay=False, **overrides):
+    return ZoneModel(block("building", **{"t_init_c": 24.0, **overrides}),
+                     inherited_delay)
 
 
 class TestZoneModel:
@@ -159,7 +160,8 @@ def test_load_signs():
 def test_analytic_decay_against_closed_form():
     # all inputs frozen: the air node is y' = a - b*y with
     # b = (m*cp + ua)/c and the trajectory is pinned by the closed form
-    z = ZoneModel(c_z_j_per_k=2.0e6, ua_w_per_k=100.0, t_init_c=28.0)
+    z = ZoneModel(block("building", c_z_j_per_k=2.0e6, ua_w_per_k=100.0,
+                        t_init_c=28.0), False)
     b = (0.5 * CP_AIR + 100.0) / 2.0e6
     a = (0.5 * CP_AIR * 15.0 + 100.0 * 33.0 + 400.0) / 2.0e6
     y = 28.0

@@ -88,8 +88,9 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("doc, path", [
-        # each would hang (1e302 substeps), fail mid-run (stamp 1e16 ms) or
-        # divide by a surrogate weight sum that underflowed to 0
+        # each would hang (1e302 substeps), fail mid-run (stamp 1e16 ms or
+        # a plant load that overflowed to infinity) or divide by a surrogate
+        # weight sum that underflowed to 0
         ({"run": {"horizon": 3}, "plant": {"control_dt_s": 1e-300}},
          "plant.control_dt_s"),
         ({"run": {"step_size_s": 1e13, "horizon": 3},
@@ -99,7 +100,9 @@ class TestRun:
                         "surrogate": {"w_zone": 0, "w_surfaces": 0,
                                       "decay_length_m": 0.001}}},
          "occupants.surrogate.w_zone"),
-    ], ids=["substeps", "stamps", "surrogate_weights"])
+        ({"run": {"horizon": 3}, "plant": {"hvac": {"m_dot_kg_s": 1e308}}},
+         "plant.hvac.m_dot_kg_s"),
+    ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow"])
     def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))

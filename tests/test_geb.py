@@ -4,8 +4,21 @@ from flexbench.geb import (EventWindow, GebController, GebMode,
                            SlowBusyError, SlowControllerHarness,
                            SupervisorySetpoints, validate_windows)
 from flexbench.schedule import Schedule
+from tests.helpers import block
 
-BASE = SupervisorySetpoints(t_cool_c=24.0, t_heat_c=20.0)
+BASE = SupervisorySetpoints(**block("geb.baseline"))  # 24 / 20, no t_dis or p_duct
+
+
+def controller(mode, windows=(), **overrides):
+    """GebController over (start_s, end_s) windows; overrides in geb form."""
+    wins = [{"start_s": start, "end_s": end} for start, end in windows]
+    return GebController(block("geb", mode=mode, windows=wins, **overrides))
+
+
+def harness(latency_s, **overrides):
+    """SlowControllerHarness on 60 s steps."""
+    return SlowControllerHarness(
+        60.0, **block("geb.slow", compute_latency_s=latency_s, **overrides))
 
 
 class TestWindows:
@@ -35,37 +48,33 @@ class TestWindows:
 
 class TestGebController:
     def test_baseline_passes_through_exactly(self):
-        ctl = GebController("shed", BASE, [EventWindow(3600, 7200)])
+        ctl = controller("shed", [(3600, 7200)])
         sp, flags = ctl.step(0.0)
         assert sp == BASE and flags == []
         sp, _ = ctl.step(7200.0)  # window end is exclusive
         assert sp == BASE
 
     def test_efficiency_widens_band(self):
-        ctl = GebController("efficiency", BASE, [EventWindow(0, 3600)],
-                            delta_eff_c=1.0)
+        ctl = controller("efficiency", [(0, 3600)], delta_eff_c=1.0)
         sp, flags = ctl.step(100.0)
         assert (sp.t_cool_c, sp.t_heat_c) == (24.5, 19.5) and flags == []
 
     def test_shed_raises_cooling_only(self):
-        ctl = GebController("shed", BASE, [EventWindow(0, 3600)],
-                            delta_shed_c=2.0)
+        ctl = controller("shed", [(0, 3600)], delta_shed_c=2.0)
         sp, _ = ctl.step(0.0)
         assert (sp.t_cool_c, sp.t_heat_c) == (26.0, 20.0)
 
     def test_shift_precools_then_sheds(self):
-        ctl = GebController("shift", BASE, [EventWindow(10800, 14400)],
-                            delta_shed_c=2.0, delta_pre_c=1.5,
-                            pre_window_s=7200.0)
+        ctl = controller("shift", [(10800, 14400)], delta_shed_c=2.0,
+                         delta_pre_c=1.5, pre_window_s=7200.0)
         assert ctl.step(1000.0)[0].t_cool_c == 24.0      # before anything
         assert ctl.step(3600.0)[0].t_cool_c == 22.5      # pre-cool
         assert ctl.step(10800.0)[0].t_cool_c == 26.0     # event
         assert ctl.step(14400.0)[0].t_cool_c == 24.0     # after
 
     def test_modulate_ramps_and_resets(self):
-        ctl = GebController("modulate", BASE, [EventWindow(0, 600)],
-                            modulation_depth_c=1.0, r_max_c_per_step=0.5,
-                            modulation_signal=[(0.0, 1.0)])
+        ctl = controller("modulate", [(0, 600)], r_max_c_per_step=0.5,
+                         modulation={"depth_c": 1.0, "signal": [[0.0, 1.0]]})
         assert ctl.step(0.0)[0].t_cool_c == 24.5   # rate limited
         assert ctl.step(60.0)[0].t_cool_c == 25.0  # reached depth
         assert ctl.step(120.0)[0].t_cool_c == 25.0
@@ -73,16 +82,15 @@ class TestGebController:
         assert ctl.step(0.0)[0].t_cool_c == 24.5    # ramp starts over
 
     def test_clamp_flags(self):
-        high = SupervisorySetpoints(31.5, 20.0)
-        ctl = GebController("shed", high, [EventWindow(0, 600)],
-                            delta_shed_c=2.0)
+        ctl = controller("shed", [(0, 600)], delta_shed_c=2.0,
+                         baseline={"t_cool_c": 31.5, "t_heat_c": 20.0})
         sp, flags = ctl.step(0.0)
         assert sp.t_cool_c == 32.0 and flags == ["clamp:t_cool"]
 
     def test_gap_restored_after_modulation(self):
-        ctl = GebController("modulate", BASE, [EventWindow(0, 600)],
-                            modulation_depth_c=3.0, r_max_c_per_step=5.0,
-                            modulation_signal=[(0.0, -1.0)], min_gap_c=2.0)
+        ctl = controller("modulate", [(0, 600)], r_max_c_per_step=5.0,
+                         modulation={"depth_c": 3.0, "signal": [[0.0, -1.0]]},
+                         min_gap_c=2.0)
         sp, flags = ctl.step(0.0)
         assert sp.t_heat_c == 20.0
         assert sp.t_cool_c == 22.0  # pushed back above heat + gap
@@ -91,8 +99,9 @@ class TestGebController:
     def test_gap_opens_downward_at_the_upper_bound(self):
         # cooling clamps to t_max_c; heating + gap would pass it, so heating
         # moves down to t_max_c - gap instead of cooling moving up
-        base = SupervisorySetpoints(22.5, 21.5)
-        ctl = GebController("efficiency", base, t_min_c=20.0, t_max_c=22.0)
+        ctl = controller("efficiency",
+                         baseline={"t_cool_c": 22.5, "t_heat_c": 21.5},
+                         bounds={"t_min_c": 20.0, "t_max_c": 22.0})
         sp, flags = ctl.step(0.0)
         assert (sp.t_cool_c, sp.t_heat_c) == (22.0, 21.0)
         assert flags == ["clamp:t_cool", "gap"]
@@ -101,28 +110,28 @@ class TestGebController:
         assert ctl.limit(21.0, 20.0) == (21.0, 20.0, [], False)
 
     def test_discharge_and_duct_pass_through(self):
-        base = SupervisorySetpoints(24.0, 20.0, t_dis_c=14.0, p_duct_pa=250.0)
-        ctl = GebController("shed", base, [EventWindow(0, 600)])
+        ctl = controller("shed", [(0, 600)],
+                         baseline={"t_dis_c": 14.0, "p_duct_pa": 250.0})
         sp, _ = ctl.step(0.0)
         assert sp.t_dis_c == 14.0 and sp.p_duct_pa == 250.0
 
     def test_mode_accepts_string_and_enum(self):
-        assert GebController("shed", BASE).mode is GebMode.SHED
-        assert GebController(GebMode.SHIFT, BASE).mode is GebMode.SHIFT
+        assert controller("shed").mode is GebMode.SHED
+        assert controller(GebMode.SHIFT).mode is GebMode.SHIFT
 
 
 class TestSlowHarness:
     def test_zero_latency_still_lands_next_step(self):
-        h = SlowControllerHarness(0.0, 60.0)
+        h = harness(0.0)
         assert h.ready_step(4) == 5
 
     def test_latency_rounds_up_in_steps(self):
-        h = SlowControllerHarness(90.0, 60.0)
+        h = harness(90.0)
         assert h.ready_step(4) == 6
-        assert SlowControllerHarness(60.0, 60.0).ready_step(4) == 5
+        assert harness(60.0).ready_step(4) == 5
 
     def test_result_visible_once_at_barrier(self):
-        h = SlowControllerHarness(90.0, 60.0, freshness_s=600.0)
+        h = harness(90.0, freshness_s=600.0)
         h.submit(3, 42.0)
         assert h.poll(3) is None   # submitting step never sees it
         assert h.poll(4) is None   # still computing
@@ -132,13 +141,13 @@ class TestSlowHarness:
         assert not h.pending
 
     def test_submit_while_pending_raises(self):
-        h = SlowControllerHarness(90.0, 60.0)
+        h = harness(90.0)
         h.submit(0, 1.0)
         with pytest.raises(SlowBusyError):
             h.submit(1, 2.0)
 
     def test_stale_result_discarded(self):
-        h = SlowControllerHarness(60.0, 60.0, freshness_s=120.0)
+        h = harness(60.0, freshness_s=120.0)
         h.submit(0, 1.0)
         assert h.poll(3) is None   # 180 s old at poll: beyond freshness
         assert h.discarded == 1

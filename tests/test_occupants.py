@@ -9,7 +9,7 @@ from flexbench.occupants import (ActionType, EffectConfig, LocalCondition,
                                  comfort_eval)
 from flexbench.plant import DischargeAir
 from flexbench.psychro import w_from_rh
-from tests.helpers import block
+from tests.helpers import agent_block, block
 
 FX = EffectConfig(**block("occupants.effects"))
 
@@ -18,10 +18,9 @@ def surrogate(**kw):
     return NearOccupantSurrogate(**block("occupants.surrogate", **kw))
 
 
-def agent(**kw):
-    kw.setdefault("agent_id", 0)
-    kw.setdefault("coords", (3.0, 3.0, 1.1))
-    return OccupantAgent(**kw)
+def agent(agent_id=0, **fields):
+    fields.setdefault("coords", [3.0, 3.0, 1.1])
+    return OccupantAgent(agent_id, **agent_block(**fields))
 
 
 def local(t):
@@ -70,11 +69,11 @@ class TestComfortEval:
 
 class TestBehave:
     def test_zero_score_fires_nothing(self):
-        a = agent(action_probs={t: 1.0 for t in ActionType})
+        a = agent(action_probs={t.value: 1.0 for t in ActionType})
         assert behave(a, 0.0, 1, 0, 0.0, FX) == []
 
     def test_certain_action_fires_and_toggles(self):
-        a = agent(action_probs={ActionType.FAN_TOGGLE: 1.0})
+        a = agent(action_probs={"fan_toggle": 1.0})
         assert behave(a, 2.0, 1, 0, 0.0, FX) == [ActionType.FAN_TOGGLE]
         assert a.fan_on
         # hot again: fan already on, nothing applicable
@@ -89,14 +88,14 @@ class TestBehave:
             assert behave(a, 3.0, 9, step, step * 60.0, FX) == []
 
     def test_walk_only_when_cold(self):
-        hot = agent(action_probs={ActionType.WALK: 1.0})
+        hot = agent(action_probs={"walk": 1.0})
         assert behave(hot, 2.0, 1, 0, 0.0, FX) == []
-        cold = agent(action_probs={ActionType.WALK: 1.0})
+        cold = agent(action_probs={"walk": 1.0})
         assert behave(cold, -2.0, 1, 0, 0.0, FX) == [ActionType.WALK]
         assert cold.walk_until_s == FX.walk_duration_s
 
     def test_drink_sign_follows_direction(self):
-        a = agent(action_probs={ActionType.DRINK: 1.0})
+        a = agent(action_probs={"drink": 1.0})
         behave(a, 2.0, 1, 0, 0.0, FX)
         assert a.drink_sign == -1.0
         behave(a, -2.0, 1, 30, 1800.0, FX)
@@ -104,7 +103,7 @@ class TestBehave:
         assert a.drink_until_s == 1800.0 + FX.drink_duration_s
 
     def test_heater_answers_cold_only(self):
-        a = agent(action_probs={ActionType.HEATER_TOGGLE: 1.0})
+        a = agent(action_probs={"heater_toggle": 1.0})
         assert behave(a, 2.0, 1, 0, 0.0, FX) == []  # hot, heater already off
         assert behave(a, -2.0, 1, 1, 60.0, FX) == [ActionType.HEATER_TOGGLE]
         assert a.heater_on
@@ -113,7 +112,7 @@ class TestBehave:
         assert not a.heater_on
 
     def test_thermostat_saturates_at_band(self):
-        a = agent(action_probs={ActionType.THERMOSTAT_ADJUST: 1.0})
+        a = agent(action_probs={"thermostat_adjust": 1.0})
         for step in range(10):
             behave(a, -2.0, 1, step, step * 60.0, FX)
         assert a.thermostat_delta_c == FX.thermostat_band_c
@@ -121,13 +120,13 @@ class TestBehave:
         assert behave(a, -2.0, 1, 99, 5940.0, FX) == []
 
     def test_clothing_respects_limits(self):
-        a = agent(clo=1.4, action_probs={ActionType.CLOTHING_ADJUST: 1.0})
+        a = agent(clo=1.4, action_probs={"clothing_adjust": 1.0})
         behave(a, -2.0, 1, 0, 0.0, FX)
         assert a.clo == FX.clo_max
         assert behave(a, -2.0, 1, 1, 60.0, FX) == []
 
     def test_same_key_same_draws(self):
-        probs = {t: 0.5 for t in ActionType}
+        probs = {t.value: 0.5 for t in ActionType}
         a1 = agent(action_probs=probs)
         a2 = agent(action_probs=probs)
         for step in range(40):
@@ -139,22 +138,22 @@ class TestSurrogate:
     def test_distance_shrinks_discharge_weight(self):
         sur = surrogate(diffuser_xyz=[0.0, 0.0, 2.5])
         air = DischargeAir(10.0, w_from_rh(10.0, 60.0), 0.5)
-        near = sur.local_condition(agent(coords=(0.2, 0.2, 2.3)), air,
+        near = sur.local_condition(agent(coords=[0.2, 0.2, 2.3]), air,
                                    26.0, 50.0, [26.0], FX)
-        far = sur.local_condition(agent(coords=(5.9, 5.9, 0.1)), air,
+        far = sur.local_condition(agent(coords=[5.9, 5.9, 0.1]), air,
                                   26.0, 50.0, [26.0], FX)
         assert near.t_c < far.t_c < 26.0
 
     def test_coords_outside_bounds_flagged(self):
         sur = surrogate()
         air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5)
-        inside = sur.local_condition(agent(coords=(1.0, 1.0, 1.0)), air,
+        inside = sur.local_condition(agent(coords=[1.0, 1.0, 1.0]), air,
                                      26.0, 50.0, [26.0], FX)
-        outside = sur.local_condition(agent(coords=(-4.0, 1.0, 1.0)), air,
+        outside = sur.local_condition(agent(coords=[-4.0, 1.0, 1.0]), air,
                                       26.0, 50.0, [26.0], FX)
         assert not inside.coords_clamped and outside.coords_clamped
         # clamped position sits on the boundary, so the blend stays sane
-        clamped_match = sur.local_condition(agent(coords=(0.0, 1.0, 1.0)), air,
+        clamped_match = sur.local_condition(agent(coords=[0.0, 1.0, 1.0]), air,
                                             26.0, 50.0, [26.0], FX)
         assert outside.t_mix_c == clamped_match.t_mix_c
 
@@ -167,7 +166,7 @@ class TestSurrogate:
     def test_blend_stays_inside_input_range(self, wd, wz, ws, x, y, z,
                                             t_dis, t_zone, t_surf):
         sur = surrogate(w_discharge=wd, w_zone=wz, w_surfaces=ws)
-        cond = sur.local_condition(agent(coords=(x, y, z)),
+        cond = sur.local_condition(agent(coords=[x, y, z]),
                                    DischargeAir(t_dis, w_from_rh(t_dis, 60.0), 0.5),
                                    t_zone, 50.0, [t_surf], FX)
         lo = min(t_dis, t_zone, t_surf) - 1e-9
@@ -191,7 +190,7 @@ class TestAggregateGains:
         assert g.sensible_w == 75.0 + 800.0 + 40.0
 
     def test_presence_gates_everything(self):
-        away = agent(presence=[(0.0, 0)])
+        away = agent(presence=[[0.0, 0]])
         away.thermostat_delta_c = 2.0
         here = agent(agent_id=1)
         g = aggregate_gains([away, here], 100.0, FX)
@@ -220,39 +219,39 @@ class TestPresence:
         assert agent().present(1e6)
 
     def test_schedule_switches(self):
-        a = agent(presence=[(0.0, 1), (600.0, 0), (1200.0, 1)])
+        a = agent(presence=[[0.0, 1], [600.0, 0], [1200.0, 1]])
         assert a.present(599.0)
         assert not a.present(600.0)
         assert a.present(1200.0)
 
     def test_before_first_entry_defaults_present(self):
         # before its first entry a schedule holds that entry's flag
-        assert not agent(presence=[(300.0, 0)]).present(0.0)
-        assert agent(presence=[(300.0, 1), (600.0, 0)]).present(0.0)
+        assert not agent(presence=[[300.0, 0]]).present(0.0)
+        assert agent(presence=[[300.0, 1], [600.0, 0]]).present(0.0)
 
 
 class TestPopulation:
     def _pop(self, probs=None, seed=11):
-        agents = [agent(agent_id=i, coords=(1.0 + i, 2.0, 1.1),
+        agents = [agent(agent_id=i, coords=[1.0 + i, 2.0, 1.1],
                         action_probs=probs or {}) for i in range(2)]
         return Population(agents, surrogate(), FX, seed)
 
     def test_step_reports_actions_and_discomfort(self):
-        pop = self._pop(probs={ActionType.DRINK: 1.0})
+        pop = self._pop(probs={"drink": 1.0})
         out = pop.step(0, 0.0, DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [28.0])
         assert out.mean_discomfort > 0
         assert set(out.actions) == {(0, ActionType.DRINK), (1, ActionType.DRINK)}
         assert out.gains.sensible_w == 2 * 75.0
 
     def test_comfortable_zone_is_quiet(self):
-        pop = self._pop(probs={t: 1.0 for t in ActionType})
+        pop = self._pop(probs={t.value: 1.0 for t in ActionType})
         out = pop.step(0, 0.0, DischargeAir(22.0, w_from_rh(22.0, 50.0), 0.5), 22.5, 50.0, [22.5])
         assert out.actions == ()
         assert out.mean_discomfort == 0.0
 
     def test_runs_identically_for_same_seed(self):
         args = (DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [27.0])
-        probs = {t: 0.4 for t in ActionType}
+        probs = {t.value: 0.4 for t in ActionType}
         first = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]
         second = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]
         assert [o.actions for o in first] == [o.actions for o in second]

@@ -7,8 +7,8 @@ from flexbench.analysis import exchange_stamps, series_from_log
 from flexbench.datastore import Source
 from flexbench.orchestrator import (COMPUTE_FLOOR_MS, VARIABLES, DelayInjector,
                                     Engine, EngineError, OverrunAbort)
-from flexbench.scenario import ScenarioError
-from tests.helpers import SCENARIO_DIR, cfg_from, run_doc
+from flexbench.scenario import ScenarioError, validate_scenario
+from tests.helpers import SCENARIO_DIR, agent_block, cfg_from, run_doc
 
 FAST_DOC = {
     "run": {"horizon": 8, "seed": 3},
@@ -190,6 +190,76 @@ class TestPlantVariants:
         assert constant.internal_gains_at(1e6) == 425.0
 
 
+def _series(schedule):
+    return [[t, v] for t, v in zip(schedule.times, schedule.values)]
+
+
+# (dotted path, a value unlike the default and every other value here, where
+# the engine keeps it).  "agent." paths are fields of the one agent.
+_WIRING = [
+    ("geb.mode", "shift", lambda e: e.geb.mode.value),
+    ("geb.baseline.t_cool_c", 25.25, lambda e: e.geb.baseline.t_cool_c),
+    ("geb.baseline.t_heat_c", 19.75, lambda e: e.geb.baseline.t_heat_c),
+    ("geb.baseline.t_dis_c", 13.5, lambda e: e.geb.baseline.t_dis_c),
+    ("geb.baseline.p_duct_pa", 215.0, lambda e: e.geb.baseline.p_duct_pa),
+    ("geb.windows", [{"start_s": 3600.0, "end_s": 7200.0}],
+     lambda e: [vars(w) for w in e.geb.windows]),
+    ("geb.dis_schedule", [[0.0, 14.25], [600.0, 13.75]],
+     lambda e: _series(e.dis_schedule)),
+    ("geb.delta_eff_c", 1.1, lambda e: e.geb.delta_eff),
+    ("geb.delta_shed_c", 2.3, lambda e: e.geb.delta_shed),
+    ("geb.delta_pre_c", 1.7, lambda e: e.geb.delta_pre),
+    ("geb.pre_window_s", 5400.0, lambda e: e.geb.pre_window),
+    ("geb.r_max_c_per_step", 0.45, lambda e: e.geb.r_max),
+    ("geb.modulation.depth_c", 1.9, lambda e: e.geb.mod_depth),
+    ("geb.modulation.signal", [[0.0, 0.6]], lambda e: _series(e.geb.mod_signal)),
+    ("geb.bounds.t_min_c", 13.0, lambda e: e.geb.t_min),
+    ("geb.bounds.t_max_c", 30.5, lambda e: e.geb.t_max),
+    ("geb.min_gap_c", 1.6, lambda e: e.geb.min_gap),
+    ("geb.policy", "slow", lambda e: "slow" if e.harness else "rbc"),
+    ("geb.slow.compute_latency_s", 75.0, lambda e: e.harness.latency),
+    ("geb.slow.freshness_s", 480.0, lambda e: e.harness.freshness),
+    ("delays.inherited_delay", True, lambda e: e.zone.inherited_delay),
+    ("building.c_z_j_per_k", 1.5e7, lambda e: e.zone.c),
+    ("building.ua_w_per_k", 210.0, lambda e: e.zone.ua),
+    ("building.moisture_capacity_kg", 650.0, lambda e: e.zone.c_w),
+    ("building.surface_tau_s", 1500.0, lambda e: e.zone.surface_tau[0]),
+    ("building.n_surfaces", 3, lambda e: len(e.zone.surface_tau)),
+    ("building.t_init_c", 24.6, lambda e: e.zone.t),
+    ("building.rh_init_pct", 47.0, lambda e: round(e.zone.rh, 9)),
+    ("agent.coords", [2.5, 3.5, 1.2], lambda e: e.population.agents[0].coords),
+    ("agent.clo", 0.85, lambda e: e.population.agents[0].clo),
+    ("agent.t_pref_c", 21.8, lambda e: e.population.agents[0].t_pref_c),
+    ("agent.deadband_c", 0.9, lambda e: e.population.agents[0].deadband_c),
+    ("agent.action_probs", {"drink": 0.3, "walk": 0.15},
+     lambda e: e.population.agents[0].action_probs),
+    ("agent.presence", [[0.0, 1.0], [3600.0, 0.0]],
+     lambda e: e.population.agents[0].presence),
+]
+
+
+def test_every_block_value_reaches_its_component():
+    # components read their blocks by key and hold no defaults of their own,
+    # so a key read in the wrong place would otherwise pass unnoticed
+    doc, agent = {}, {}
+    defaults = {**validate_scenario({}), "agent": agent_block(coords=[0, 0, 0])}
+    values = [v for _, v, _ in _WIRING]
+    assert all(values.count(v) == 1 for v in values)
+    for dotted, value, _ in _WIRING:
+        *parents, leaf = dotted.split(".")
+        node, default = (agent if parents == ["agent"] else doc), defaults
+        for part in parents:
+            if part != "agent":
+                node = node.setdefault(part, {})
+            default = default[part]
+        assert value != default[leaf], dotted
+        node[leaf] = value
+    doc["occupants"] = {"agents": [agent]}
+    engine = Engine(cfg_from(doc))
+    for dotted, value, get in _WIRING:
+        assert get(engine) == value, dotted
+
+
 class TestOccupantCoupling:
     DOC = {
         "run": {"horizon": 8},
@@ -309,6 +379,31 @@ class TestRealtime:
         assert log.meta.start_wall_ms == engine.run_start_ms
         assert engine.counters["overruns"] == 0
         assert "pacing" in engine.summary()
+
+    @pytest.mark.parametrize("route", ["step_once", "restore",
+                                       "restore_after_run"])
+    def test_run_paces_from_the_step_it_resumes_at(self, route):
+        cfg = cfg_from({"run": {"horizon": 3, "step_size_s": 0.2,
+                                "mode": "realtime"},
+                        "plant": {"control_dt_s": 0.2}})
+        engine = Engine(cfg)
+        engine.step_once()
+        if route == "restore":
+            snap = engine.snapshot()
+            engine = Engine(cfg)
+            engine.restore(snap)
+        elif route == "restore_after_run":
+            snap = engine.snapshot()
+            engine.run()  # the restored run must not pace against this one
+            engine.restore(snap)
+        before = time.monotonic()
+        log = engine.run()
+        elapsed = time.monotonic() - before
+        assert 0.35 <= elapsed < 3.0  # steps 1 and 2 paced, 0.2 s each
+        assert log.meta.steps == 3
+        assert engine.counters["overruns"] == 0
+        assert engine.plant.stale_count == 0
+        assert engine._pacing["paced_steps"] == 2
 
     def test_step_once_without_run_counts_no_overrun(self):
         engine = Engine(cfg_from({"run": {"mode": "realtime", "horizon": 4}}))

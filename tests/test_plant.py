@@ -184,16 +184,19 @@ class TestOutdoorEmulator:
         assert out.t == 10.0
 
 
-def default_plant(pv_mode="method2", **kw):
+def default_plant(pv_mode="method2", emu_t=23.0, **overrides):
+    """PlantSim with plant-level overrides (control_dt_s, ideal_actuators)."""
     hvac = HvacUnit(**block("plant.hvac", pv_mode=pv_mode, tau_dis_s=0.0,
                             ki_w_per_k_s=0.0))
-    emu = ZoneEmulator(**block("plant.zone_emulator", t_init_c=kw.pop("emu_t", 23.0)))
+    emu = ZoneEmulator(**block("plant.zone_emulator", t_init_c=emu_t))
     out = OutdoorEmulator(**block("plant.outdoor", kind="air", tau_s=0.0,
                                   t_init_c=30.0))
     applied = AppliedSetpoints(zone_t=23.0, zone_w=w_from_rh(23.0, 45.0),
                                out_t=30.0, out_rh=50.0,
                                cool_spt=24.0, heat_spt=20.0)
-    return PlantSim(hvac, emu, out, applied, **kw)
+    p = block("plant", **overrides)
+    return PlantSim(hvac, emu, out, applied, p["control_dt_s"],
+                    p["ideal_actuators"])
 
 
 class TestPlantSim:
@@ -260,7 +263,8 @@ def lagged_plant(pv_mode, **applied):
     sp = dict(zone_t=25.5, zone_w=w_from_rh(25.5, 55.0), out_t=70.0, out_rh=5.0,
               cool_spt=24.0, heat_spt=20.0)
     sp.update(applied)
-    return PlantSim(hvac, emu, out, AppliedSetpoints(**sp), control_dt_s=1.0)
+    return PlantSim(hvac, emu, out, AppliedSetpoints(**sp),
+                    control_dt_s=1.0, ideal_actuators=False)
 
 
 class TestHoistedSubsteps:
@@ -359,7 +363,8 @@ def varied_plant(pv_mode, hvac=(), emulator=(), outdoor=(), applied=(),
     sp.update(applied)
     if emu_w is not None:
         emu.w = emu_w
-    return PlantSim(hv, emu, out, AppliedSetpoints(**sp), control_dt_s=1.0)
+    return PlantSim(hv, emu, out, AppliedSetpoints(**sp),
+                    control_dt_s=1.0, ideal_actuators=False)
 
 
 class TestFusedAdvance:

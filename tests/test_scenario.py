@@ -258,6 +258,7 @@ class TestCrossField:
 # Rules the components assume and do not check: each fails validation at its
 # dotted path.  (document, dotted path of the error)
 _COMPONENT_RULES = [
+    ({"plant": {"hvac": {"m_dot_kg_s": 1e308}}}, "plant.hvac.m_dot_kg_s"),
     ({"plant": {"hvac": {"rated_cooling_w": 0}}}, "plant.hvac.rated_cooling_w"),
     ({"plant": {"hvac": {"rated_heating_w": 0}}}, "plant.hvac.rated_heating_w"),
     ({"plant": {"hvac": {"pv_mode": "method3"}}}, "plant.hvac.pv_mode"),

@@ -27,16 +27,25 @@ from flexbench.scenario import validate_scenario
 KP_GRID = [8000.0, 10000.0, 12000.0, 14000.0, 16000.0]
 TAU_GRID = [0.0, 1.0, 2.0, 5.0]
 
-UA = 250.0
 OUT = 33.0
 GAINS = 3000.0
 SPT = 24.0
-MCP = 0.5 * CP_AIR
+# envelope conductance and supply-air capacity rate at their scenario defaults
+_DEFAULTS = validate_scenario({})
+UA = _DEFAULTS["building"]["ua_w_per_k"]
+MCP = _DEFAULTS["plant"]["hvac"]["m_dot_kg_s"] * CP_AIR
+
+
+def equilibrium(kp: float) -> tuple[float, float]:
+    """(zone T*, discharge T*) of the proportional-droop fixed point: at T*
+    the command kp*(SPT - T*) balances envelope plus internal gains, and the
+    discharge temperature delivers that command at the default flow."""
+    t_star = (SPT * kp + UA * OUT + GAINS) / (kp + UA)
+    return t_star, t_star + kp * (SPT - t_star) / MCP
 
 
 def trial(pv_mode: str, kp: float, tau_dis: float):
-    t_star = (SPT * kp + UA * OUT + GAINS) / (kp + UA)
-    t_dis_star = t_star + kp * (SPT - t_star) / MCP
+    t_star, t_dis_star = equilibrium(kp)
     doc = {
         "run": {"horizon": 60, "seed": 7},
         "plant": {
