@@ -3,9 +3,10 @@
 Each agent senses a local temperature through a near-occupant surrogate (a
 convex blend of discharge air, zone air, and surface temperatures weighted by
 distance to the diffuser), scores its discomfort against a preference band,
-and then fires adaptive actions stochastically.  Action draws use a substream
-keyed by (run seed, agent id, step) so results are independent of agent
-evaluation order.
+and then fires adaptive actions stochastically.  An agent's action draws for
+a step are one row of a block keyed by (run seed, agent id, step //
+BLOCK_STEPS) (see `streams`), so results are independent of agent evaluation
+order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from enum import Enum
 
 from .plant import DischargeAir
 from .schedule import Schedule
-from .streams import OCCUPANT_DOMAIN, substream
+from .streams import OCCUPANT_DOMAIN, BlockRows, substream
 
 
 class ActionType(Enum):
@@ -74,10 +75,12 @@ class OccupantAgent:
     drink_sign: float = 0.0
     walk_until_s: float = -1.0
     _presence: Schedule = field(init=False, repr=False, compare=False)
+    _draws: BlockRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.clo_ref = self.clo
         self._presence = Schedule(self.presence or [(0.0, 1)])
+        self._draws = BlockRows(len(ActionType))  # see behave
 
     def present(self, t_s: float) -> bool:
         """Presence follows the [[time_s, 0|1], ...] schedule; always present
@@ -180,13 +183,14 @@ def behave(agent: OccupantAgent, score: float, seed: int, step: int, t_s: float,
     """Fire adaptive actions for one agent at one step.
 
     Zero discomfort fires nothing.  Otherwise each applicable action fires
-    independently with its configured probability; draws come from the
-    (seed, agent, step) substream in fixed enum order.
+    independently with its configured probability; its draws, in fixed enum
+    order, are row step % BLOCK_STEPS of the block drawn from the (seed,
+    agent, step // BLOCK_STEPS) substream.  Each agent keeps its live block.
     """
     if score == 0.0:
         return []
-    rng = substream(seed, OCCUPANT_DOMAIN, agent.agent_id, step)
-    draws = rng.random(len(ActionType))
+    draws = agent._draws.row(substream, step, seed, OCCUPANT_DOMAIN,
+                             agent.agent_id)
     fired = []
     hot = score > 0
     for (action, name), u in zip(_ACTIONS, draws):

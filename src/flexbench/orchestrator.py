@@ -35,7 +35,7 @@ from .occupants import (EffectConfig, NearOccupantSurrogate, OccupantAgent,
 from .plant import (AppliedSetpoints, HvacUnit, OutdoorEmulator, PlantSim,
                     ZoneEmulator)
 from .schedule import Schedule
-from .streams import COMM_DOMAIN, substream
+from .streams import COMM_DOMAIN, BlockRows, substream
 
 COMPUTE_FLOOR_MS = 1
 PACING_TOL_S = 0.05
@@ -105,14 +105,17 @@ def step_ms(step_size_s: float) -> int:
 class DelayInjector:
     """Per-step uplink/downlink delays: latency/2 plus uniform jitter each way.
 
-    Draws come from the (seed, comm domain, step) substream, so delays for a
-    given step never depend on what else consumed randomness.
+    Step n reads row n % BLOCK_STEPS (uplink, downlink) of the block drawn
+    from the (seed, comm domain, n // BLOCK_STEPS) substream (see `streams`),
+    so delays for a given step never depend on what else consumed randomness
+    or on which steps were drawn before.  The injector keeps the live block.
     """
 
     def __init__(self, seed: int, latency_s: float, jitter_s: float):
         self.seed = seed
         self.latency = latency_s
         self.jitter = jitter_s
+        self._draws = BlockRows(2)
 
     def _one_way_ms(self, u: float) -> int:
         return int(round(self.latency / 2.0 * 1000.0 + u * self.jitter * 1000.0))
@@ -120,8 +123,8 @@ class DelayInjector:
     def delays_ms(self, step: int) -> tuple[int, int]:
         if self.jitter <= 0:
             return self._one_way_ms(0.0), self._one_way_ms(0.0)
-        u = substream(self.seed, COMM_DOMAIN, step).random(2)
-        return self._one_way_ms(u[0]), self._one_way_ms(u[1])
+        u_up, u_down = self._draws.row(substream, step, self.seed, COMM_DOMAIN)
+        return self._one_way_ms(u_up), self._one_way_ms(u_down)
 
     def worst_exchange_ms(self) -> int:
         """The longest modelled exchange: uplink and downlink at the top of

@@ -101,6 +101,18 @@ def _pct(v):
     return 0.0 <= v <= 100.0
 
 
+# Range of every absolute temperature leaf, degC.  Finite extremes such as
+# 1e200 degC would otherwise pass and overflow the plant or zone to infinity.
+T_MIN_C, T_MAX_C = -100.0, 200.0
+
+
+def _temp(default) -> Leaf:
+    """An absolute temperature leaf (a t_*_c or tdb_c key), in degC."""
+    kind = "float?" if default is None else "float"
+    return Leaf(default, kind, check=lambda v: T_MIN_C <= v <= T_MAX_C,
+                msg=f"outside [{T_MIN_C:g}, {T_MAX_C:g}] degC")
+
+
 _ACTION_NAMES = {a.value for a in ActionType}
 
 
@@ -154,7 +166,7 @@ def _objects(schema: dict):
 
 
 _WEATHER_CONSTANT = {
-    "tdb_c": Leaf(REQUIRED, "float"),
+    "tdb_c": _temp(REQUIRED),
     "rh_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
 }
 _WEATHER = {
@@ -229,7 +241,7 @@ def _action_probs(value, path):
 _AGENT = {
     "coords": (REQUIRED, _xyz),
     "clo": Leaf(0.7, "float", check=_nonneg, msg="must be >= 0"),
-    "t_pref_c": Leaf(22.5, "float"),
+    "t_pref_c": _temp(22.5),
     "deadband_c": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
     "action_probs": ({}, _action_probs),
     "presence": (None, _presence),
@@ -287,10 +299,10 @@ SCHEMA: dict[str, Any] = {
             "kp_w_per_k": Leaf(400.0, "float", check=_nonneg, msg="must be >= 0"),
             "ki_w_per_k_s": Leaf(2.0, "float", check=_nonneg, msg="must be >= 0"),
             "tau_dis_s": Leaf(120.0, "float", check=_nonneg, msg="must be >= 0"),
-            "t_dis_min_c": Leaf(8.0, "float"),
-            "t_dis_max_c": Leaf(45.0, "float"),
+            "t_dis_min_c": _temp(8.0),
+            "t_dis_max_c": _temp(45.0),
             "pv_mode": Leaf("method2", "str", choices={"method1", "method2"}),
-            "t_dis_init_c": Leaf(20.0, "float"),
+            "t_dis_init_c": _temp(20.0),
             "rh_dis_init_pct": Leaf(60.0, "float", check=_pct, msg="outside [0, 100]"),
             "bleed_tau_s": Leaf(300.0, "float", check=_nonneg, msg="must be >= 0"),
         },
@@ -305,13 +317,13 @@ SCHEMA: dict[str, Any] = {
             "kd_w_s_per_k": Leaf(0.0, "float", check=_nonneg, msg="must be >= 0"),
             "hum_kp": Leaf(0.05, "float", check=_nonneg, msg="must be >= 0"),
             "hum_ki": Leaf(0.002, "float", check=_nonneg, msg="must be >= 0"),
-            "t_init_c": Leaf(22.0, "float"),
+            "t_init_c": _temp(22.0),
             "rh_init_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
         },
         "outdoor": {
             "kind": Leaf("air", "str", choices={"air", "water"}),
             "tau_s": Leaf(300.0, "float", check=_nonneg, msg="must be >= 0"),
-            "t_init_c": Leaf(15.0, "float"),
+            "t_init_c": _temp(15.0),
             "rh_init_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
         },
     },
@@ -321,7 +333,7 @@ SCHEMA: dict[str, Any] = {
         "moisture_capacity_kg": Leaf(800.0, "float", check=_pos, msg="must be > 0"),
         "surface_tau_s": Leaf(1800.0, "float", check=_pos, msg="must be > 0"),
         "n_surfaces": Leaf(4, "int", check=_nonneg, msg="must be >= 0"),
-        "t_init_c": Leaf(23.0, "float"),
+        "t_init_c": _temp(23.0),
         "rh_init_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
         "internal_gains_w": (300.0, _gains),
         "weather": ({"constant": {"tdb_c": 30.0, "rh_pct": 40.0}}, _weather),
@@ -358,9 +370,9 @@ SCHEMA: dict[str, Any] = {
         "mode": Leaf("efficiency", "str",
                      choices={"efficiency", "shed", "shift", "modulate"}),
         "baseline": {
-            "t_cool_c": Leaf(24.0, "float"),
-            "t_heat_c": Leaf(20.0, "float"),
-            "t_dis_c": Leaf(None, "float?"),
+            "t_cool_c": _temp(24.0),
+            "t_heat_c": _temp(20.0),
+            "t_dis_c": _temp(None),
             "p_duct_pa": Leaf(None, "float?"),
         },
         "windows": ([], _windows),
@@ -375,8 +387,8 @@ SCHEMA: dict[str, Any] = {
             "signal": ([], _signal),
         },
         "bounds": {
-            "t_min_c": Leaf(12.0, "float"),
-            "t_max_c": Leaf(32.0, "float"),
+            "t_min_c": _temp(12.0),
+            "t_max_c": _temp(32.0),
         },
         "min_gap_c": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
         "policy": Leaf("rbc", "str", choices={"rbc", "slow"}),

@@ -102,7 +102,10 @@ class TestRun:
          "occupants.surrogate.w_zone"),
         ({"run": {"horizon": 3}, "plant": {"hvac": {"m_dot_kg_s": 1e308}}},
          "plant.hvac.m_dot_kg_s"),
-    ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow"])
+        ({"run": {"horizon": 3}, "plant": {"hvac": {"t_dis_init_c": 1e200}},
+          "building": {"c_z_j_per_k": 1e-200}}, "plant.hvac.t_dis_init_c"),
+    ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow",
+            "temperature"])
     def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))

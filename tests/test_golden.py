@@ -15,7 +15,7 @@ from tests.helpers import SCENARIO_DIR
 # scenario -> (sha256 of run.csv, sha256 of summary.json)
 GOLDEN = {
     "delay_bound": (
-        "3a075dea8b28c2e0593b9b694fbfad6048950ef2770128e8dfb46d5128edf9b0",
+        "4c5687919fdfde944f56379ea68c7bb342728ffad90a675f038703eb729e0594",
         "ee2c7d957b66a603bec66d753536a51b212049c6eeea4a76e575d778ef210aa6"),
     "geb_shed": (
         "bfa27a48a9b352d9b4112eb07a6510246b8584200bbca918c5734b81d5316950",
@@ -27,8 +27,8 @@ GOLDEN = {
         "babd0acfe0d33532987ec2eb79ea1ab81d9455c9b53680dc36407d7ec716cd21",
         "2451d3b86800829591eecbbf69f2fe1195276ebde759df1d1f0b95407b9db16c"),
     "standard_dynamic": (
-        "825232e81985d6ee07b46ec7a692dfe82cb0b29954b071a19d08d47fd900f587",
-        "3f1cd1be67ad9d7d7f0a507104ef6b493c680f31ed1f483769c1c872ad8de5b3"),
+        "412f77b6250359785bd458d9586ca18e84223933f111a201bc624c1d280ea434",
+        "420fa298a84b350ee564658d8dca0eb4be972c0ef9afe5ad0234a4bf21b393d1"),
     "step_response": (
         "8c27a6eb31ca6a9c73ccde62a9c0aa65554a139ebcfcf664c0ace6ba5bebc36f",
         "c7224c3a851573594d5db3e6dec2bb320a3d1b33519b2c8e95d8a8ad9b16ee5b"),

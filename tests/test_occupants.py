@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flexbench import occupants
 from flexbench.occupants import (ActionType, EffectConfig, LocalCondition,
                                  NearOccupantSurrogate, OccupantAgent,
                                  Population, aggregate_gains, behave,
@@ -133,6 +134,26 @@ class TestBehave:
             assert behave(a1, 2.0, 7, step, step * 60.0, FX) == \
                 behave(a2, 2.0, 7, step, step * 60.0, FX)
 
+    def test_block_boundary_draws_do_not_depend_on_visit_order(self):
+        # cold, drink and walk are always applicable: what fires is the draws
+        probs = {"drink": 0.5, "walk": 0.5}
+        steps = range(1015, 1036)  # crosses the first block boundary, 1024
+
+        def fire(a, step, seed=3):
+            return behave(a, -2.0, seed, step, step * 60.0, FX)
+
+        fresh = {n: fire(agent(action_probs=probs), n) for n in steps}
+        assert len(set(map(tuple, fresh.values()))) > 1
+        a = agent(action_probs=probs)
+        assert {n: fire(a, n) for n in steps} == fresh
+        assert {n: fire(a, n) for n in reversed(steps)} == fresh
+        fire(a, 5000)
+        assert {n: fire(a, n) for n in steps} == fresh
+        # a holds seed 3's block 1; the same block of another seed is its own
+        same_block = range(1030, 1036)
+        assert [fire(a, n, seed=4) for n in same_block] == \
+            [fire(agent(action_probs=probs), n, seed=4) for n in same_block]
+
 
 class TestSurrogate:
     def test_distance_shrinks_discharge_weight(self):
@@ -255,3 +276,18 @@ class TestPopulation:
         first = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]
         second = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]
         assert [o.actions for o in first] == [o.actions for o in second]
+
+    def test_each_agent_keeps_its_own_block(self, monkeypatch):
+        # a shared bounded cache would evict with this many agents and draw a
+        # whole block per draw; each agent's own block is drawn once
+        calls = []
+        draw = occupants.substream
+        monkeypatch.setattr(occupants, "substream",
+                            lambda *key: calls.append(key) or draw(*key))
+        agents = [agent(agent_id=i, action_probs={"drink": 0.5})
+                  for i in range(300)]
+        pop = Population(agents, surrogate(), FX, 5)
+        args = (DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [28.0])
+        outcomes = [pop.step(n, n * 60.0, *args) for n in range(2)]
+        assert all(o.mean_discomfort > 0 for o in outcomes)
+        assert len(calls) == len(set(calls)) == 300

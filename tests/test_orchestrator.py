@@ -3,11 +3,13 @@ import time
 import numpy as np
 import pytest
 
+from flexbench import orchestrator
 from flexbench.analysis import exchange_stamps, series_from_log
-from flexbench.datastore import Source
+from flexbench.datastore import Source, write_csv
 from flexbench.orchestrator import (COMPUTE_FLOOR_MS, VARIABLES, DelayInjector,
                                     Engine, EngineError, OverrunAbort)
 from flexbench.scenario import ScenarioError, validate_scenario
+from flexbench.streams import COMM_DOMAIN
 from tests.helpers import SCENARIO_DIR, agent_block, cfg_from, run_doc
 
 FAST_DOC = {
@@ -40,6 +42,32 @@ class TestDelayInjector:
     def test_steps_decorrelated(self):
         inj = DelayInjector(9, 0.1, 0.02)
         assert len({inj.delays_ms(n) for n in range(50)}) > 40
+
+    def test_block_boundary_draws_do_not_depend_on_visit_order(self):
+        steps = range(1015, 1036)  # crosses the first block boundary, 1024
+        fresh = {n: DelayInjector(9, 0.1, 0.02).delays_ms(n) for n in steps}
+        inj = DelayInjector(9, 0.1, 0.02)
+        assert {n: inj.delays_ms(n) for n in steps} == fresh
+        assert {n: inj.delays_ms(n) for n in reversed(steps)} == fresh
+        inj.delays_ms(5000)
+        assert {n: inj.delays_ms(n) for n in steps} == fresh
+
+    def test_one_substream_per_block_of_steps(self, monkeypatch):
+        calls = []
+        draw = orchestrator.substream
+        monkeypatch.setattr(orchestrator, "substream",
+                            lambda *key: calls.append(key) or draw(*key))
+        inj = DelayInjector(9, 0.1, 0.02)
+        for n in range(3000):
+            inj.delays_ms(n)
+        assert calls == [(9, COMM_DOMAIN, b) for b in range(3)]
+
+    def test_every_delay_stays_in_its_band(self):
+        # one-way delays lie in [L/2, L/2 + J]: here [50, 70] ms
+        inj = DelayInjector(4, 0.1, 0.02)
+        delays = np.array([inj.delays_ms(n) for n in range(100_000)])
+        assert delays.min() >= 50 and delays.max() <= 70
+        assert delays.min() == 50 and delays.max() == 70  # the band is used
 
 
 class TestExchangeLaw:
@@ -357,6 +385,29 @@ class TestRunControl:
         for key in first.keys:
             for a, b in zip(first.columns[key], second.columns[key]):
                 assert np.array_equal(a, b, equal_nan=True)
+
+    def test_snapshot_replays_run_csv_across_a_block_boundary(self, tmp_path):
+        # jitter and an always-uncomfortable agent draw from both block kinds;
+        # steps 1020-1030 cross the first block boundary at 1024
+        cfg = cfg_from({
+            "run": {"horizon": 1031, "step_size_s": 1.0, "seed": 8},
+            "delays": {"comm_latency_s": 0.1, "jitter_s": 0.02},
+            "plant": {"ideal_actuators": True},
+            "occupants": {"agents": [agent_block(
+                coords=[1, 1, 1], t_pref_c=10.0,
+                action_probs={"drink": 0.5, "walk": 0.5})]}})
+        engine = Engine(cfg)
+        for _ in range(1020):
+            engine.step_once()
+        snap = engine.snapshot()
+        first = tmp_path / "first.csv"
+        write_csv(engine.run(), str(first))
+
+        engine.restore(snap)
+        second = tmp_path / "second.csv"
+        write_csv(engine.run(), str(second))
+        assert engine.counters["occupant_actions"] > 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_snapshot_is_isolated_from_live_state(self):
         engine = Engine(cfg_from({"run": {"horizon": 4}}))

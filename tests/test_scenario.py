@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from flexbench.cli import main
 from flexbench.orchestrator import Engine
-from flexbench.scenario import (ScenarioError, apply_overrides, load_scenario,
-                                validate_scenario)
+from flexbench.scenario import (SCHEMA, Leaf, ScenarioError, apply_overrides,
+                                load_scenario, validate_scenario)
 
 
 class TestDefaults:
@@ -272,6 +273,17 @@ _COMPONENT_RULES = [
     ({"building": {"internal_gains_w": []}}, "building.internal_gains_w"),
     ({"geb": {"modulation": {"signal": [[0, 1.5]]}}}, "geb.modulation.signal[0]"),
     ({"occupants": {"surrogate": {"w_zone": -1.0}}}, "occupants.surrogate.w_zone"),
+    # absolute temperatures lie in [-100, 200] degC
+    ({"plant": {"hvac": {"t_dis_init_c": 1e200}}}, "plant.hvac.t_dis_init_c"),
+    ({"plant": {"zone_emulator": {"t_init_c": -1e300}}},
+     "plant.zone_emulator.t_init_c"),
+    ({"building": {"t_init_c": -273.15}}, "building.t_init_c"),
+    ({"building": {"weather": {"constant": {"tdb_c": 1e6}}}},
+     "building.weather.constant.tdb_c"),
+    ({"occupants": {"agents": [{"coords": [1, 1, 1], "t_pref_c": 250}]}},
+     "occupants.agents[0].t_pref_c"),
+    ({"geb": {"baseline": {"t_dis_c": 1e9}}}, "geb.baseline.t_dis_c"),
+    ({"geb": {"bounds": {"t_max_c": 200.5}}}, "geb.bounds.t_max_c"),
 ]
 
 
@@ -281,6 +293,38 @@ def test_component_rule_fails_at_its_path(doc, path):
     with pytest.raises(ScenarioError) as e:
         validate_scenario(doc)
     assert str(e.value).startswith(f"{path}: ")
+
+
+def _leaves(schema, path=""):
+    for name, spec in schema.items():
+        child = f"{path}.{name}" if path else name
+        if isinstance(spec, dict):
+            yield from _leaves(spec, child)
+        elif isinstance(spec, Leaf):
+            yield child, name, spec
+
+
+_TEMPERATURE_LEAVES = [(p, leaf) for p, name, leaf in _leaves(SCHEMA)
+                       if leaf.kind.startswith("float")
+                       and re.fullmatch(r"t_\w+_c|tdb_c", name)]
+
+
+def test_every_absolute_temperature_leaf_shares_one_range():
+    # the agent's t_pref_c and the constant weather's tdb_c sit in nested
+    # schemas; the rule table above covers them
+    paths = [p for p, _ in _TEMPERATURE_LEAVES]
+    assert len(paths) == 11 and "geb.baseline.t_dis_c" in paths
+    for path, leaf in _TEMPERATURE_LEAVES:
+        assert leaf.validate(-100, path) == -100.0
+        assert leaf.validate(200, path) == 200.0
+        for bad in (-100.5, 200.5, 1e200, -1e200):
+            with pytest.raises(ScenarioError,
+                               match=rf"^{re.escape(path)}: .* outside \[-100, 200\] degC"):
+                leaf.validate(bad, path)
+    # deltas are not absolute temperatures
+    assert validate_scenario({"occupants": {"effects": {"fan_offset_c": 300}}})
+    assert validate_scenario({"occupants": {"agents": [
+        {"coords": [1, 1, 1], "deadband_c": 300}]}})
 
 
 class TestAgents:
