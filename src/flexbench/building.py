@@ -31,6 +31,11 @@ class WeatherFormatError(Exception):
 
 
 WEATHER_HEADER = "time_s,tdb_c,rh_pct"
+# Range of every absolute temperature a scenario gives, degC.  Finite extremes
+# such as 1e200 degC would otherwise pass and overflow the plant or zone to
+# infinity.
+T_MIN_C, T_MAX_C = -100.0, 200.0
+T_RANGE = f"outside [{T_MIN_C:g}, {T_MAX_C:g}] degC"
 
 
 class WeatherSeries:
@@ -88,6 +93,9 @@ def load_weather(path: str) -> WeatherSeries:
             raise WeatherFormatError(f"{path}: row {n}: {e}") from e
     if not all(map(math.isfinite, times + tdb + rh)):
         raise WeatherFormatError(f"{path}: values must be finite")
+    for n, t in enumerate(tdb, start=2):
+        if not T_MIN_C <= t <= T_MAX_C:
+            raise WeatherFormatError(f"{path}: row {n}: tdb_c {t!r} {T_RANGE}")
     return WeatherSeries(times, tdb, rh)
 
 

@@ -1,14 +1,16 @@
 """Step-indexed columnar run datastore with strict sealing and CSV export.
 
 The store is the shared record of one co-simulation run.  The engine upserts
-values into the currently open step and seals steps in strict order; a sealed
+each exchange of the currently open step (its variables' values, with the one
+wall stamp they share) in one call, and seals steps in strict order; a sealed
 step is immutable, which is what makes downstream delay analysis trustworthy:
 a sealed step can never be rewritten by a late arrival.
 
-Each variable is one float64 column of values plus one of wall stamps, indexed
-by step.  NaN marks a step without a value (a gap) or without a stamp; upsert
-rejects non-finite values and stamps float64 cannot hold exactly, so NaN is
-never a real sample.
+Values and wall stamps live in two float64 blocks with one row per variable
+and one column per step, so a variable's series is one contiguous row.  NaN
+marks a step without a value (a gap) or without a stamp; upsert rejects
+non-finite values and stamps float64 cannot hold exactly, so NaN is never a
+real sample.
 
 Export is a long-format CSV (one row per sample) using 17-significant-digit
 decimals so that export -> import -> export is byte-identical.
@@ -56,6 +58,9 @@ _FORBIDDEN = frozenset(", \t\n\r")
 _FORBIDDEN_UNIT = frozenset(",\n\r")
 # Wall stamps are integers kept in float64 columns: exact below 2**53.
 MAX_STAMP_MS = 2 ** 53
+# Exchanges whose rows a store remembers.  An engine writes three; a caller
+# that builds a new keys tuple for every write only empties the memo.
+_MAX_EXCHANGES = 64
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,11 @@ class ExportSummary:
 
 
 class StepStore:
-    """Mutable store for one run: a value column and a wall-stamp column per
-    variable, each created on the variable's first upsert.  All columns share
-    one capacity, which doubles when a step outgrows it.  Not thread-safe: the
+    """Mutable store for one run: a float64 value block and a float64 wall-stamp
+    block, each with one row per registered variable and one column per step.
+    A write assigns one exchange's rows at one step's column.  The blocks are
+    allocated at the first write and gain rows as new variables arrive; their
+    step capacity doubles when a step outgrows it.  Not thread-safe: the
     engine writes and seals from one thread."""
 
     def __init__(self, step_size_s: float, scenario_id: str = "run", seed: int = 0,
@@ -130,10 +137,11 @@ class StepStore:
         self.scenario_id = scenario_id
         self.seed = int(seed)
         self.start_wall_ms = int(start_wall_ms)
-        self._keys: dict[tuple[str, Source], VariableKey] = {}
-        # key -> [values, wall stamps]; _grow swaps in longer arrays
-        self._cols: dict[VariableKey, list[np.ndarray]] = {}
-        self._capacity = 0
+        self._keys: list[VariableKey] = []  # row r of both blocks is _keys[r]
+        self._rows: dict[tuple[str, Source], int] = {}
+        # id(keys) -> (keys, their rows) for every exchange written so far
+        self._exchanges: dict[int, tuple[tuple, slice | list[int]]] = {}
+        self._values = self._walls = np.empty((0, 0))
         self._sealed = 0  # steps [0, _sealed) are sealed
 
     @property
@@ -142,27 +150,36 @@ class StepStore:
 
     def register(self, key: VariableKey) -> VariableKey:
         """The store's key for (name, source); a second unit is a conflict."""
-        known = self._keys.get((key.name, key.source))
-        if known is None:
-            self._keys[(key.name, key.source)] = key
+        row = self._rows.get((key.name, key.source))
+        if row is None:
+            self._rows[(key.name, key.source)] = len(self._keys)
+            self._keys.append(key)
             return key
+        known = self._keys[row]
         if known.unit != key.unit:
             raise DataIntegrityError(
                 f"{key.name}:{key.source.value} already registered with unit "
                 f"{known.unit!r}, got {key.unit!r}")
         return known
 
-    def upsert(self, key: VariableKey, step_index: int, value: float,
-               wall_time_ms: int | None = None) -> None:
-        """Insert or update one sample in an unsealed step.
+    def upsert(self, step_index: int, keys: tuple[VariableKey, ...],
+               values, wall_time_ms: int | None = None) -> None:
+        """Insert or update one exchange in an unsealed step: values[i] for
+        keys[i], all with the one wall stamp.
 
-        Update semantics: a second upsert for the same (key, step) replaces the
-        first.  Non-finite values, stamps of 2**53 ms or more in magnitude and
-        writes at or below the sealed frontier are rejected.
+        keys should be the same tuple object on every write of an exchange:
+        the store registers a tuple once and keeps its rows.  A second write
+        of a (key, step) replaces the first.  A non-finite value, a stamp of
+        2**53 ms or more in magnitude or a write at or below the sealed
+        frontier rejects the whole exchange, and no cell is written.
         """
         if not isinstance(step_index, int) or step_index < 0:
             raise DataIntegrityError(f"bad step_index {step_index!r}")
-        if not math.isfinite(value):
+        if len(values) != len(keys):
+            raise DataIntegrityError(
+                f"{len(values)} values for {len(keys)} keys at step {step_index}")
+        if not all(map(math.isfinite, values)):
+            key = keys[[math.isfinite(v) for v in values].index(False)]
             raise DataIntegrityError(
                 f"non-finite value for {key.name}:{key.source.value} at step {step_index}")
         if step_index < self._sealed:
@@ -173,25 +190,43 @@ class StepStore:
         else:
             wall = int(wall_time_ms)
             if abs(wall) >= MAX_STAMP_MS:
+                key = keys[0]
                 raise DataIntegrityError(
                     f"wall stamp {wall} for {key.name}:{key.source.value} "
                     f"out of range (|stamp| < 2**53 ms)")
-        col = self._cols.get(key)
-        if col is None:
-            col = self._cols[self.register(key)] = [np.full(self._capacity, np.nan),
-                                                    np.full(self._capacity, np.nan)]
-        if step_index >= self._capacity:
-            self._grow(step_index + 1)
-        col[0][step_index] = value
-        col[1][step_index] = wall
+        known = self._exchanges.get(id(keys))
+        rows = known[1] if known is not None and known[0] is keys \
+            else self._register_exchange(keys)
+        if step_index >= self._values.shape[1]:
+            self._resize(step_index + 1)
+        self._values[rows, step_index] = values
+        self._walls[rows, step_index] = wall
 
-    def _grow(self, needed: int) -> None:
-        capacity = max(needed, 2 * self._capacity, 64)
-        for col in self._cols.values():
-            for i, old in enumerate(col):
-                col[i] = np.full(capacity, np.nan)
-                col[i][:self._capacity] = old
-        self._capacity = capacity
+    def _register_exchange(self, keys: tuple) -> slice | list[int]:
+        """Register every key of an exchange and give the block rows they
+        write: a slice when the rows are consecutive, as a new exchange's
+        are."""
+        for key in keys:
+            self.register(key)
+        rows = [self._rows[(key.name, key.source)] for key in keys]
+        if rows and rows == list(range(rows[0], rows[-1] + 1)):
+            rows = slice(rows[0], rows[-1] + 1)
+        if len(self._exchanges) >= _MAX_EXCHANGES:
+            self._exchanges.clear()
+        self._exchanges[id(keys)] = (keys, rows)
+        if len(self._keys) > self._values.shape[0]:
+            self._resize()
+        return rows
+
+    def _resize(self, steps: int = 0) -> None:
+        """Give the blocks a row for every registered key and room for at
+        least `steps` steps, doubling the step capacity when it grows."""
+        height, width = self._values.shape
+        capacity = max(steps, 2 * width, 64) if steps > width else width
+        for name in ("_values", "_walls"):
+            block = np.full((len(self._keys), capacity), np.nan)
+            block[:height, :width] = getattr(self, name)
+            setattr(self, name, block)
 
     def seal(self, step_index: int) -> None:
         """Seal the next step; steps seal in strict order."""
@@ -201,15 +236,16 @@ class StepStore:
         self._sealed += 1
 
     def to_runlog(self) -> RunLog:
-        """Read-only views of the sealed steps as a RunLog.  Sealed cells never
-        change, so the views need no copy."""
+        """Read-only views of the sealed steps as a RunLog: one contiguous row
+        of each block per variable.  Sealed cells never change, so the views
+        need no copy."""
         n = self._sealed
-        if n > self._capacity:  # steps sealed past the last write
-            self._grow(n)
+        if n > self._values.shape[1]:  # steps sealed past the last write
+            self._resize(n)
         meta = RunMeta(self.scenario_id, self.seed, self.step_size_s,
                        self.start_wall_ms, n)
         columns = {}
-        for key, (values, walls) in self._cols.items():
+        for key, values, walls in zip(self._keys, self._values, self._walls):
             values = values[:n]
             if not np.isnan(values).all():
                 columns[key] = (_read_only(values), _read_only(walls[:n]))

@@ -3,15 +3,18 @@
 Each exchange step runs the same phase sequence:
 
   measure       the plant publishes its state (the response to the previous
-                step's simulated results)
+                step's simulated results), stored at the send stamp
   transmit up   a modeled uplink delay stamps when the software stored it
   simulate      occupants, zone model and supervisory control produce this
-                step's results
+                step's results, stored at that store stamp
   transmit down a modeled downlink delay stamps when the plant received the
-                new setpoints
+                new setpoints, stored at that receive stamp
   actuate       the plant adopts the fresh setpoints and integrates one
                 exchange interval
   seal          the step becomes immutable in the datastore
+
+Each of the three exchanges (plant uplink, software results, setpoints) is
+one datastore write of its logged values with its one wall stamp.
 
 The plant therefore always works one step behind the software side: setpoints
 applied during interval [N, N+1) are the simulated outputs of step N, and the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import time
+from operator import itemgetter
 
 from .building import ZoneModel, build_weather
 from .datastore import Source, StepStore, VariableKey
@@ -43,7 +47,10 @@ PACING_TOL_S = 0.05
 
 _E, _S, _P = Source.EMULATED, Source.SIMULATED, Source.SETPOINT
 # Every variable the engine logs: (name, source, unit, plant internal).  Plant
-# internals are published only with logging.plant_internals.
+# internals are published only with logging.plant_internals.  The source
+# names the exchange: the plant uplink logs the emulated variables, the
+# software results the simulated ones and the downlink the setpoints, each
+# exchange's values in table order.
 _VARIABLE_TABLE = (
     ("plant.t_dis", _E, "C", False),
     ("plant.rh_dis", _E, "%", False),
@@ -83,10 +90,23 @@ _VARIABLE_TABLE = (
 )
 VARIABLES = {name: VariableKey(name, source, unit)
              for name, source, unit, _ in _VARIABLE_TABLE}
-# PlantSim.measure() name -> (key, plant internal)
-_PLANT_MEASURED = {name.removeprefix("plant."): (VARIABLES[name], internal)
-                   for name, _, _, internal in _VARIABLE_TABLE
-                   if name.startswith("plant.")}
+_UPLINK = tuple(n for n, source, _, _ in _VARIABLE_TABLE if source is _E)
+_OCCUPANT = tuple(n for n in VARIABLES if n.startswith("occ."))
+_RESULTS = tuple(n for n, source, _, _ in _VARIABLE_TABLE
+                 if source is _S and n not in _OCCUPANT)
+_SETPOINTS = tuple(n for n, source, _, _ in _VARIABLE_TABLE if source is _P)
+_INTERNALS = frozenset(n for n, _, _, internal in _VARIABLE_TABLE if internal)
+
+
+def _exchange(names: tuple[str, ...], absent: set[str],
+              include: set[str] | None) -> tuple[tuple, list[int] | None]:
+    """The logged keys of an exchange whose values come in the order of
+    names, and the positions of their values (None: every value is logged).
+    A variable is logged if the run produces it and logging.include has it."""
+    pick = [i for i, n in enumerate(names)
+            if n not in absent and (include is None or n in include)]
+    keys = tuple(VARIABLES[names[i]] for i in pick)
+    return keys, None if len(pick) == len(names) else pick
 
 
 class EngineError(Exception):
@@ -190,9 +210,26 @@ class Engine:
                               OutdoorEmulator(**p["outdoor"]), applied0,
                               p["control_dt_s"], p["ideal_actuators"])
 
+        # Each exchange's logged keys, worked out once; the store registers
+        # them at their first write.
         lg = cfg["logging"]
-        self.plant_internals = lg["plant_internals"]
-        self.include = None if lg["include"] is None else set(lg["include"])
+        include = None if lg["include"] is None else set(lg["include"])
+        absent = set() if lg["plant_internals"] else set(_INTERNALS)
+        if p["outdoor"]["kind"] != "air":
+            absent.add("plant.rh_out")
+        if self.dis_schedule.at(0.0) is None:
+            absent.add("ctrl.t_dis_spt")
+        if baseline.p_duct_pa is None:
+            absent.add("ctrl.p_duct_spt")
+        uplink, _ = _exchange(_UPLINK, absent, include)
+        self._uplink = uplink, None
+        # PlantSim.measure() -> the uplink's values
+        fields = [k.name.removeprefix("plant.") for k in uplink]
+        self._measured = (itemgetter(*fields) if len(fields) > 1
+                          else lambda m: [m[f] for f in fields])
+        self._results = _exchange(_RESULTS + _OCCUPANT if agents else _RESULTS,
+                                  absent, include)
+        self._setpoints = _exchange(_SETPOINTS, absent, include)
 
         self.store = StepStore(self.step_size, run["scenario_id"], self.seed, 0)
         self._step = 0
@@ -203,9 +240,13 @@ class Engine:
         self._discomfort_sum = 0.0
         self._pacing = {"max_drift_ms": 0.0, "sum_drift_ms": 0.0, "paced_steps": 0}
 
-    def _put(self, key: VariableKey, step: int, value: float, wall_ms: int) -> None:
-        if self.include is None or key.name in self.include:
-            self.store.upsert(key, step, value, wall_ms)
+    def _write(self, n: int, exchange: tuple, values: list, wall_ms: int) -> None:
+        """One exchange's logged values into the store, in one write."""
+        keys, pick = exchange
+        if pick is not None:
+            values = [values[i] for i in pick]
+        if keys:
+            self.store.upsert(n, keys, values, wall_ms)
 
     # -- stepping ------------------------------------------------------------
 
@@ -223,8 +264,7 @@ class Engine:
         recv_ms = store_ms + down_ms
 
         # measure: plant state at the top of the interval
-        meas = self.plant.measure()
-        self._publish_plant(n, meas, send_ms)
+        self._write(n, self._uplink, self._measured(self.plant.measure()), send_ms)
         # the state measure() just read, humidity as w; RH only for occupants
         discharge = self.plant.hvac.discharge()
 
@@ -239,34 +279,22 @@ class Engine:
         zres = self.zone.step(discharge, out_t, gains_s, occ.gains.latent_w,
                               self.step_size)
 
-        put, V = self._put, VARIABLES
-        put(V["zone.t"], n, zres.t_c, store_ms)
-        put(V["zone.rh"], n, zres.rh_pct, store_ms)
-        put(V["zone.w"], n, zres.w, store_ms)
-        put(V["zone.t_surf"], n, zres.t_surf_mean_c, store_ms)
-        put(V["zone.load_sensible"], n, zres.load_sensible_w, store_ms)
-        put(V["zone.load_latent"], n, zres.load_latent_w, store_ms)
-        put(V["out.t"], n, out_t, store_ms)
-        put(V["out.rh"], n, out_rh, store_ms)
+        results = [zres.t_c, zres.rh_pct, zres.w, zres.t_surf_mean_c,
+                   zres.load_sensible_w, zres.load_latent_w, out_t, out_rh]
         if self.population.agents:
-            put(V["occ.sensible_w"], n, occ.gains.sensible_w, store_ms)
-            put(V["occ.latent_w"], n, occ.gains.latent_w, store_ms)
-            put(V["occ.thermostat_delta_c"], n, occ.gains.thermostat_delta_c,
-                store_ms)
-            put(V["occ.n_actions"], n, float(len(occ.actions)), store_ms)
-            put(V["occ.discomfort_c"], n, occ.mean_discomfort, store_ms)
+            results += [occ.gains.sensible_w, occ.gains.latent_w,
+                        occ.gains.thermostat_delta_c, float(len(occ.actions)),
+                        occ.mean_discomfort]
+        self._write(n, self._results, results, store_ms)
         self.counters["occupant_actions"] += len(occ.actions)
         self._discomfort_sum += occ.mean_discomfort
 
         final_sp, flags = self._supervise(n, t_s, occ.gains.thermostat_delta_c)
         for f in flags:
             self.flag_counts[f] = self.flag_counts.get(f, 0) + 1
-        put(V["ctrl.t_cool_spt"], n, final_sp.t_cool_c, recv_ms)
-        put(V["ctrl.t_heat_spt"], n, final_sp.t_heat_c, recv_ms)
-        if final_sp.t_dis_c is not None:
-            put(V["ctrl.t_dis_spt"], n, final_sp.t_dis_c, recv_ms)
-        if final_sp.p_duct_pa is not None:
-            put(V["ctrl.p_duct_spt"], n, final_sp.p_duct_pa, recv_ms)
+        self._write(n, self._setpoints, [final_sp.t_cool_c, final_sp.t_heat_c,
+                                         final_sp.t_dis_c, final_sp.p_duct_pa],
+                    recv_ms)
 
         # actuate: late results (only possible with stale_hold) are dropped
         # and the plant holds; otherwise the fresh setpoints take effect now
@@ -285,12 +313,6 @@ class Engine:
 
         self.store.seal(n)
         self._step += 1
-
-    def _publish_plant(self, n: int, meas: dict, send_ms: int) -> None:
-        for name, value in meas.items():
-            key, internal = _PLANT_MEASURED[name]
-            if self.plant_internals or not internal:
-                self._put(key, n, value, send_ms)
 
     def _supervise(self, n: int, t_s: float,
                    occ_delta: float) -> tuple[SupervisorySetpoints, list[str]]:

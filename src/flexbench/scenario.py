@@ -15,8 +15,8 @@ import math
 import sys
 from typing import Any
 
-from .building import (WeatherCoverageError, WeatherFormatError,
-                       build_weather)
+from .building import (T_MAX_C, T_MIN_C, T_RANGE, WeatherCoverageError,
+                       WeatherFormatError, build_weather)
 from .datastore import MAX_STAMP_MS
 from .geb import EventWindow, validate_windows
 from .occupants import ActionType
@@ -101,16 +101,19 @@ def _pct(v):
     return 0.0 <= v <= 100.0
 
 
-# Range of every absolute temperature leaf, degC.  Finite extremes such as
-# 1e200 degC would otherwise pass and overflow the plant or zone to infinity.
-T_MIN_C, T_MAX_C = -100.0, 200.0
-
-
 def _temp(default) -> Leaf:
     """An absolute temperature leaf (a t_*_c or tdb_c key), in degC."""
     kind = "float?" if default is None else "float"
     return Leaf(default, kind, check=lambda v: T_MIN_C <= v <= T_MAX_C,
-                msg=f"outside [{T_MIN_C:g}, {T_MAX_C:g}] degC")
+                msg=T_RANGE)
+
+
+def _temp_column(rows: list[list[float]], path: str, col: int) -> list[list[float]]:
+    """Breakpoint rows whose column col is an absolute temperature."""
+    for i, row in enumerate(rows):
+        if not T_MIN_C <= row[col] <= T_MAX_C:
+            raise ScenarioError(f"{path}[{i}][{col}]: {row[col]!r} {T_RANGE}")
+    return rows
 
 
 _ACTION_NAMES = {a.value for a in ActionType}
@@ -172,7 +175,8 @@ _WEATHER_CONSTANT = {
 _WEATHER = {
     "path": Leaf(None, "str", check=bool, msg="is not a file path"),
     "constant": (None, lambda v, p: _validate_level(v, _WEATHER_CONSTANT, p)),
-    "series": (None, lambda v, p: _breakpoints(v, p, ("time_s", "tdb_c", "rh_pct"))),
+    "series": (None, lambda v, p: _temp_column(
+        _breakpoints(v, p, ("time_s", "tdb_c", "rh_pct")), p, 1)),
 }
 
 
@@ -203,7 +207,8 @@ def _signal(value, path):
 
 
 def _dis_schedule(value, path):
-    return _breakpoints(value, path, ("time_s", "t_dis_c"), empty_ok=True)
+    return _temp_column(_breakpoints(value, path, ("time_s", "t_dis_c"),
+                                     empty_ok=True), path, 1)
 
 
 def _xyz(value, path):

@@ -208,10 +208,10 @@ def small_log(with_gap=False):
     for step in range(4):
         base = 1000 * step
         if not (with_gap and step == 2):
-            s.upsert(zt, step, 22.0 + step, wall_time_ms=base + 120)
-        s.upsert(pa, step, 14.0, wall_time_ms=base + 10)
-        s.upsert(pb, step, 23.0, wall_time_ms=base + 5)
-        s.upsert(sp, step, 24.0, wall_time_ms=base + 200)
+            s.upsert(step, (zt,), [22.0 + step], wall_time_ms=base + 120)
+        s.upsert(step, (pa,), [14.0], wall_time_ms=base + 10)
+        s.upsert(step, (pb,), [23.0], wall_time_ms=base + 5)
+        s.upsert(step, (sp,), [24.0], wall_time_ms=base + 200)
         s.seal(step)
     return s.to_runlog()
 

@@ -63,6 +63,15 @@ class TestLoadWeather:
         with pytest.raises(WeatherFormatError, match="row 2"):
             load_weather(str(p))
 
+    def test_temperature_out_of_range_names_row(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("time_s,tdb_c,rh_pct\n0,25,40\n3600,-100.5,55\n")
+        with pytest.raises(WeatherFormatError,
+                           match=r"row 3: tdb_c -100.5 outside \[-100, 200\] degC"):
+            load_weather(str(p))
+        p.write_text("time_s,tdb_c,rh_pct\n0,-100,40\n3600,200,55\n")
+        assert load_weather(str(p)).value_at(3600.0) == (200.0, 55.0)
+
     def test_header_only_is_empty(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("time_s,tdb_c,rh_pct\n")

@@ -104,14 +104,31 @@ class TestRun:
          "plant.hvac.m_dot_kg_s"),
         ({"run": {"horizon": 3}, "plant": {"hvac": {"t_dis_init_c": 1e200}},
           "building": {"c_z_j_per_k": 1e-200}}, "plant.hvac.t_dis_init_c"),
+        ({"run": {"horizon": 3}, "building": {"c_z_j_per_k": 1e-200, "weather": {
+            "series": [[0, 1e200, 40]]}}}, "building.weather.series[0][1]"),
     ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow",
-            "temperature"])
+            "temperature", "weather_series"])
     def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "x"
         assert main(["run", str(scenario), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not out.exists()
+
+
+    def test_weather_file_temperature_out_of_range_is_exit_1(self, tmp_path,
+                                                             capsys):
+        (tmp_path / "w.csv").write_text("time_s,tdb_c,rh_pct\n0,20,40\n"
+                                        "3600,1e200,40\n")
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"run": {"horizon": 3}, "building": {
+            "c_z_j_per_k": 1e-200, "weather": {"path": "w.csv"}}}))
+        out = tmp_path / "x"
+        assert main(["run", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: building.weather.path: ")
+        assert "row 3: tdb_c 1e+200 outside [-100, 200] degC" in err
         assert not out.exists()
 
 

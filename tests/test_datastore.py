@@ -38,8 +38,8 @@ class TestUpsertAndSeal:
     def test_update_in_place_within_open_step(self):
         s = make_store()
         key = s.register(k("zone.t"))
-        s.upsert(key, 0, 21.0)
-        s.upsert(key, 0, 22.5)
+        s.upsert(0, (key,), [21.0])
+        s.upsert(0, (key,), [22.5])
         s.seal(0)
         values, _ = s.to_runlog().columns[key]
         assert values.tolist() == [22.5]
@@ -49,15 +49,61 @@ class TestUpsertAndSeal:
         key = s.register(k("zone.t"))
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(DataIntegrityError):
-                s.upsert(key, 0, bad)
+                s.upsert(0, (key,), [bad])
+
+    def test_non_finite_value_rejects_the_whole_exchange(self):
+        s = make_store()
+        keys = (k("zone.t"), k("zone.rh", unit="%"), k("zone.w", unit="kg/kg"))
+        s.upsert(0, keys, [21.0, 40.0, 0.008], wall_time_ms=7)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DataIntegrityError,
+                               match=r"^non-finite value for zone\.rh:simulated at step 1$"):
+                s.upsert(1, keys, [22.0, bad, 0.009], wall_time_ms=8)
+        s.seal(0)
+        s.seal(1)
+        log = s.to_runlog()
+        for key, first in zip(keys, (21.0, 40.0, 0.008)):
+            values, walls = log.columns[key]
+            assert values[0] == first and walls[0] == 7.0
+            assert np.isnan(values[1]) and np.isnan(walls[1])
+
+    def test_rejected_exchange_writes_no_cell(self):
+        s = make_store()
+        t, rh = k("zone.t"), k("zone.rh", unit="%")
+        s.upsert(0, (t,), [21.0])
+        with pytest.raises(DataIntegrityError, match="already registered"):
+            s.upsert(0, (rh, k("zone.t", unit="K")), [40.0, 294.0])
+        with pytest.raises(DataIntegrityError, match="2 values for 1 keys"):
+            s.upsert(0, (t,), [22.0, 23.0])
+        with pytest.raises(DataIntegrityError, match="wall stamp"):
+            s.upsert(0, (t, rh), [22.0, 41.0], wall_time_ms=MAX_STAMP_MS)
+        s.seal(0)
+        log = s.to_runlog()
+        assert log.keys == (t,) and log.columns[t][0].tolist() == [21.0]
+
+    def test_exchanges_sharing_keys_in_any_order(self):
+        s = make_store()
+        a, b, c = k("v.a"), k("v.b"), k("v.c")
+        for step in range(3):
+            s.upsert(step, (a, b), [1.0, 2.0], wall_time_ms=10)
+            # a new tuple on every write, its keys out of row order
+            s.upsert(step, (c, a), [3.0, 4.0 + step], wall_time_ms=20)
+            s.seal(step)
+        log = s.to_runlog()
+        assert log.columns[a][0].tolist() == [4.0, 5.0, 6.0]
+        assert log.columns[a][1].tolist() == [20.0] * 3
+        assert log.columns[b][0].tolist() == [2.0] * 3
+        assert log.columns[c][1].tolist() == [20.0] * 3
+        assert all(col.flags.c_contiguous and not col.flags.writeable
+                   for pair in log.columns.values() for col in pair)
 
     def test_write_below_frontier_rejected(self):
         s = make_store()
         key = s.register(k("zone.t"))
-        s.upsert(key, 0, 21.0)
+        s.upsert(0, (key,), [21.0])
         s.seal(0)
         with pytest.raises(OutOfOrderError):
-            s.upsert(key, 0, 21.5)
+            s.upsert(0, (key,), [21.5])
 
     def test_seal_strict_order(self):
         s = make_store()
@@ -78,7 +124,7 @@ class TestUpsertAndSeal:
     def test_sealed_frame_view_is_immutable(self):
         s = make_store()
         key = s.register(k("zone.t"))
-        s.upsert(key, 0, 21.0, wall_time_ms=5)
+        s.upsert(0, (key,), [21.0], wall_time_ms=5)
         s.seal(0)
         values, walls = s.to_runlog().columns[key]
         with pytest.raises(ValueError):
@@ -87,7 +133,7 @@ class TestUpsertAndSeal:
             walls[0] = 1.0
         # later steps, and the column growth they cause, leave the log alone
         for step in range(1, 200):
-            s.upsert(key, step, 30.0)
+            s.upsert(step, (key,), [30.0])
             s.seal(step)
         assert values.tolist() == [21.0] and walls.tolist() == [5.0]
 
@@ -96,7 +142,7 @@ class TestUpsertAndSeal:
         key = s.register(k("zone.t"))
         for step in range(5):
             if step == 4:
-                s.upsert(key, step, 20.0)
+                s.upsert(step, (key,), [20.0])
             s.seal(step)
         path = tmp_path / "run.csv"
         assert write_csv(s.to_runlog(), str(path)) == 1
@@ -106,9 +152,9 @@ class TestUpsertAndSeal:
         s = make_store()
         early, late = k("zone.t"), k("zone.rh", unit="%")
         for step in range(100):
-            s.upsert(early, step, float(step))
+            s.upsert(step, (early,), [float(step)])
             if step >= 70:
-                s.upsert(late, step, 50.0)
+                s.upsert(step, (late,), [50.0])
             s.seal(step)
         log = s.to_runlog()
         assert log.columns[early][0].tolist() == [float(i) for i in range(100)]
@@ -120,7 +166,7 @@ class TestUpsertAndSeal:
         key = s.register(k("zone.t"))
         for step in range(100):
             if step < 10:
-                s.upsert(key, step, 20.0)
+                s.upsert(step, (key,), [20.0])
             s.seal(step)
         log = s.to_runlog()
         values, walls = log.columns[key]
@@ -133,8 +179,8 @@ class TestUpsertAndSeal:
         key = s.register(k("zone.t"))
         for bad in (MAX_STAMP_MS, -MAX_STAMP_MS):
             with pytest.raises(DataIntegrityError, match="wall stamp"):
-                s.upsert(key, 0, 1.0, wall_time_ms=bad)
-        s.upsert(key, 0, 1.0, wall_time_ms=MAX_STAMP_MS - 1)
+                s.upsert(0, (key,), [1.0], wall_time_ms=bad)
+        s.upsert(0, (key,), [1.0], wall_time_ms=MAX_STAMP_MS - 1)
         s.seal(0)
         path = tmp_path / "run.csv"
         write_csv(s.to_runlog(), str(path))
@@ -149,7 +195,7 @@ class TestQuerySeries:
         self.key = self.s.register(k("zone.t"))
         for step in range(5):
             if step != 2:  # leave a hole
-                self.s.upsert(self.key, step, 20.0 + step)
+                self.s.upsert(step, (self.key,), [20.0 + step])
             self.s.seal(step)
 
     def test_values_and_gap_report(self):
@@ -160,7 +206,7 @@ class TestQuerySeries:
 
     def test_beyond_frontier(self):
         # the open step stays out of the log until it is sealed
-        self.s.upsert(self.key, 5, 99.0)
+        self.s.upsert(5, (self.key,), [99.0])
         log = self.s.to_runlog()
         assert log.meta.steps == 5
         assert len(log.columns[self.key][0]) == 5
@@ -178,8 +224,8 @@ class TestExportImport:
         a = s.register(k("zone.t"))
         b = s.register(k("plant.t_dis", Source.EMULATED, "C"))
         for step in range(3):
-            s.upsert(a, step, 20.0 + 0.1 * step, wall_time_ms=1000 * step + 5)
-            s.upsert(b, step, 14.0 - 0.01 * step, wall_time_ms=1000 * step)
+            s.upsert(step, (a,), [20.0 + 0.1 * step], wall_time_ms=1000 * step + 5)
+            s.upsert(step, (b,), [14.0 - 0.01 * step], wall_time_ms=1000 * step)
             s.seal(step)
         return s.to_runlog()
 
@@ -300,8 +346,8 @@ def test_round_trip_property(rows):
     for step in range(max_step + 1):
         for r_step, name, source, value, wall in rows:
             if r_step == step:
-                s.upsert(s.register(VariableKey(f"v.{name}", source, "u")),
-                         step, value, wall)
+                s.upsert(step, (s.register(VariableKey(f"v.{name}", source, "u")),),
+                         [value], wall)
         s.seal(step)
     log = s.to_runlog()
     with tempfile.TemporaryDirectory() as d:
@@ -319,7 +365,7 @@ def test_runlog_pickles(tmp_path):
     import pickle
     s = make_store()
     key = s.register(k("zone.t"))
-    s.upsert(key, 0, 20.0)
+    s.upsert(0, (key,), [20.0])
     s.seal(0)
     log = s.to_runlog()
     blob = pickle.dumps(log)
@@ -332,10 +378,10 @@ def test_store_deepcopy_independent():
     import copy
     s = make_store()
     key = s.register(k("zone.t"))
-    s.upsert(key, 0, 20.0)
+    s.upsert(0, (key,), [20.0])
     s.seal(0)
     dup = copy.deepcopy(s)
-    dup.upsert(key, 1, 21.0)
+    dup.upsert(1, (key,), [21.0])
     dup.seal(1)
     assert dup.last_sealed == 1
     assert s.last_sealed == 0

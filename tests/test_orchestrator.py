@@ -5,7 +5,7 @@ import pytest
 
 from flexbench import orchestrator
 from flexbench.analysis import exchange_stamps, series_from_log
-from flexbench.datastore import Source, write_csv
+from flexbench.datastore import Source, StepStore, write_csv
 from flexbench.orchestrator import (COMPUTE_FLOOR_MS, VARIABLES, DelayInjector,
                                     Engine, EngineError, OverrunAbort)
 from flexbench.scenario import ScenarioError, validate_scenario
@@ -18,6 +18,17 @@ FAST_DOC = {
     "building": {"internal_gains_w": [[0, 200], [120, 1500], [300, 400]],
                  "weather": {"series": [[0, 28, 40], [240, 36, 55],
                                         [480, 26, 45]]}},
+}
+
+
+# one occupant who is always uncomfortable, and acts
+OCCUPANT_DOC = {
+    "run": {"horizon": 8},
+    "building": {"t_init_c": 26.0,
+                 "weather": {"constant": {"tdb_c": 34.0, "rh_pct": 45.0}}},
+    "occupants": {"agents": [
+        {"coords": [3, 3, 1], "t_pref_c": 31.0,
+         "action_probs": {"thermostat_adjust": 1.0}}]},
 }
 
 
@@ -152,6 +163,25 @@ class TestLoggingControls:
         assert all(VARIABLES[k.name] == k for k in log.keys)
         assert {"plant.rh_out", "plant.q_hvac", "occ.n_actions",
                 "ctrl.t_dis_spt"} <= {k.name for k in log.keys}
+
+    @pytest.mark.parametrize("doc, writes", [
+        ({}, 3),
+        (OCCUPANT_DOC, 3),
+        ({"logging": {"include": ["zone.t", "ctrl.t_cool_spt"]}}, 2),
+        ({"logging": {"include": ["plant.q_hvac"], "plant_internals": False}}, 0),
+    ], ids=["plain", "agents", "no_uplink", "nothing_logged"])
+    def test_each_exchange_is_one_store_write(self, monkeypatch, doc, writes):
+        calls = []
+        upsert = StepStore.upsert
+
+        def counted(store, step, keys, values, wall_time_ms=None):
+            calls.append(step)
+            upsert(store, step, keys, values, wall_time_ms)
+        monkeypatch.setattr(StepStore, "upsert", counted)
+        log, _ = run_doc(doc, {"run": {"horizon": 4}})
+        assert len(calls) == 4 * writes
+        assert sorted(calls) == [n for n in range(4) for _ in range(writes)]
+        assert log.meta.steps == 4
 
     def test_unknown_include_name_fails_fast(self):
         with pytest.raises(ScenarioError, match=r"^logging\.include: .*zone\.bogus"):
@@ -289,14 +319,7 @@ def test_every_block_value_reaches_its_component():
 
 
 class TestOccupantCoupling:
-    DOC = {
-        "run": {"horizon": 8},
-        "building": {"t_init_c": 26.0,
-                     "weather": {"constant": {"tdb_c": 34.0, "rh_pct": 45.0}}},
-        "occupants": {"agents": [
-            {"coords": [3, 3, 1], "t_pref_c": 31.0,
-             "action_probs": {"thermostat_adjust": 1.0}}]},
-    }
+    DOC = OCCUPANT_DOC
 
     def test_cold_occupant_pushes_setpoints_up(self):
         log, engine = run_doc(self.DOC)

@@ -284,6 +284,9 @@ _COMPONENT_RULES = [
      "occupants.agents[0].t_pref_c"),
     ({"geb": {"baseline": {"t_dis_c": 1e9}}}, "geb.baseline.t_dis_c"),
     ({"geb": {"bounds": {"t_max_c": 200.5}}}, "geb.bounds.t_max_c"),
+    ({"building": {"weather": {"series": [[0, 20, 40], [600, 1e200, 40]]}}},
+     "building.weather.series[1][1]"),
+    ({"geb": {"dis_schedule": [[0, 14.0], [600, -100.5]]}}, "geb.dis_schedule[1][1]"),
 ]
 
 

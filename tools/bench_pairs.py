@@ -5,7 +5,7 @@
         --workload plant_day --workload fine_log --pairs 10 --seconds 60
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T` once in
-each checkout, one process at a time, with a fresh seed per pair (S = --seed0
+each checkout (at least two pairs), one process at a time, with a fresh seed per pair (S = --seed0
 + pair index) and the side that runs first alternating between pairs.  For
 every end-to-end metric named in the change's BENCHMARK.json the output holds
 each side's median and quartiles (inclusive method), every run's value, the
@@ -83,6 +83,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed0", type=int, default=201)
     p.add_argument("--seconds", type=float, default=60.0)
     args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2: quartiles need two runs per side")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
 
