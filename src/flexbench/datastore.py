@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -163,7 +164,7 @@ class StepStore:
         return known
 
     def upsert(self, step_index: int, keys: tuple[VariableKey, ...],
-               values, wall_time_ms: int | None = None) -> None:
+               values: Sequence[float], wall_time_ms: int | None = None) -> None:
         """Insert or update one exchange in an unsealed step: values[i] for
         keys[i], all with the one wall stamp.
 
