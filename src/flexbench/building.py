@@ -93,9 +93,11 @@ def load_weather(path: str) -> WeatherSeries:
             raise WeatherFormatError(f"{path}: row {n}: {e}") from e
     if not all(map(math.isfinite, times + tdb + rh)):
         raise WeatherFormatError(f"{path}: values must be finite")
-    for n, t in enumerate(tdb, start=2):
+    for n, (t, h) in enumerate(zip(tdb, rh), start=2):
         if not T_MIN_C <= t <= T_MAX_C:
             raise WeatherFormatError(f"{path}: row {n}: tdb_c {t!r} {T_RANGE}")
+        if not 0.0 <= h <= 100.0:
+            raise WeatherFormatError(f"{path}: row {n}: rh_pct {h!r} outside [0, 100]")
     return WeatherSeries(times, tdb, rh)
 
 

@@ -15,6 +15,10 @@ variables that performs, substep by substep, the operations of HvacUnit.step,
 ZoneEmulator.step and OutdoorEmulator.step (with their PidController.step
 calls) in the same order.  Those step() methods are the tested reference that
 advance() must reproduce bit for bit; a change to one is a change to both.
+The loop computes the saturation curve psychro.w_sat inline, from psychro's
+constants and in its operation order, so a substep calls no flexbench
+function: only math.exp, math.isfinite and, per envelope clamp, the
+LimitationEvent constructor remain.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .psychro import CP_AIR, H_FG, rh_from_w, w_from_rh, w_sat
+from .psychro import (ATM_PA, CP_AIR, H_FG, MAGNUS_A, MAGNUS_B, MAGNUS_C,
+                      MW_RATIO, PW_CAP, rh_from_w, w_from_rh, w_sat)
 
 
 @dataclass
@@ -374,7 +379,11 @@ class PlantSim:
            chamber, appending one LimitationEvent per clamp in that order.
 
         Component state is read into locals once and written back at the
-        end.  tests/test_plant.py pins the equivalence bit for bit.
+        end.  w_sat is computed inline (psychro's constants, its operation
+        order and its cap at PW_CAP * ATM_PA, NaN passing through), so the
+        only calls left in a substep are math.exp, math.isfinite and one
+        LimitationEvent per envelope clamp.  tests/test_plant.py pins the
+        equivalence bit for bit.
         """
         sp, hvac, emu, out = self.applied, self.hvac, self.emulator, self.outdoor
         events = self.limitation_events
@@ -391,7 +400,9 @@ class PlantSim:
         m = hvac.m_dot
         k_t, k_w = emu.decay(m, sub)
         k_out = out.decay(sub)
-        isfinite = math.isfinite
+        isfinite, exp = math.isfinite, math.exp
+        sat_a, sat_b, sat_c = MAGNUS_A, MAGNUS_B, MAGNUS_C
+        atm, pw_max, mw_ratio = ATM_PA, PW_CAP * ATM_PA, MW_RATIO
         method1 = hvac.pv_mode == "method1"
         zone_t, zone_w = sp.zone_t, sp.zone_w
         cool, heat, dis_spt = sp.cool_spt, sp.heat_spt, sp.dis_spt
@@ -472,17 +483,22 @@ class PlantSim:
                 clamped = dis_hi if dis_hi < clamped else clamped
                 if clamped != target:
                     clamps += 1
+                # w_sat(clamped), then min(pv_w, it)
+                pw = sat_a * exp(sat_b * clamped / (sat_c + clamped))
+                pw = pw_max if pw_max < pw else pw
+                w_cap = mw_ratio * pw / (atm - pw)
+                w_target = w_cap if w_cap < pv_w else pv_w
                 if lag:
                     t_dis = clamped + (t_dis - clamped) * k_dis
-                    w_target = w_sat(clamped)
-                    w_target = w_target if w_target < pv_w else pv_w
                     w_dis = w_target + (w_dis - w_target) * k_dis
-                    w_cap = w_sat(t_dis)
+                    # w_sat(t_dis)
+                    pw = sat_a * exp(sat_b * t_dis / (sat_c + t_dis))
+                    pw = pw_max if pw_max < pw else pw
+                    w_cap = mw_ratio * pw / (atm - pw)
                     w_dis = w_cap if w_cap < w_dis else w_dis
                 else:
                     t_dis = clamped
-                    w_cap = w_sat(clamped)
-                    w_dis = w_cap if w_cap < pv_w else pv_w
+                    w_dis = w_target
 
             # 2. ZoneEmulator.step: coil_pid.step(zone_t, emu_t, sub) ...
             if isfinite(zone_t) and isfinite(emu_t) and dt_ok:

@@ -35,6 +35,10 @@ MAX_SUBSTEPS = 3600
 # Largest supply air flow, kg/s: a large air handler moves about 100 kg/s.
 # Flows near the float limit overflow the plant's loads to infinity.
 MAX_M_DOT = 100.0
+# Smallest heat capacity of an air node, J/K (a litre of air holds about 1.2).
+# Near the float's smallest values the emulator's time constant underflows to
+# 0, a division by zero, and the zone's rate overflows to infinity.
+MIN_C_J_PER_K = 1.0
 _NUMBER = (int, float)
 
 
@@ -101,18 +105,28 @@ def _pct(v):
     return 0.0 <= v <= 100.0
 
 
+def _abs_temp(v):
+    return T_MIN_C <= v <= T_MAX_C
+
+
 def _temp(default) -> Leaf:
     """An absolute temperature leaf (a t_*_c or tdb_c key), in degC."""
     kind = "float?" if default is None else "float"
-    return Leaf(default, kind, check=lambda v: T_MIN_C <= v <= T_MAX_C,
-                msg=T_RANGE)
+    return Leaf(default, kind, check=_abs_temp, msg=T_RANGE)
 
 
-def _temp_column(rows: list[list[float]], path: str, col: int) -> list[list[float]]:
-    """Breakpoint rows whose column col is an absolute temperature."""
+def _heat_capacity(default: float) -> Leaf:
+    """A heat capacity leaf (a c_*_j_per_k key), in J/K."""
+    return Leaf(default, "float", check=lambda v: v >= MIN_C_J_PER_K,
+                msg=f"must be >= {MIN_C_J_PER_K:g}")
+
+
+def _column(rows: list[list[float]], path: str, col: int, check,
+            msg: str) -> list[list[float]]:
+    """Breakpoint rows whose column col passes check; msg names its range."""
     for i, row in enumerate(rows):
-        if not T_MIN_C <= row[col] <= T_MAX_C:
-            raise ScenarioError(f"{path}[{i}][{col}]: {row[col]!r} {T_RANGE}")
+        if not check(row[col]):
+            raise ScenarioError(f"{path}[{i}][{col}]: {row[col]!r} {msg}")
     return rows
 
 
@@ -168,6 +182,12 @@ def _objects(schema: dict):
     return parse
 
 
+def _weather_series(value, path):
+    rows = _breakpoints(value, path, ("time_s", "tdb_c", "rh_pct"))
+    _column(rows, path, 1, _abs_temp, T_RANGE)
+    return _column(rows, path, 2, _pct, "outside [0, 100]")
+
+
 _WEATHER_CONSTANT = {
     "tdb_c": _temp(REQUIRED),
     "rh_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
@@ -175,8 +195,7 @@ _WEATHER_CONSTANT = {
 _WEATHER = {
     "path": Leaf(None, "str", check=bool, msg="is not a file path"),
     "constant": (None, lambda v, p: _validate_level(v, _WEATHER_CONSTANT, p)),
-    "series": (None, lambda v, p: _temp_column(
-        _breakpoints(v, p, ("time_s", "tdb_c", "rh_pct")), p, 1)),
+    "series": (None, _weather_series),
 }
 
 
@@ -207,8 +226,8 @@ def _signal(value, path):
 
 
 def _dis_schedule(value, path):
-    return _temp_column(_breakpoints(value, path, ("time_s", "t_dis_c"),
-                                     empty_ok=True), path, 1)
+    return _column(_breakpoints(value, path, ("time_s", "t_dis_c"), empty_ok=True),
+                   path, 1, _abs_temp, T_RANGE)
 
 
 def _xyz(value, path):
@@ -312,7 +331,7 @@ SCHEMA: dict[str, Any] = {
             "bleed_tau_s": Leaf(300.0, "float", check=_nonneg, msg="must be >= 0"),
         },
         "zone_emulator": {
-            "c_emu_j_per_k": Leaf(50000.0, "float", check=_pos, msg="must be > 0"),
+            "c_emu_j_per_k": _heat_capacity(50000.0),
             "air_mass_kg": Leaf(60.0, "float", check=_pos, msg="must be > 0"),
             "heater_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
             "cooling_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
@@ -333,7 +352,7 @@ SCHEMA: dict[str, Any] = {
         },
     },
     "building": {
-        "c_z_j_per_k": Leaf(2.0e7, "float", check=_pos, msg="must be > 0"),
+        "c_z_j_per_k": _heat_capacity(2.0e7),
         "ua_w_per_k": Leaf(250.0, "float", check=_nonneg, msg="must be >= 0"),
         "moisture_capacity_kg": Leaf(800.0, "float", check=_pos, msg="must be > 0"),
         "surface_tau_s": Leaf(1800.0, "float", check=_pos, msg="must be > 0"),

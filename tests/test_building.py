@@ -72,6 +72,16 @@ class TestLoadWeather:
         p.write_text("time_s,tdb_c,rh_pct\n0,-100,40\n3600,200,55\n")
         assert load_weather(str(p)).value_at(3600.0) == (200.0, 55.0)
 
+    def test_rh_out_of_range_names_row(self, tmp_path):
+        p = tmp_path / "w.csv"
+        for bad in ("-50", "100.5"):
+            p.write_text(f"time_s,tdb_c,rh_pct\n0,25,40\n3600,30,{bad}\n")
+            with pytest.raises(WeatherFormatError,
+                               match=rf"row 3: rh_pct {bad}.* outside \[0, 100\]$"):
+                load_weather(str(p))
+        p.write_text("time_s,tdb_c,rh_pct\n0,25,0\n3600,30,100\n")
+        assert load_weather(str(p)).value_at(3600.0) == (30.0, 100.0)
+
     def test_header_only_is_empty(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("time_s,tdb_c,rh_pct\n")

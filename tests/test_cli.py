@@ -88,9 +88,10 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("doc, path", [
-        # each would hang (1e302 substeps), fail mid-run (stamp 1e16 ms or
-        # a plant load that overflowed to infinity) or divide by a surrogate
-        # weight sum that underflowed to 0
+        # each would hang (1e302 substeps), fail mid-run (stamp 1e16 ms, a
+        # plant load that overflowed to infinity, or a 5e-324 J/K capacitance:
+        # a ZeroDivisionError or a non-finite zone.t), divide by a surrogate
+        # weight sum that underflowed to 0, or run on at 1e200 degC or -50 % RH
         ({"run": {"horizon": 3}, "plant": {"control_dt_s": 1e-300}},
          "plant.control_dt_s"),
         ({"run": {"step_size_s": 1e13, "horizon": 3},
@@ -102,12 +103,19 @@ class TestRun:
          "occupants.surrogate.w_zone"),
         ({"run": {"horizon": 3}, "plant": {"hvac": {"m_dot_kg_s": 1e308}}},
          "plant.hvac.m_dot_kg_s"),
-        ({"run": {"horizon": 3}, "plant": {"hvac": {"t_dis_init_c": 1e200}},
-          "building": {"c_z_j_per_k": 1e-200}}, "plant.hvac.t_dis_init_c"),
-        ({"run": {"horizon": 3}, "building": {"c_z_j_per_k": 1e-200, "weather": {
+        ({"run": {"horizon": 3}, "plant": {"hvac": {"t_dis_init_c": 1e200}}},
+         "plant.hvac.t_dis_init_c"),
+        ({"run": {"horizon": 3}, "building": {"weather": {
             "series": [[0, 1e200, 40]]}}}, "building.weather.series[0][1]"),
+        ({"run": {"horizon": 3}, "building": {"weather": {
+            "series": [[0, 20, -50]]}}}, "building.weather.series[0][2]"),
+        ({"run": {"horizon": 3}, "plant": {"zone_emulator": {
+            "c_emu_j_per_k": 5e-324}}}, "plant.zone_emulator.c_emu_j_per_k"),
+        ({"run": {"horizon": 3}, "building": {"c_z_j_per_k": 5e-324}},
+         "building.c_z_j_per_k"),
     ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow",
-            "temperature", "weather_series"])
+            "temperature", "weather_series", "weather_rh", "emulator_capacity",
+            "zone_capacity"])
     def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))
@@ -117,13 +125,23 @@ class TestRun:
         assert not out.exists()
 
 
+    def test_heat_capacity_floor_runs(self, tmp_path):
+        # the smallest valid emulator and zone capacitances, at the largest flow
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "run": {"horizon": 3},
+            "plant": {"hvac": {"m_dot_kg_s": 100.0},
+                      "zone_emulator": {"c_emu_j_per_k": 1.0}},
+            "building": {"c_z_j_per_k": 1.0}}))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 0
+
     def test_weather_file_temperature_out_of_range_is_exit_1(self, tmp_path,
                                                              capsys):
         (tmp_path / "w.csv").write_text("time_s,tdb_c,rh_pct\n0,20,40\n"
                                         "3600,1e200,40\n")
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({"run": {"horizon": 3}, "building": {
-            "c_z_j_per_k": 1e-200, "weather": {"path": "w.csv"}}}))
+            "weather": {"path": "w.csv"}}}))
         out = tmp_path / "x"
         assert main(["run", str(scenario), "--out", str(out)]) == 1
         err = capsys.readouterr().err

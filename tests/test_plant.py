@@ -6,7 +6,7 @@ import pytest
 from flexbench.plant import (AppliedSetpoints, DischargeAir, HvacUnit,
                              OutdoorEmulator, PidController, PlantSim,
                              ZoneEmulator)
-from flexbench.psychro import CP_AIR, w_from_rh, w_sat
+from flexbench.psychro import ATM_PA, CP_AIR, PW_CAP, p_ws, w_from_rh, w_sat
 from tests.helpers import block
 
 
@@ -399,6 +399,20 @@ class TestFusedAdvance:
                      "applied": {"zone_t": 17.0, "zone_w": 0.015}},
         "capacity_fault": {"applied": {"cool_spt": -math.inf}},
         "dry_floor": {"hvac": {"m_dot_kg_s": 0.0}, "emu_w": -1e-3},
+        # a humid zone: the cooling discharge is capped at w_sat(clamped) and,
+        # starting saturated, also at w_sat(t_dis), over a moving target
+        "humid_zone": {"applied": {"zone_w": 0.02}},
+        "humid_zone_saturated": {"applied": {"zone_w": 0.02},
+                                 "hvac": {"rh_dis_init_pct": 100.0}},
+        "humid_zone_no_lag": {"applied": {"zone_w": 0.02}, "hvac": {"tau_dis_s": 0.0}},
+        # a NaN discharge passes the inline cap as it passes min(); a zone_w
+        # above the capped w_sat (about 61.6) shows which operand won
+        "nan_discharge": {"applied": {"dis_spt": math.nan, "zone_w": 100.0}},
+        # a discharge above about 100 degC, where p_ws reaches the PW_CAP cap
+        "saturation_cap": {"hvac": {"t_dis_max_c": 160.0},
+                           "applied": {"dis_spt": 150.0}},
+        "saturation_cap_no_lag": {"hvac": {"t_dis_max_c": 160.0, "tau_dis_s": 0.0},
+                                  "applied": {"dis_spt": 150.0}},
     }
 
     @pytest.mark.parametrize("pv_mode", ["method1", "method2"])
@@ -425,6 +439,12 @@ class TestFusedAdvance:
         assert plant.clamp_count > 0
         assert plant.hvac.w_dis == w_sat(plant.hvac.t_dis)
         assert run("method2", "capacity_fault").hvac.pid.fault
+        for case in ("saturation_cap", "saturation_cap_no_lag"):
+            assert p_ws(run("method2", case).hvac.t_dis) > PW_CAP * ATM_PA
+        for case in ("humid_zone", "humid_zone_saturated", "humid_zone_no_lag"):
+            assert run("method2", case).hvac.w_dis < 0.02
+        plant = run("method2", "nan_discharge")
+        assert math.isnan(plant.hvac.t_dis) and plant.hvac.w_dis > w_sat(150.0)
         assert run("method2", "dis_inside").clamp_count == 0
         assert {ev.channel for ev in run("method2", "lagged").limitation_events} == {
             "air_t", "air_rh"}

@@ -287,11 +287,17 @@ _COMPONENT_RULES = [
     ({"building": {"weather": {"series": [[0, 20, 40], [600, 1e200, 40]]}}},
      "building.weather.series[1][1]"),
     ({"geb": {"dis_schedule": [[0, 14.0], [600, -100.5]]}}, "geb.dis_schedule[1][1]"),
+    ({"building": {"weather": {"series": [[0, 20, 40], [600, 20, 100.5]]}}},
+     "building.weather.series[1][2]"),
 ]
+# A rule's id is its path up to the first index; a second rule there keeps
+# its whole path.
+_RULE_IDS = []
+for _, _path in _COMPONENT_RULES:
+    _RULE_IDS.append(_path if _path.split("[")[0] in _RULE_IDS else _path.split("[")[0])
 
 
-@pytest.mark.parametrize("doc, path", _COMPONENT_RULES,
-                         ids=[path.split("[")[0] for _, path in _COMPONENT_RULES])
+@pytest.mark.parametrize("doc, path", _COMPONENT_RULES, ids=_RULE_IDS)
 def test_component_rule_fails_at_its_path(doc, path):
     with pytest.raises(ScenarioError) as e:
         validate_scenario(doc)
