@@ -5,6 +5,10 @@ The zone energy balance
 is linear with piecewise-constant inputs, so each step uses the exact
 exponential update rather than an approximate integrator.
 
+Weather is read from validated [time_s, tdb_c, rh_pct] rows like every other
+scheduled input, but interpolates.  `scenario.validate_scenario` checks every
+rule of a series, horizon coverage included, and load_weather those of a file.
+
 The inherited-delay switch reproduces a co-simulation import quirk: the model
 consumes the discharge-air condition received at the previous exchange step,
 so a discharge change first shows up in the zone one step late.
@@ -14,16 +18,11 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .psychro import CP_AIR, H_FG, rh_from_w, w_from_rh
 from .plant import DischargeAir
-
-
-class WeatherCoverageError(Exception):
-    """Weather data ends before the simulation horizon."""
 
 
 class WeatherFormatError(Exception):
@@ -39,66 +38,55 @@ T_RANGE = f"outside [{T_MIN_C:g}, {T_MAX_C:g}] degC"
 
 
 class WeatherSeries:
-    """Outdoor dry-bulb and RH over time with linear interpolation."""
+    """Outdoor dry-bulb and RH from validated [time_s, tdb_c, rh_pct] rows:
+    non-empty, with strictly increasing times.  One row is constant weather."""
 
-    def __init__(self, times_s, tdb_c, rh_pct):
-        self.times = np.asarray(times_s, dtype=float)
-        self.tdb = np.asarray(tdb_c, dtype=float)
-        self.rh = np.asarray(rh_pct, dtype=float)
-        if self.times.size == 0:
-            raise WeatherFormatError("empty weather series")
-        if np.any(np.diff(self.times) <= 0):
-            raise WeatherFormatError("weather times must be strictly increasing")
+    __slots__ = ("times", "rows")
 
-    @classmethod
-    def constant(cls, tdb_c: float, rh_pct: float) -> "WeatherSeries":
-        return cls([0.0], [tdb_c], [rh_pct])
-
-    @property
-    def end_time(self) -> float:
-        return float(self.times[-1])
-
-    def ensure_coverage(self, t_end_s: float) -> None:
-        if self.times.size == 1:
-            return  # constant weather covers any horizon
-        if t_end_s > self.end_time + 1e-9:
-            raise WeatherCoverageError(
-                f"weather ends at {self.end_time:.0f} s but {t_end_s:.0f} s is needed")
+    def __init__(self, rows):
+        self.times = [r[0] for r in rows]
+        self.rows = rows
 
     def value_at(self, t_s: float) -> tuple[float, float]:
-        if self.times.size == 1:
-            return float(self.tdb[0]), float(self.rh[0])
-        self.ensure_coverage(t_s)
-        t = min(max(t_s, float(self.times[0])), self.end_time)
-        return (float(np.interp(t, self.times, self.tdb)),
-                float(np.interp(t, self.times, self.rh)))
+        """(tdb_c, rh_pct) at t_s: a row at and outside its own time (first
+        or last), and np.interp's slope * (t - t0) + y0 between two rows."""
+        i = bisect_right(self.times, t_s)
+        t0, tdb0, rh0 = self.rows[i - 1 if i else 0]
+        if i == 0 or i == len(self.times) or t_s == t0:
+            return tdb0, rh0
+        t1, tdb1, rh1 = self.rows[i]
+        return ((tdb1 - tdb0) / (t1 - t0) * (t_s - t0) + tdb0,
+                (rh1 - rh0) / (t1 - t0) * (t_s - t0) + rh0)
 
 
 def load_weather(path: str) -> WeatherSeries:
-    """Read a weather CSV with columns time_s,tdb_c,rh_pct."""
+    """Read a weather CSV with columns time_s,tdb_c,rh_pct: rows of finite
+    numbers in range with strictly increasing times, faults named by row."""
     with open(path, encoding="utf-8") as f:
         lines = [ln for ln in f.read().split("\n") if ln != ""]
     if not lines or lines[0] != WEATHER_HEADER:
         raise WeatherFormatError(f"{path}: expected header {WEATHER_HEADER!r}")
-    times, tdb, rh = [], [], []
+    if len(lines) == 1:
+        raise WeatherFormatError(f"{path}: row 2: missing, the file is empty")
+    rows = []
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
             raise WeatherFormatError(f"{path}: row {n}: expected 3 fields")
         try:
-            times.append(float(parts[0]))
-            tdb.append(float(parts[1]))
-            rh.append(float(parts[2]))
+            t, tdb, rh = map(float, parts)
         except ValueError as e:
             raise WeatherFormatError(f"{path}: row {n}: {e}") from e
-    if not all(map(math.isfinite, times + tdb + rh)):
-        raise WeatherFormatError(f"{path}: values must be finite")
-    for n, (t, h) in enumerate(zip(tdb, rh), start=2):
-        if not T_MIN_C <= t <= T_MAX_C:
-            raise WeatherFormatError(f"{path}: row {n}: tdb_c {t!r} {T_RANGE}")
-        if not 0.0 <= h <= 100.0:
-            raise WeatherFormatError(f"{path}: row {n}: rh_pct {h!r} outside [0, 100]")
-    return WeatherSeries(times, tdb, rh)
+        if not all(map(math.isfinite, (t, tdb, rh))):
+            raise WeatherFormatError(f"{path}: row {n}: values must be finite")
+        if rows and t <= rows[-1][0]:
+            raise WeatherFormatError(f"{path}: row {n}: times must be strictly increasing")
+        if not T_MIN_C <= tdb <= T_MAX_C:
+            raise WeatherFormatError(f"{path}: row {n}: tdb_c {tdb!r} {T_RANGE}")
+        if not 0.0 <= rh <= 100.0:
+            raise WeatherFormatError(f"{path}: row {n}: rh_pct {rh!r} outside [0, 100]")
+        rows.append([t, tdb, rh])
+    return WeatherSeries(rows)
 
 
 def build_weather(spec: dict, base_dir: str | None = None) -> WeatherSeries:
@@ -107,10 +95,9 @@ def build_weather(spec: dict, base_dir: str | None = None) -> WeatherSeries:
     against base_dir."""
     if "constant" in spec:
         c = spec["constant"]
-        return WeatherSeries.constant(c["tdb_c"], c["rh_pct"])
+        return WeatherSeries([[0.0, c["tdb_c"], c["rh_pct"]]])
     if "series" in spec:
-        times, tdb, rh = zip(*spec["series"])
-        return WeatherSeries(times, tdb, rh)
+        return WeatherSeries(spec["series"])
     path = spec["path"]
     if base_dir is not None and not os.path.isabs(path):
         path = os.path.join(base_dir, path)

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import (AnalysisError, InsufficientDataError, capacity_check,
                        comm_delay_bound, exchange_stamps, hunting_metric,
                        response_time, rmse_shift, series_from_log)
-from .building import WeatherCoverageError, WeatherFormatError
+from .building import WeatherFormatError
 from .datastore import (DatastoreError, ExportError, UnknownKeyError,
                         export_run, import_run, meta_dict, write_csv,
                         write_json)
@@ -223,8 +223,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, WeatherFormatError, WeatherCoverageError, ExportError,
-            UnknownKeyError, ValueError, OSError) as e:
+    except (ScenarioError, WeatherFormatError, ExportError, UnknownKeyError,
+            ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (EngineError, DatastoreError) as e:

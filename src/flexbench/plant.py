@@ -15,6 +15,8 @@ variables that performs, substep by substep, the operations of HvacUnit.step,
 ZoneEmulator.step and OutdoorEmulator.step (with their PidController.step
 calls) in the same order.  Those step() methods are the tested reference that
 advance() must reproduce bit for bit; a change to one is a change to both.
+Only the coil PID keeps a derivative term in the loop: the capacity and
+humidifier PIDs are always built with kd = 0.
 The loop computes the saturation curve psychro.w_sat inline, from psychro's
 constants and in its operation order, so a substep calls no flexbench
 function: only math.exp, math.isfinite and, per envelope clamp, the
@@ -290,7 +292,6 @@ class AppliedSetpoints:
     cool_spt: float
     heat_spt: float
     dis_spt: float | None = None
-    p_duct_spt: float | None = None
 
 
 class PlantSim:
@@ -379,11 +380,14 @@ class PlantSim:
            chamber, appending one LimitationEvent per clamp in that order.
 
         Component state is read into locals once and written back at the
-        end.  w_sat is computed inline (psychro's constants, its operation
-        order and its cap at PW_CAP * ATM_PA, NaN passing through), so the
-        only calls left in a substep are math.exp, math.isfinite and one
-        LimitationEvent per envelope clamp.  tests/test_plant.py pins the
-        equivalence bit for bit.
+        end.  The capacity and humidifier PIDs have kd = 0: their derivative
+        term is the constant + 0.0, which turns a -0.0 sum into 0.0 as
+        step() does, and their last_pv is still written back.  w_sat is
+        computed inline (psychro's constants, its operation order and its
+        cap at PW_CAP * ATM_PA, NaN passing through), so the only calls left
+        in a substep are math.exp, math.isfinite and one LimitationEvent per
+        envelope clamp.  tests/test_plant.py pins the equivalence bit for
+        bit.
         """
         sp, hvac, emu, out = self.applied, self.hvac, self.emulator, self.outdoor
         events = self.limitation_events
@@ -423,9 +427,9 @@ class PlantSim:
 
         # PidController constants (span as in its anti-windup bound) and state.
         hp, cp, mp = hvac.pid, emu.coil_pid, emu.hum_pid
-        h_kp, h_ki, h_kd, h_lo, h_hi = hp.kp, hp.ki, hp.kd, hp.out_min, hp.out_max
+        h_kp, h_ki, h_lo, h_hi = hp.kp, hp.ki, hp.out_min, hp.out_max
         c_kp, c_ki, c_kd, c_lo, c_hi = cp.kp, cp.ki, cp.kd, cp.out_min, cp.out_max
-        m_kp, m_ki, m_kd, m_lo, m_hi = mp.kp, mp.ki, mp.kd, mp.out_min, mp.out_max
+        m_kp, m_ki, m_lo, m_hi = mp.kp, mp.ki, mp.out_min, mp.out_max
         h_span = (h_hi - h_lo) / abs(h_ki) if h_ki != 0.0 else 0.0
         c_span = (c_hi - c_lo) / abs(c_ki) if c_ki != 0.0 else 0.0
         m_span = (m_hi - m_lo) / abs(m_ki) if m_ki != 0.0 else 0.0
@@ -462,11 +466,8 @@ class PlantSim:
                         h_i += err * sub
                         h_i = -h_span if -h_span > h_i else h_i
                         h_i = h_span if h_span < h_i else h_i
-                    d = 0.0
-                    if h_kd != 0.0 and h_pv is not None:
-                        d = -h_kd * (0.0 - h_pv) / sub
                     h_pv = 0.0
-                    u = h_kp * err + h_ki * h_i + d
+                    u = h_kp * err + h_ki * h_i + 0.0
                     u = h_lo if h_lo > u else u
                     h_u = h_hi if h_hi < u else u
                 else:
@@ -527,11 +528,8 @@ class PlantSim:
                     m_i += err * sub
                     m_i = -m_span if -m_span > m_i else m_i
                     m_i = m_span if m_span < m_i else m_i
-                d = 0.0
-                if m_kd != 0.0 and m_pv is not None:
-                    d = -m_kd * (emu_w - m_pv) / sub
                 m_pv = emu_w
-                u = m_kp * err + m_ki * m_i + d
+                u = m_kp * err + m_ki * m_i + 0.0
                 u = m_lo if m_lo > u else u
                 m_u = m_hi if m_hi < u else u
             else:

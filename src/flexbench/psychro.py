@@ -7,10 +7,10 @@ of the reference formulations over the -40..60 degC range covered here.
 
 The saturation curve's numbers have one home here: the Magnus coefficients
 MAGNUS_A, MAGNUS_B and MAGNUS_C, the cap PW_CAP on vapor pressure as a
-fraction of total pressure, and the molecular weight ratio MW_RATIO.  p_ws,
-w_sat, w_from_rh and rh_from_w read them, and so does the substep loop of
-plant.PlantSim.advance, which computes w_sat inline in the same operation
-order.
+fraction of the total pressure ATM_PA, and the molecular weight ratio
+MW_RATIO.  p_ws, w_sat, w_from_rh and rh_from_w read them, and so does the
+substep loop of plant.PlantSim.advance, which computes w_sat inline in the
+same operation order.
 """
 
 import math
@@ -20,7 +20,7 @@ CP_AIR = 1006.0       # J/(kg K), dry air at typical indoor conditions
 H_FG = 2.45e6         # J/kg, latent heat of vaporization near 25 degC
 # p_ws(t) = MAGNUS_A * exp(MAGNUS_B * t / (MAGNUS_C + t)) Pa, t in degC
 MAGNUS_A, MAGNUS_B, MAGNUS_C = 610.94, 17.625, 243.04
-PW_CAP = 0.99         # vapor pressure never exceeds this fraction of p_pa
+PW_CAP = 0.99         # vapor pressure never exceeds this fraction of ATM_PA
 MW_RATIO = 0.62198    # molecular weight ratio water/dry air
 
 
@@ -29,24 +29,24 @@ def p_ws(tdb_c: float) -> float:
     return MAGNUS_A * math.exp(MAGNUS_B * tdb_c / (MAGNUS_C + tdb_c))
 
 
-def w_from_rh(tdb_c: float, rh_pct: float, p_pa: float = ATM_PA) -> float:
+def w_from_rh(tdb_c: float, rh_pct: float) -> float:
     """Humidity ratio from dry-bulb temperature and relative humidity."""
     pw = max(0.0, rh_pct) / 100.0 * p_ws(tdb_c)
-    pw = min(pw, PW_CAP * p_pa)
-    return MW_RATIO * pw / (p_pa - pw)
+    pw = min(pw, PW_CAP * ATM_PA)
+    return MW_RATIO * pw / (ATM_PA - pw)
 
 
-def rh_from_w(tdb_c: float, w: float, p_pa: float = ATM_PA) -> float:
+def rh_from_w(tdb_c: float, w: float) -> float:
     """Relative humidity (%) from dry-bulb and humidity ratio, clamped to [0, 100]."""
     w = max(0.0, w)
-    pw = w * p_pa / (MW_RATIO + w)
+    pw = w * ATM_PA / (MW_RATIO + w)
     rh = 100.0 * pw / p_ws(tdb_c)
     return min(100.0, max(0.0, rh))
 
 
-def w_sat(tdb_c: float, p_pa: float = ATM_PA) -> float:
+def w_sat(tdb_c: float) -> float:
     """Humidity ratio at saturation for the given dry-bulb temperature.
 
-    Same value as w_from_rh(tdb_c, 100.0, p_pa), without the RH scaling."""
-    pw = min(p_ws(tdb_c), PW_CAP * p_pa)
-    return MW_RATIO * pw / (p_pa - pw)
+    Same value as w_from_rh(tdb_c, 100.0), without the RH scaling."""
+    pw = min(p_ws(tdb_c), PW_CAP * ATM_PA)
+    return MW_RATIO * pw / (ATM_PA - pw)

@@ -15,8 +15,8 @@ import math
 import sys
 from typing import Any
 
-from .building import (T_MAX_C, T_MIN_C, T_RANGE, WeatherCoverageError,
-                       WeatherFormatError, build_weather)
+from .building import (T_MAX_C, T_MIN_C, T_RANGE, WeatherFormatError,
+                       build_weather)
 from .datastore import MAX_STAMP_MS
 from .geb import EventWindow, validate_windows
 from .occupants import ActionType
@@ -32,9 +32,11 @@ REQUIRED = object()
 # Most control substeps PlantSim.advance may run in one exchange step: one
 # hour of 1 s control.  The shipped scenarios use at most 60.
 MAX_SUBSTEPS = 3600
-# Largest supply air flow, kg/s: a large air handler moves about 100 kg/s.
-# Flows near the float limit overflow the plant's loads to infinity.
-MAX_M_DOT = 100.0
+# Supply air flow, kg/s: 0 (no flow), or from about 0.8 L/s of air up to the
+# 100 kg/s a large air handler moves.  Flows near the float limit overflow the
+# plant's loads to infinity; near its smallest values the coil power per unit
+# flow overflows and the emulator's temperature turns NaN.
+MIN_M_DOT, MAX_M_DOT = 1e-3, 100.0
 # Smallest heat capacity of an air node, J/K (a litre of air holds about 1.2).
 # Near the float's smallest values the emulator's time constant underflows to
 # 0, a division by zero, and the zone's rate overflows to infinity.
@@ -316,8 +318,9 @@ SCHEMA: dict[str, Any] = {
         "ideal_actuators": Leaf(False, "bool"),
         "control_dt_s": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
         "hvac": {
-            "m_dot_kg_s": Leaf(0.5, "float", check=lambda v: 0.0 <= v <= MAX_M_DOT,
-                               msg=f"outside [0, {MAX_M_DOT:g}]"),
+            "m_dot_kg_s": Leaf(0.5, "float",
+                               check=lambda v: v == 0.0 or MIN_M_DOT <= v <= MAX_M_DOT,
+                               msg=f"is neither 0 nor in [{MIN_M_DOT:g}, {MAX_M_DOT:g}]"),
             "rated_cooling_w": Leaf(8000.0, "float", check=_pos, msg="must be > 0"),
             "rated_heating_w": Leaf(6000.0, "float", check=_pos, msg="must be > 0"),
             "kp_w_per_k": Leaf(400.0, "float", check=_nonneg, msg="must be >= 0"),
@@ -533,16 +536,18 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
                             "must sum above 0")
 
     weather = out["building"]["weather"]
-    [form] = weather  # path, constant or series; a constant covers any horizon
-    if form != "constant":
-        try:
-            build_weather(weather, base_dir).ensure_coverage(
-                (run["horizon"] - 1) * step)
-        except FileNotFoundError as e:
-            raise ScenarioError(f"building.weather.path: file not found: "
-                                f"{e.filename}") from e
-        except (WeatherCoverageError, WeatherFormatError) as e:
-            raise ScenarioError(f"building.weather.{form}: {e}") from e
+    [form] = weather  # path, constant or series
+    try:
+        times = build_weather(weather, base_dir).times
+    except FileNotFoundError as e:
+        raise ScenarioError(f"building.weather.path: file not found: "
+                            f"{e.filename}") from e
+    except WeatherFormatError as e:
+        raise ScenarioError(f"building.weather.{form}: {e}") from e
+    need = (run["horizon"] - 1) * step
+    if len(times) > 1 and need > times[-1] + 1e-9:  # one row covers any horizon
+        raise ScenarioError(f"building.weather.{form}: weather ends at "
+                            f"{times[-1]:.0f} s but {need:.0f} s is needed")
     return out
 
 

@@ -1,41 +1,108 @@
 import math
+import struct
+from bisect import bisect_right
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from flexbench.building import (WeatherCoverageError, WeatherFormatError,
+from flexbench.building import (T_MAX_C, T_MIN_C, WeatherFormatError,
                                 WeatherSeries, ZoneModel, compute_zone_load,
                                 load_weather)
 from flexbench.plant import DischargeAir
 from flexbench.psychro import CP_AIR, H_FG, w_from_rh
+from flexbench.scenario import ScenarioError, validate_scenario
 from tests.helpers import block
+
+
+def _series_doc(rows):
+    return {"run": {"horizon": 1}, "building": {"weather": {"series": rows}}}
 
 
 class TestWeatherSeries:
     def test_constant_covers_any_horizon(self):
-        w = WeatherSeries.constant(31.0, 45.0)
-        w.ensure_coverage(1e9)
-        assert w.value_at(12345.0) == (31.0, 45.0)
+        w = WeatherSeries([[0.0, 31.0, 45.0]])
+        assert w.value_at(-1e9) == w.value_at(12345.0) == w.value_at(1e9) == (
+            31.0, 45.0)
 
     def test_linear_interpolation(self):
-        w = WeatherSeries([0.0, 100.0], [10.0, 20.0], [40.0, 60.0])
+        w = WeatherSeries([[0.0, 10.0, 40.0], [100.0, 20.0, 60.0]])
         assert w.value_at(50.0) == (15.0, 50.0)
 
     def test_clamps_before_first_point(self):
-        w = WeatherSeries([100.0, 200.0], [10.0, 20.0], [40.0, 60.0])
+        w = WeatherSeries([[100.0, 10.0, 40.0], [200.0, 20.0, 60.0]])
         assert w.value_at(0.0) == (10.0, 40.0)
 
-    def test_coverage_error_past_end(self):
-        w = WeatherSeries([0.0, 100.0], [10.0, 20.0], [40.0, 60.0])
-        with pytest.raises(WeatherCoverageError):
-            w.value_at(150.0)
+    def test_holds_last_row_from_last_time(self):
+        # validate_scenario refuses a series that ends before the horizon
+        # (TestWeatherField), so the reader only holds the last row
+        w = WeatherSeries([[0.0, 10.0, 40.0], [100.0, 20.0, 60.0]])
+        assert w.value_at(100.0) == w.value_at(150.0) == (20.0, 60.0)
 
-    def test_times_strictly_increasing(self):
-        with pytest.raises(WeatherFormatError):
-            WeatherSeries([0.0, 100.0, 100.0], [1, 2, 3], [50, 50, 50])
+    def test_times_strictly_increasing(self, tmp_path):
+        # a series' rows come from validation or load_weather, both of which
+        # refuse a repeated time
+        with pytest.raises(ScenarioError, match=r"^building\.weather\.series\[2\]: "
+                                                "times must be strictly increasing"):
+            validate_scenario(_series_doc([[0, 1, 50], [100, 2, 50], [100, 3, 50]]))
+        p = tmp_path / "w.csv"
+        p.write_text("time_s,tdb_c,rh_pct\n0,1,50\n100,2,50\n100,3,50\n")
+        with pytest.raises(WeatherFormatError,
+                           match="row 4: times must be strictly increasing"):
+            load_weather(str(p))
 
-    def test_empty_rejected(self):
-        with pytest.raises(WeatherFormatError):
-            WeatherSeries([], [], [])
+    def test_empty_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError,
+                           match=r"^building\.weather\.series: expected a non-empty"):
+            validate_scenario(_series_doc([]))
+        p = tmp_path / "w.csv"
+        p.write_text("time_s,tdb_c,rh_pct\n")
+        with pytest.raises(WeatherFormatError, match="empty"):
+            load_weather(str(p))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# Any finite time: spans up to about 3.6e308 s and gaps down to 5e-324 s.
+_ANY_TIME = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _rows_and_time(draw):
+    """Validated weather rows and a time before, at, between or after them."""
+    times = sorted(set(draw(st.lists(_ANY_TIME, min_size=1, max_size=8))))
+    rows = [[t, draw(st.floats(T_MIN_C, T_MAX_C)), draw(st.floats(0.0, 100.0))]
+            for t in times]
+    i = draw(st.integers(0, len(times) - 2)) if len(times) > 1 else 0
+    t = draw(st.one_of(
+        st.sampled_from(times),
+        st.floats(times[i], times[min(i + 1, len(times) - 1)]),
+        st.floats(max_value=times[0], allow_infinity=False),
+        st.floats(min_value=times[-1], allow_infinity=False),
+        st.integers(0, 2 ** 53 // 1000).map(float)))
+    return rows, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rows_and_time())
+@example(([[-1.7976931348623157e308, -100.0, 0.0],
+           [1.7976931348623157e308, 200.0, 100.0]], 0.0))
+@example(([[0.0, -100.0, 0.0], [1e-307, 200.0, 100.0]], 5e-308))
+@example(([[0.0, -100.0, 0.0], [1e-307, 200.0, 100.0]], 0.0))
+@example(([[-0.0, 20.0, 40.0], [60.0, 30.0, 50.0]], 0.0))
+def test_value_at_is_np_interp(rows_and_time):
+    rows, t = rows_and_time
+    times = [r[0] for r in rows]
+    i = bisect_right(times, t)
+    # np.interp recomputes the NaN that an overflowed t - t0 gives; that needs
+    # |t| near 1e308, and an engine time lies in [0, 2**53 ms)
+    assume(i in (0, len(times)) or math.isfinite(t - times[i - 1]))
+    got = WeatherSeries(rows).value_at(t)
+    for col, value in zip((1, 2), got):
+        want = np.interp(t, times, [r[col] for r in rows])
+        assert type(value) is float and _bits(value) == _bits(float(want))
 
 
 class TestLoadWeather:
@@ -87,6 +154,29 @@ class TestLoadWeather:
         p.write_text("time_s,tdb_c,rh_pct\n")
         with pytest.raises(WeatherFormatError, match="empty"):
             load_weather(str(p))
+        with pytest.raises(WeatherFormatError, match=r"row 2: missing, .*empty$"):
+            load_weather(str(p))
+
+    def test_times_not_increasing_names_row(self, tmp_path):
+        p = tmp_path / "w.csv"
+        for t in ("3600", "1800"):
+            p.write_text(f"time_s,tdb_c,rh_pct\n0,25,40\n3600,30,55\n{t},31,50\n")
+            with pytest.raises(WeatherFormatError,
+                               match=r"w\.csv: row 4: times must be strictly increasing$"):
+                load_weather(str(p))
+
+    def test_non_finite_names_row(self, tmp_path):
+        p = tmp_path / "w.csv"
+        for bad in ("nan,25,40", "0,inf,40", "0,25,-inf"):
+            p.write_text(f"time_s,tdb_c,rh_pct\n-60,25,40\n{bad}\n")
+            with pytest.raises(WeatherFormatError,
+                               match=r"w\.csv: row 3: values must be finite$"):
+                load_weather(str(p))
+
+    def test_rows_read_as_floats(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("time_s,tdb_c,rh_pct\n0,25,40\n3600,30,55\n")
+        assert load_weather(str(p)).rows == [[0.0, 25.0, 40.0], [3600.0, 30.0, 55.0]]
 
 
 AIR = DischargeAir(15.0, w_from_rh(15.0, 60.0), 0.5)

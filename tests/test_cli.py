@@ -89,9 +89,11 @@ class TestRun:
 
     @pytest.mark.parametrize("doc, path", [
         # each would hang (1e302 substeps), fail mid-run (stamp 1e16 ms, a
-        # plant load that overflowed to infinity, or a 5e-324 J/K capacitance:
-        # a ZeroDivisionError or a non-finite zone.t), divide by a surrogate
-        # weight sum that underflowed to 0, or run on at 1e200 degC or -50 % RH
+        # plant load that overflowed to infinity, a 5e-324 J/K capacitance:
+        # a ZeroDivisionError or a non-finite zone.t, or a 5e-324 kg/s flow: a
+        # non-finite plant.t_zone_emu), divide by a surrogate weight sum that
+        # underflowed to 0, or run on at 1e200 degC, at -50 % RH or past the
+        # end of its weather
         ({"run": {"horizon": 3}, "plant": {"control_dt_s": 1e-300}},
          "plant.control_dt_s"),
         ({"run": {"step_size_s": 1e13, "horizon": 3},
@@ -113,9 +115,13 @@ class TestRun:
             "c_emu_j_per_k": 5e-324}}}, "plant.zone_emulator.c_emu_j_per_k"),
         ({"run": {"horizon": 3}, "building": {"c_z_j_per_k": 5e-324}},
          "building.c_z_j_per_k"),
+        ({"run": {"horizon": 3}, "plant": {"hvac": {"m_dot_kg_s": 5e-324}}},
+         "plant.hvac.m_dot_kg_s"),
+        ({"run": {"horizon": 100}, "building": {"weather": {
+            "series": [[0, 25, 40], [600, 30, 50]]}}}, "building.weather.series"),
     ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow",
             "temperature", "weather_series", "weather_rh", "emulator_capacity",
-            "zone_capacity"])
+            "zone_capacity", "tiny_flow", "weather_coverage"])
     def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))
@@ -133,6 +139,17 @@ class TestRun:
             "plant": {"hvac": {"m_dot_kg_s": 100.0},
                       "zone_emulator": {"c_emu_j_per_k": 1.0}},
             "building": {"c_z_j_per_k": 1.0}}))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("emulator", [
+        {}, {"c_emu_j_per_k": 1.0, "heater_w_max": 1e6, "cooling_w_max": 1e6}],
+        ids=["default_emulator", "light_strong_emulator"])
+    def test_supply_flow_floor_runs(self, tmp_path, emulator):
+        # the smallest valid nonzero flow, 1e-3 kg/s
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "run": {"horizon": 30},
+            "plant": {"hvac": {"m_dot_kg_s": 1e-3}, "zone_emulator": emulator}}))
         assert main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 0
 
     def test_weather_file_temperature_out_of_range_is_exit_1(self, tmp_path,

@@ -426,6 +426,14 @@ class TestFusedAdvance:
             reference_advance(ref, dt)
             assert full_state(fused) == full_state(ref)
 
+    def test_only_the_coil_pid_has_a_derivative(self):
+        # advance() has no derivative term for the capacity and humidifier
+        # PIDs: giving either a kd must fail here first
+        for case in self.CASES.values():
+            plant = varied_plant("method1", **case)
+            assert plant.hvac.pid.kd == 0.0 and plant.emulator.hum_pid.kd == 0.0
+        assert varied_plant("method1", **self.CASES["coil_kd"]).emulator.coil_pid.kd > 0
+
     def test_cases_reach_every_branch(self):
         def run(pv_mode, case):
             plant = varied_plant(pv_mode, **self.CASES[case])

@@ -119,7 +119,8 @@ class TestWeatherField:
     def test_series_coverage_checked(self):
         doc = {"run": {"horizon": 100},
                "building": {"weather": {"series": [[0, 25, 40], [600, 30, 50]]}}}
-        with pytest.raises(ScenarioError, match="ends at 600"):
+        with pytest.raises(ScenarioError, match=r"^building\.weather\.series: weather "
+                                                r"ends at 600 s but 5940 s is needed$"):
             validate_scenario(doc)
 
     def test_single_point_series_covers_everything(self):
@@ -260,6 +261,8 @@ class TestCrossField:
 # dotted path.  (document, dotted path of the error)
 _COMPONENT_RULES = [
     ({"plant": {"hvac": {"m_dot_kg_s": 1e308}}}, "plant.hvac.m_dot_kg_s"),
+    # a flow is 0 or at least 1e-3 kg/s
+    ({"plant": {"hvac": {"m_dot_kg_s": 5e-324}}}, "plant.hvac.m_dot_kg_s"),
     ({"plant": {"hvac": {"rated_cooling_w": 0}}}, "plant.hvac.rated_cooling_w"),
     ({"plant": {"hvac": {"rated_heating_w": 0}}}, "plant.hvac.rated_heating_w"),
     ({"plant": {"hvac": {"pv_mode": "method3"}}}, "plant.hvac.pv_mode"),
@@ -291,10 +294,11 @@ _COMPONENT_RULES = [
      "building.weather.series[1][2]"),
 ]
 # A rule's id is its path up to the first index; a second rule there keeps
-# its whole path.
+# its whole path, and a second rule at that whole path adds its count.
 _RULE_IDS = []
 for _, _path in _COMPONENT_RULES:
-    _RULE_IDS.append(_path if _path.split("[")[0] in _RULE_IDS else _path.split("[")[0])
+    _id = _path if _path.split("[")[0] in _RULE_IDS else _path.split("[")[0]
+    _RULE_IDS.append(f"{_id}~{_RULE_IDS.count(_id) + 1}" if _id in _RULE_IDS else _id)
 
 
 @pytest.mark.parametrize("doc, path", _COMPONENT_RULES, ids=_RULE_IDS)
