@@ -13,7 +13,11 @@ non-finite values and stamps float64 cannot hold exactly, so NaN is never a
 real sample.
 
 Export is a long-format CSV (one row per sample) using 17-significant-digit
-decimals so that export -> import -> export is byte-identical.
+decimals so that export -> import -> export is byte-identical.  Both
+directions stream: export turns a block of steps into text at a time, and
+import reads one line at a time into float64 columns it allocates once from
+the run's metadata.  Import's traced peak is about 16 B per row (the columns
+it returns), and export's does not grow with the run.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -55,6 +60,7 @@ class Source(str, Enum):
     SETPOINT = "setpoint"
 
 
+_SOURCES = {s.value: s for s in Source}
 _FORBIDDEN = frozenset(", \t\n\r")
 _FORBIDDEN_UNIT = frozenset(",\n\r")
 # Wall stamps are integers kept in float64 columns: exact below 2**53.
@@ -254,6 +260,8 @@ class StepStore:
 
 
 CSV_HEADER = "step_index,sim_time_s,variable,source,unit,value,wall_time_ms"
+# Steps of every column that write_csv turns into Python floats at a time.
+CSV_BLOCK_STEPS = 1024
 
 
 @contextmanager
@@ -276,28 +284,32 @@ def write_csv(log: RunLog, path: str) -> int:
     """Write the export CSV atomically.  Returns the number of data rows.
 
     Rows come in canonical order: by step, then variable name, then source;
-    a step without a value for a variable has no row for it."""
-    cols = []
-    for k in log.keys:
-        values, walls = log.columns[k]
-        cols.append((f",{k.name},{k.source.value},{k.unit},", values.tolist(),
-                     walls.tolist()))
-    step_size = log.meta.step_size_s
+    a step without a value for a variable has no row for it.  The columns
+    become Python floats CSV_BLOCK_STEPS steps at a time, so the export holds
+    one block of the run, not all of it."""
+    cols = [(f",{k.name},{k.source.value},{k.unit},", *log.columns[k])
+            for k in log.keys]
+    step_size, steps = log.meta.step_size_s, log.meta.steps
     rows = 0
     with _atomic(path) as f:
         f.write(CSV_HEADER + "\n")
-        for step in range(log.meta.steps):
-            lead = f"{step},{format(step * step_size, '.17g')}"
-            lines = []
-            for mid, values, walls in cols:
-                v = values[step]
-                if v != v:  # NaN: no sample at this step
-                    continue
-                w = walls[step]
-                lines.append(f"{lead}{mid}{format(v, '.17g')},"
-                             f"{'' if w != w else int(w)}\n")
-            f.write("".join(lines))
-            rows += len(lines)
+        for start in range(0, steps, CSV_BLOCK_STEPS):
+            stop = min(start + CSV_BLOCK_STEPS, steps)
+            block = [(mid, values[start:stop].tolist(), walls[start:stop].tolist())
+                     for mid, values, walls in cols]
+            for i, step in enumerate(range(start, stop)):
+                lead = f"{step},{format(step * step_size, '.17g')}"
+                lines = []
+                for mid, values, walls in block:
+                    v = values[i]
+                    if v != v:  # NaN: no sample at this step
+                        continue
+                    w = walls[i]
+                    lines.append(f"{lead}{mid}{format(v, '.17g')},"
+                                 f"{'' if w != w else int(w)}\n")
+                f.write("".join(lines))
+                rows += len(lines)
+            del block  # one block at a time: free it before the next
     return rows
 
 
@@ -367,66 +379,87 @@ def _resolve_meta(csv_path: str, meta) -> dict | None:
     return None
 
 
+_NAN = array("d", [math.nan])
+
+
+def _nans(n: int) -> array:
+    """n float64 NaNs (none for n <= 0): a column with no sample yet."""
+    return array("d", _NAN) * n
+
+
+def _lines(csv_path: str):
+    """The file's lines, each without its one trailing "\\n" (a "\\r" stays
+    part of its line); a failed open or read is an ExportError."""
+    try:
+        with open(csv_path, encoding="utf-8", newline="\n") as f:
+            for line in f:
+                yield line.removesuffix("\n")
+    except OSError as e:
+        raise ExportError(f"cannot read {csv_path}: {e}") from e
+
+
 def import_run(csv_path: str, meta=None) -> RunLog:
-    """Rebuild a RunLog from an export CSV.
+    """Rebuild a RunLog from an export CSV, reading it one line at a time.
 
     Metadata comes from (in order): an explicit RunMeta/dict/path, the
     .meta.json sidecar, a summary.json next to the CSV, or is inferred from
-    row contents as a last resort.  Malformed rows fail with the row number.
+    row contents as a last resort.  With metadata, each variable's value and
+    wall-stamp columns are allocated once at the run's length and filled in
+    place; without it they grow to the last step seen.  Malformed rows fail
+    with the row number.
     """
-    try:
-        with open(csv_path, encoding="utf-8", newline="") as f:
-            lines = f.read().split("\n")
-    except OSError as e:
-        raise ExportError(f"cannot read {csv_path}: {e}") from e
-    if not lines or lines[0] != CSV_HEADER:
-        raise ExportError(f"{csv_path}: missing or wrong header row")
-    if lines[-1] == "":
-        lines.pop()
-
-    md = _resolve_meta(csv_path, meta)
-    # Without metadata the step size comes from the first row past step 0
-    # and the step count from the last step seen.
-    step_size = None if md is None else float(md["step_size_s"])
-    n_steps = None if md is None else int(md["steps"])
-    # (name, source) -> (key, values, wall stamps), lists indexed by step
-    cols: dict[tuple[str, str], tuple[VariableKey, list, list]] = {}
-    for n, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ExportError(f"{csv_path}: row {n}: expected 7 fields, got {len(parts)}")
-        try:
-            step = int(parts[0])
-            sim_time = float(parts[1])
-            value = float(parts[5])
-            wall = math.nan if parts[6] == "" else int(parts[6])
-            key = VariableKey(parts[2], parts[3], parts[4])
-        except (ValueError, DataIntegrityError) as e:
-            raise ExportError(f"{csv_path}: row {n}: {e}") from e
-        if not math.isfinite(value) or step < 0 or abs(wall) >= MAX_STAMP_MS:
-            raise ExportError(f"{csv_path}: row {n}: invalid value, step or stamp")
-        col = cols.get((parts[2], parts[3]))
-        if col is None:
-            col = cols[(parts[2], parts[3])] = (key, [], [])
-        elif col[0].unit != key.unit:
-            raise ExportError(f"{csv_path}: row {n}: unit mismatch for {key.name}")
-        if n_steps is not None and step >= n_steps:
-            raise ExportError(f"{csv_path}: step {step} beyond metadata steps {n_steps}")
-        if step_size is None and step > 0:
-            step_size = sim_time / step
-        if sim_time != (step * step_size if step else 0.0):
-            raise ExportError(
-                f"{csv_path}: sim_time_s {sim_time} at step {step} "
-                f"inconsistent with step size {step_size}")
-        _, values, walls = col
-        if step >= len(values):
-            pad = step + 1 - len(values)
-            values.extend([math.nan] * pad)
-            walls.extend([math.nan] * pad)
-        elif values[step] == values[step]:
-            raise ExportError(f"{csv_path}: row {n}: duplicate sample")
-        values[step] = value
-        walls[step] = wall
+    with closing(_lines(csv_path)) as lines:
+        if next(lines, None) != CSV_HEADER:
+            raise ExportError(f"{csv_path}: missing or wrong header row")
+        md = _resolve_meta(csv_path, meta)
+        # Without metadata the step size comes from the first row past step 0
+        # and the step count from the last step seen.
+        step_size = None if md is None else float(md["step_size_s"])
+        n_steps = None if md is None else int(md["steps"])
+        # (name, source) -> (key, values, wall stamps), indexed by step
+        cols: dict[tuple[str, str], tuple[VariableKey, array, array]] = {}
+        for n, line in enumerate(lines, start=2):
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise ExportError(
+                    f"{csv_path}: row {n}: expected 7 fields, got {len(parts)}")
+            step, sim_time, name, source, unit, value, wall = parts
+            try:
+                step = int(step)
+                sim_time = float(sim_time)
+                value = float(value)
+                wall = math.nan if wall == "" else int(wall)
+                # a known source is passed as its member, which VariableKey
+                # takes as it is; an unknown one fails there as before
+                key = VariableKey(name, _SOURCES.get(source, source), unit)
+            except (ValueError, DataIntegrityError) as e:
+                raise ExportError(f"{csv_path}: row {n}: {e}") from e
+            if not math.isfinite(value) or step < 0 or abs(wall) >= MAX_STAMP_MS:
+                raise ExportError(f"{csv_path}: row {n}: invalid value, step or stamp")
+            col = cols.get((name, source))
+            if col is None:
+                col = cols[(name, source)] = (key, _nans(n_steps or 0),
+                                              _nans(n_steps or 0))
+            elif col[0].unit != unit:
+                raise ExportError(f"{csv_path}: row {n}: unit mismatch for {name}")
+            if n_steps is not None and step >= n_steps:
+                raise ExportError(
+                    f"{csv_path}: step {step} beyond metadata steps {n_steps}")
+            if step_size is None and step > 0:
+                step_size = sim_time / step
+            if sim_time != (step * step_size if step else 0.0):
+                raise ExportError(
+                    f"{csv_path}: sim_time_s {sim_time} at step {step} "
+                    f"inconsistent with step size {step_size}")
+            _, values, walls = col
+            if step >= len(values):
+                gap = _nans(step + 1 - len(values))
+                values += gap
+                walls += gap
+            elif values[step] == values[step]:
+                raise ExportError(f"{csv_path}: row {n}: duplicate sample")
+            values[step] = value
+            walls[step] = wall
 
     if md is None:
         md = {"scenario_id": "imported", "seed": 0,
@@ -438,7 +471,10 @@ def import_run(csv_path: str, meta=None) -> RunLog:
                        int(md["steps"]))
     columns = {}
     for key, values, walls in cols.values():
-        pad = [math.nan] * (meta_obj.steps - len(values))
-        columns[key] = (_read_only(np.array(values + pad)),
-                        _read_only(np.array(walls + pad)))
+        gap = _nans(meta_obj.steps - len(values))
+        values += gap
+        walls += gap
+        # views of the arrays' own memory: no second copy
+        columns[key] = (_read_only(np.frombuffer(values)),
+                        _read_only(np.frombuffer(walls)))
     return RunLog(meta_obj, columns)

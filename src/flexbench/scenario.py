@@ -37,6 +37,14 @@ MAX_SUBSTEPS = 3600
 # plant's loads to infinity; near its smallest values the coil power per unit
 # flow overflows and the emulator's temperature turns NaN.
 MIN_M_DOT, MAX_M_DOT = 1e-3, 100.0
+# Largest envelope conductance, W/K: about a thousand times that of a large
+# office floor.  Near the float limit ua * (t_out - t) overflows to infinity.
+MAX_UA_W_PER_K = 1e7
+# Shortest step, s.  Weather rows can lie close enough for the slope between
+# them to overflow only at times below about 1e-290 s, so an engine time of 0
+# or at least a microsecond never falls between two such rows.  A step under
+# 1 ms is 0 ms on the exchange timeline and needs delays.stale_hold.
+MIN_STEP_S = 1e-6
 # Smallest heat capacity of an air node, J/K (a litre of air holds about 1.2).
 # Near the float's smallest values the emulator's time constant underflows to
 # 0, a division by zero, and the zone's rate overflows to infinity.
@@ -356,7 +364,8 @@ SCHEMA: dict[str, Any] = {
     },
     "building": {
         "c_z_j_per_k": _heat_capacity(2.0e7),
-        "ua_w_per_k": Leaf(250.0, "float", check=_nonneg, msg="must be >= 0"),
+        "ua_w_per_k": Leaf(250.0, "float", check=lambda v: 0 <= v <= MAX_UA_W_PER_K,
+                           msg=f"outside [0, {MAX_UA_W_PER_K:g}]"),
         "moisture_capacity_kg": Leaf(800.0, "float", check=_pos, msg="must be > 0"),
         "surface_tau_s": Leaf(1800.0, "float", check=_pos, msg="must be > 0"),
         "n_surfaces": Leaf(4, "int", check=_nonneg, msg="must be >= 0"),
@@ -463,11 +472,13 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     """Validate a scenario tree and return the effective configuration.
 
     This is the only gate: the engine and its components assume its output.
-    Cross-field rules live here: exchange latency must fit inside the step
-    (unless stale_hold opts in); the last exchange stamp, (horizon - 1) steps
-    plus the worst-case exchange in whole ms, must stay below the store's
-    2**53 ms; without ideal actuators a step may hold at most MAX_SUBSTEPS
-    control substeps (step_size_s / control_dt_s); discharge limits and
+    Cross-field rules live here: a step lasts at least MIN_STEP_S, so no
+    engine time falls between weather rows too close for their slope;
+    exchange latency must fit inside the step (unless stale_hold opts in);
+    the last exchange stamp, (horizon - 1) steps plus the worst-case exchange
+    in whole ms, must stay below the store's 2**53 ms; without ideal
+    actuators a step may hold at most MAX_SUBSTEPS control substeps
+    (step_size_s / control_dt_s); discharge limits and
     setpoint bounds must be ordered, the emulator coil needs some capacity,
     and weather series or files must cover the horizon.  Rules of one field
     (breakpoint order, window overlap) live in that field's parser in SCHEMA.
@@ -478,6 +489,9 @@ def validate_scenario(doc: dict, base_dir: str | None = None,
     if run["scenario_id"] is None:
         run["scenario_id"] = default_id or "scenario"
     step = run["step_size_s"]
+    if step < MIN_STEP_S:
+        raise ScenarioError(f"run.step_size_s: {step} s is shorter than the "
+                            f"{MIN_STEP_S:g} s floor of a step")
     try:  # the engine's own integer-ms arithmetic
         worst_ms = DelayInjector(0, delays["comm_latency_s"],
                                  delays["jitter_s"]).worst_exchange_ms()

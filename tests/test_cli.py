@@ -92,8 +92,9 @@ class TestRun:
         # plant load that overflowed to infinity, a 5e-324 J/K capacitance:
         # a ZeroDivisionError or a non-finite zone.t, or a 5e-324 kg/s flow: a
         # non-finite plant.t_zone_emu), divide by a surrogate weight sum that
-        # underflowed to 0, or run on at 1e200 degC, at -50 % RH or past the
-        # end of its weather
+        # underflowed to 0, run on at 1e200 degC, at -50 % RH or past the
+        # end of its weather, step between weather rows 1e-307 s apart (a
+        # slope that overflowed) or overflow the envelope load ua * t_out
         ({"run": {"horizon": 3}, "plant": {"control_dt_s": 1e-300}},
          "plant.control_dt_s"),
         ({"run": {"step_size_s": 1e13, "horizon": 3},
@@ -119,9 +120,16 @@ class TestRun:
          "plant.hvac.m_dot_kg_s"),
         ({"run": {"horizon": 100}, "building": {"weather": {
             "series": [[0, 25, 40], [600, 30, 50]]}}}, "building.weather.series"),
+        ({"run": {"step_size_s": 5e-308, "horizon": 3},
+          "delays": {"stale_hold": True}, "plant": {"ideal_actuators": True},
+          "building": {"weather": {"series": [[0, -100, 0], [1e-307, 200, 100]]}}},
+         "run.step_size_s"),
+        ({"run": {"horizon": 3}, "building": {"ua_w_per_k": 1e308}},
+         "building.ua_w_per_k"),
     ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow",
             "temperature", "weather_series", "weather_rh", "emulator_capacity",
-            "zone_capacity", "tiny_flow", "weather_coverage"])
+            "zone_capacity", "tiny_flow", "weather_coverage", "tiny_step",
+            "envelope_conductance"])
     def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))
@@ -139,6 +147,15 @@ class TestRun:
             "plant": {"hvac": {"m_dot_kg_s": 100.0},
                       "zone_emulator": {"c_emu_j_per_k": 1.0}},
             "building": {"c_z_j_per_k": 1.0}}))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 0
+
+    def test_envelope_conductance_ceiling_runs(self, tmp_path):
+        # the largest valid ua, on the lightest zone, in hour steps at 200 degC
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "run": {"horizon": 3, "step_size_s": 3600.0},
+            "building": {"ua_w_per_k": 1e7, "c_z_j_per_k": 1.0, "weather": {
+                "constant": {"tdb_c": 200.0, "rh_pct": 100.0}}}}))
         assert main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 0
 
     @pytest.mark.parametrize("emulator", [

@@ -409,3 +409,145 @@ def test_store_memory_per_logged_sample():
                   for values, _ in log.columns.values())
     assert samples >= 25 * steps
     assert grown / samples <= 40.0
+
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the most memory it held at once, by tracemalloc."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_log():
+    """A 5000-step engine run logging 28 variables per step."""
+    from flexbench.orchestrator import Engine
+    from tests.helpers import cfg_from
+    return Engine(cfg_from({"run": {"horizon": 5000, "step_size_s": 1.0},
+                            "plant": {"control_dt_s": 1.0}})).run()
+
+
+def _first_steps(log, n):
+    from dataclasses import replace
+    from flexbench.datastore import RunLog
+    return RunLog(replace(log.meta, steps=n),
+                  {key: (values[:n], walls[:n])
+                   for key, (values, walls) in log.columns.items()})
+
+
+def test_import_memory_per_row(tmp_path, long_log):
+    # One value and one wall-stamp float64 cell per row (16 B), allocated
+    # once from the metadata; no copy of the file's lines, no object per row.
+    log = _first_steps(long_log, 1250)
+    path = str(tmp_path / "run.csv")
+    rows = write_csv(log, path)
+    assert rows >= 20_000
+    write_meta(log.meta, str(tmp_path / "run.meta.json"))
+    imported, peak = _traced_peak(import_run, path)
+    assert imported.meta == log.meta
+    assert peak / rows <= 24.0
+
+
+def test_export_memory_does_not_grow_with_the_horizon(tmp_path, long_log):
+    # export holds one block of steps as Python floats, not the run
+    quarter = _first_steps(long_log, long_log.meta.steps // 4)
+    rows, quarter_peak = _traced_peak(write_csv, quarter, str(tmp_path / "a.csv"))
+    assert rows >= 20_000
+    _, full_peak = _traced_peak(write_csv, long_log, str(tmp_path / "b.csv"))
+    assert full_peak < 1.25 * quarter_peak
+
+
+@pytest.mark.parametrize("with_meta", [True, False], ids=["meta", "no_meta"])
+def test_imported_columns_are_float64(tmp_path, with_meta):
+    s = make_store(scenario_id="dtype", seed=3)
+    dense = s.register(k("zone.t"))
+    late = s.register(k("ctrl.t_cool_spt", Source.SETPOINT))
+    for step in range(4):
+        s.upsert(step, (dense,), [20.0 + step], wall_time_ms=1000 * step + 7)
+        if step >= 2:  # a gap at steps 0 and 1
+            s.upsert(step, (late,), [24.0], wall_time_ms=1000 * step)
+        s.seal(step)
+    log = s.to_runlog()
+    path = tmp_path / "run.csv"
+    write_csv(log, str(path))
+    if with_meta:
+        write_meta(log.meta, str(tmp_path / "run.meta.json"))
+    log2 = import_run(str(path))
+    assert [key.name for key in log2.keys] == ["ctrl.t_cool_spt", "zone.t"]
+    for key in log2.keys:
+        values, walls = log2.columns[key]
+        assert values.dtype == walls.dtype == np.float64
+        assert not values.flags.writeable and not walls.flags.writeable
+        np.testing.assert_array_equal(walls, log.columns[key][1])
+    again = tmp_path / "again.csv"
+    write_csv(log2, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+_R0 = "0,0,zone.t,simulated,C,21,5"
+_R1 = "1,60,zone.t,simulated,C,22,65"
+_META_1_STEP = {"scenario_id": "x", "seed": 0, "step_size_s": 60.0,
+                "start_wall_ms": 0, "steps": 1}
+# (file text, metadata, outcome): import's result or error for each file
+# shape, line endings and row fault
+_IMPORT_CASES = {
+    "blank_line_mid_file": (f"{CSV_HEADER}\n{_R0}\n\n{_R1}\n", None,
+                            "ExportError: {path}: row 3: expected 7 fields, got 1"),
+    "blank_line_after_header": (f"{CSV_HEADER}\n\n{_R0}\n", None,
+                                "ExportError: {path}: row 2: expected 7 fields, got 1"),
+    "ends_in_two_newlines": (f"{CSV_HEADER}\n{_R0}\n\n", None,
+                             "ExportError: {path}: row 3: expected 7 fields, got 1"),
+    "no_final_newline": (f"{CSV_HEADER}\n{_R0}\n{_R1}", None,
+                         "ok 2 steps; zone.t:simulated:C 21.0@5.0 22.0@65.0"),
+    "crlf_endings": (f"{CSV_HEADER}\r\n{_R0}\r\n", None,
+                     "ExportError: {path}: missing or wrong header row"),
+    "crlf_rows": (f"{CSV_HEADER}\n{_R0}\r\n{_R1}\r\n", None,
+                  "ok 2 steps; zone.t:simulated:C 21.0@5.0 22.0@65.0"),
+    "crlf_row_without_stamp": (
+        f"{CSV_HEADER}\n0,0,zone.t,simulated,C,21,\r\n", None,
+        "ExportError: {path}: row 2: invalid literal for int() with base 10: '\\r'"),
+    "cr_inside_a_row": (f"{CSV_HEADER}\n0,0,zone.t,simulated,C,21\r,5\n", None,
+                        "ok 1 steps; zone.t:simulated:C 21.0@5.0"),
+    "empty_file": ("", None, "ExportError: {path}: missing or wrong header row"),
+    "header_only": (f"{CSV_HEADER}\n", None, "ok 0 steps; "),
+    "header_without_newline": (CSV_HEADER, None, "ok 0 steps; "),
+    "six_fields": (f"{CSV_HEADER}\n0,0,zone.t,simulated,C,21\n", None,
+                   "ExportError: {path}: row 2: expected 7 fields, got 6"),
+    "eight_fields": (f"{CSV_HEADER}\n{_R0},7\n", None,
+                     "ExportError: {path}: row 2: expected 7 fields, got 8"),
+    "unknown_source": (f"{CSV_HEADER}\n0,0,zone.t,measured,C,21,5\n", None,
+                       "ExportError: {path}: row 2: 'measured' is not a valid Source"),
+    "non_finite_value": (f"{CSV_HEADER}\n{_R0}\n1,60,zone.t,simulated,C,inf,65\n",
+                         None, "ExportError: {path}: row 3: invalid value, step or stamp"),
+    "step_beyond_metadata": (f"{CSV_HEADER}\n{_R0}\n{_R1}\n", _META_1_STEP,
+                             "ExportError: {path}: step 1 beyond metadata steps 1"),
+    "duplicate_sample": (f"{CSV_HEADER}\n{_R0}\n{_R0}\n", None,
+                         "ExportError: {path}: row 3: duplicate sample"),
+    "unit_mismatch": (f"{CSV_HEADER}\n{_R0}\n1,60,zone.t,simulated,K,294,65\n", None,
+                      "ExportError: {path}: row 3: unit mismatch for zone.t"),
+}
+
+
+def _import_outcome(path, meta) -> str:
+    try:
+        log = import_run(path, meta)
+    except Exception as e:
+        return f"{type(e).__name__}: {str(e).replace(path, '{path}')}"
+    cols = [f"{key.name}:{key.source.value}:{key.unit} " + " ".join(
+        f"{float(v)!r}@{float(w)!r}" for v, w in zip(*log.columns[key]))
+        for key in log.keys]
+    return f"ok {log.meta.steps} steps; " + "; ".join(cols)
+
+
+@pytest.mark.parametrize("text, meta, expected", _IMPORT_CASES.values(),
+                         ids=_IMPORT_CASES.keys())
+def test_import_outcome_of_each_file_shape(tmp_path, text, meta, expected):
+    path = tmp_path / "run.csv"
+    path.write_bytes(text.encode())
+    assert _import_outcome(str(path), meta) == expected

@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -226,6 +227,21 @@ class TestCrossField:
         doc["run"]["step_size_s"] = 0.0001
         validate_scenario(doc)
 
+    def test_step_has_a_floor(self):
+        # rows 1e-307 s apart: a time between them would overflow the slope
+        doc = {"run": {"step_size_s": 5e-308, "horizon": 3},
+               "plant": {"ideal_actuators": True},
+               "building": {"weather": {"series": [[0, -100, 0], [1e-307, 200, 100],
+                                                   [1, 20, 50]]}}}
+        for stale_hold in (False, True):
+            doc["delays"] = {"stale_hold": stale_hold}
+            with pytest.raises(ScenarioError,
+                               match=r"^run\.step_size_s: 5e-308 s .* 1e-06 s floor"):
+                validate_scenario(doc)
+        doc["run"]["step_size_s"] = 1e-6  # every engine time is 0 or >= 1 us
+        log = Engine(validate_scenario(doc)).run()
+        assert np.isfinite(log.columns[log.key("zone.t", "simulated")][0]).all()
+
     def test_substeps_per_step_are_capped(self):
         # PlantSim.advance runs ceil(step / control_dt) substeps per step
         doc = {"run": {"horizon": 1, "step_size_s": 3600.0}}
@@ -273,6 +289,8 @@ _COMPONENT_RULES = [
     ({"plant": {"outdoor": {"kind": "soil"}}}, "plant.outdoor.kind"),
     ({"building": {"c_z_j_per_k": -1.0}}, "building.c_z_j_per_k"),
     ({"building": {"moisture_capacity_kg": 0}}, "building.moisture_capacity_kg"),
+    # ua * (t_out - t) overflows near the float limit
+    ({"building": {"ua_w_per_k": 1e308}}, "building.ua_w_per_k"),
     ({"building": {"internal_gains_w": []}}, "building.internal_gains_w"),
     ({"geb": {"modulation": {"signal": [[0, 1.5]]}}}, "geb.modulation.signal[0]"),
     ({"occupants": {"surrogate": {"w_zone": -1.0}}}, "occupants.surrogate.w_zone"),
