@@ -116,7 +116,15 @@ class ZoneStepResult:
 
 class ZoneModel:
     """Single-zone thermal and moisture state with surface temperature filters,
-    built from the validated `building` block (its weather and gains aside)."""
+    built from the validated `building` block (its weather and gains aside).
+
+    A step does only per-step work.  The thermal, moisture and surface decay
+    factors depend only on the flow and dt, so they are computed once per
+    (flow, dt) with the expressions of the update and reused while both stay
+    the same.  rh is state, set wherever t and w change, so reading it costs
+    no rh_from_w.  Each step builds a new surfaces list, so a caller may keep
+    the previous one without copying it.
+    """
 
     def __init__(self, b: dict, inherited_delay: bool):
         self.c = b["c_z_j_per_k"]
@@ -125,16 +133,15 @@ class ZoneModel:
         self.inherited_delay = inherited_delay
         self.t = b["t_init_c"]
         self.w = w_from_rh(self.t, b["rh_init_pct"])
+        self.rh = rh_from_w(self.t, self.w)
         # Staggered surface time constants give the near-occupant surrogate
         # some spread without per-surface configuration.
         n = b["n_surfaces"]
         self.surface_tau = [b["surface_tau_s"] * (1.0 + 0.25 * i) for i in range(n)]
         self.surfaces = [self.t] * n
         self._buffer: DischargeAir | None = None
-
-    @property
-    def rh(self) -> float:
-        return rh_from_w(self.t, self.w)
+        # (flow, dt, b, thermal factor, moisture factor, surface factors)
+        self._decay: tuple | None = None
 
     def effective_discharge(self, discharge: DischargeAir) -> DischargeAir:
         """The discharge condition the model consumes this step.
@@ -148,34 +155,45 @@ class ZoneModel:
         self._buffer = discharge
         return eff
 
+    def _decay_factors(self, m: float, dt: float) -> tuple:
+        """(m, dt, b, exp(-b*dt), exp(-m*dt/c_w), surface factors)."""
+        b = (m * CP_AIR + self.ua) / self.c
+        return (m, dt, b, math.exp(-b * dt) if b > 0 else 1.0,
+                math.exp(-m * dt / self.c_w) if m > 0 else 1.0,
+                [math.exp(-dt / tau) for tau in self.surface_tau])
+
     def step(self, discharge: DischargeAir, out_t_c: float,
              gains_sensible_w: float, gains_latent_w: float, dt: float) -> ZoneStepResult:
         eff = self.effective_discharge(discharge)
         m = eff.m_dot_kg_s
         w_dis = eff.w
+        d = self._decay
+        if d is None or d[0] != m or d[1] != dt:
+            d = self._decay = self._decay_factors(m, dt)
+        _, _, b, k_t, k_w, k_surf = d
 
-        b = (m * CP_AIR + self.ua) / self.c
         if b > 0:
             a = (m * CP_AIR * eff.t_c + self.ua * out_t_c + gains_sensible_w) / self.c
             t_eq = a / b
-            self.t = t_eq + (self.t - t_eq) * math.exp(-b * dt)
+            t = self.t = t_eq + (self.t - t_eq) * k_t
         else:
-            self.t += gains_sensible_w * dt / self.c
+            t = self.t = self.t + gains_sensible_w * dt / self.c
 
         gen = gains_latent_w / H_FG
         if m > 0:
             w_eq = w_dis + gen / m
-            self.w = w_eq + (self.w - w_eq) * math.exp(-m * dt / self.c_w)
+            w = w_eq + (self.w - w_eq) * k_w
         else:
-            self.w += gen * dt / self.c_w
-        self.w = max(0.0, self.w)
+            w = self.w + gen * dt / self.c_w
+        w = self.w = max(0.0, w)
+        rh = self.rh = rh_from_w(t, w)
 
-        for i, tau in enumerate(self.surface_tau):
-            self.surfaces[i] = self.t + (self.surfaces[i] - self.t) * math.exp(-dt / tau)
-
-        sens, lat = compute_zone_load(m, self.t, self.w, eff)
-        surf_mean = sum(self.surfaces) / len(self.surfaces) if self.surfaces else self.t
-        return ZoneStepResult(self.t, self.rh, self.w, surf_mean, sens, lat)
+        surfaces = self.surfaces = self.surfaces[:]
+        for i, k in enumerate(k_surf):
+            surfaces[i] = t + (surfaces[i] - t) * k
+        sens, lat = compute_zone_load(m, t, w, eff)
+        surf_mean = sum(surfaces) / len(surfaces) if surfaces else t
+        return ZoneStepResult(t, rh, w, surf_mean, sens, lat)
 
 
 def compute_zone_load(m_dot_kg_s: float, t_zone_c: float, w_zone: float,

@@ -25,11 +25,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from array import array
 from collections.abc import Sequence
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -65,6 +67,11 @@ _FORBIDDEN = frozenset(", \t\n\r")
 _FORBIDDEN_UNIT = frozenset(",\n\r")
 # Wall stamps are integers kept in float64 columns: exact below 2**53.
 MAX_STAMP_MS = 2 ** 53
+# The most steps an imported run may have.  Import allocates each column at
+# the metadata's step count, 16 B per step, before it has read the rows that
+# would justify it; the cap holds one column under 512 MB whatever a file
+# claims, and a year of 1 s steps (31.5 M) still fits.
+MAX_IMPORT_STEPS = 2 ** 25
 # Exchanges whose rows a store remembers.  An engine writes three; a caller
 # that builds a new keys tuple for every write only empties the memo.
 _MAX_EXCHANGES = 64
@@ -361,22 +368,55 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def _resolve_meta(csv_path: str, meta) -> dict | None:
+    """The run's metadata, checked by _checked_meta, or None without any."""
     if isinstance(meta, RunMeta):
-        return meta_dict(meta)
+        return _checked_meta(meta_dict(meta), csv_path)
     if isinstance(meta, dict):
-        return meta.get("log", meta)
+        return _checked_meta(meta.get("log", meta), csv_path)
     if isinstance(meta, str):
         with open(meta, encoding="utf-8") as f:
             d = json.load(f)
-        return d.get("log", d)
+        return _checked_meta(d.get("log", d) if isinstance(d, dict) else d, meta)
     for cand in (_sidecar_path(csv_path),
                  os.path.join(os.path.dirname(csv_path) or ".", "summary.json")):
         if os.path.exists(cand):
             with open(cand, encoding="utf-8") as f:
                 d = json.load(f)
-            if "step_size_s" in d or "log" in d:
-                return d.get("log", d)
+            if isinstance(d, dict) and ("step_size_s" in d or "log" in d):
+                return _checked_meta(d.get("log", d), cand)
     return None
+
+
+_META_FIELDS = ("scenario_id", "seed", "step_size_s", "start_wall_ms", "steps")
+
+
+def _is_a(kind, value) -> bool:
+    """value is a number of that kind; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _checked_meta(md, source: str) -> dict:
+    """md if it is a metadata object whose fields import may trust: steps an
+    int in [0, MAX_IMPORT_STEPS], step_size_s a finite number > 0, seed and
+    start_wall_ms ints.  Anything else is an ExportError naming the field."""
+    if not isinstance(md, dict):
+        raise ExportError(f"{source}: metadata must be a JSON object, "
+                          f"not {type(md).__name__}")
+    for name in _META_FIELDS:
+        if name not in md:
+            raise ExportError(f"{source}: metadata field {name} is missing")
+    steps, step_size = md["steps"], md["step_size_s"]
+    if not _is_a(Integral, steps) or not 0 <= steps <= MAX_IMPORT_STEPS:
+        raise ExportError(f"{source}: metadata field steps: {steps!r} is not "
+                          f"an int in [0, {MAX_IMPORT_STEPS}]")
+    if not _is_a(Real, step_size) or not 0 < step_size <= sys.float_info.max:
+        raise ExportError(f"{source}: metadata field step_size_s: {step_size!r} "
+                          f"is not a finite number > 0")
+    for name in ("seed", "start_wall_ms"):
+        if not _is_a(Integral, md[name]):
+            raise ExportError(f"{source}: metadata field {name}: {md[name]!r} "
+                              f"is not an int")
+    return md
 
 
 _NAN = array("d", [math.nan])
@@ -405,8 +445,10 @@ def import_run(csv_path: str, meta=None) -> RunLog:
     .meta.json sidecar, a summary.json next to the CSV, or is inferred from
     row contents as a last resort.  With metadata, each variable's value and
     wall-stamp columns are allocated once at the run's length and filled in
-    place; without it they grow to the last step seen.  Malformed rows fail
-    with the row number.
+    place; without it they grow to the last step seen.  The metadata is
+    checked before any column is allocated (see _checked_meta), and no run
+    may have more than MAX_IMPORT_STEPS steps.  Malformed rows fail with the
+    row number.
     """
     with closing(_lines(csv_path)) as lines:
         if next(lines, None) != CSV_HEADER:
@@ -415,7 +457,7 @@ def import_run(csv_path: str, meta=None) -> RunLog:
         # Without metadata the step size comes from the first row past step 0
         # and the step count from the last step seen.
         step_size = None if md is None else float(md["step_size_s"])
-        n_steps = None if md is None else int(md["steps"])
+        n_steps = None if md is None else md["steps"]
         # (name, source) -> (key, values, wall stamps), indexed by step
         cols: dict[tuple[str, str], tuple[VariableKey, array, array]] = {}
         for n, line in enumerate(lines, start=2):
@@ -453,6 +495,9 @@ def import_run(csv_path: str, meta=None) -> RunLog:
                     f"inconsistent with step size {step_size}")
             _, values, walls = col
             if step >= len(values):
+                if step >= MAX_IMPORT_STEPS:
+                    raise ExportError(f"{csv_path}: row {n}: step {step} beyond "
+                                      f"the maximum of {MAX_IMPORT_STEPS} steps")
                 gap = _nans(step + 1 - len(values))
                 values += gap
                 walls += gap

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .schedule import Schedule
 
@@ -24,9 +25,9 @@ class GebMode(Enum):
     MODULATE = "modulate"
 
 
-@dataclass(frozen=True)
-class SupervisorySetpoints:
-    """Setpoint bundle sent down to the plant each step."""
+class SupervisorySetpoints(NamedTuple):
+    """Setpoint bundle sent down to the plant each step.  An immutable tuple
+    in the order of the engine's setpoint exchange, which stores it as it is."""
 
     t_cool_c: float
     t_heat_c: float
@@ -82,9 +83,20 @@ class GebController:
         return any(w.start_s - self.pre_window <= t_s < w.start_s for w in self.windows)
 
     def step(self, t_s: float) -> tuple[SupervisorySetpoints, list[str]]:
-        """Setpoints for the step starting at t_s, plus clamp/gap flags."""
+        """Setpoints for the step starting at t_s, plus clamp/gap flags.
+        Without windows the baseline passes through: no window is scanned."""
         base = self.baseline
         cool, heat = base.t_cool_c, base.t_heat_c
+        if self.windows:
+            cool, heat = self._shape(t_s, cool, heat)
+        cool, heat, clamped, gap = self.limit(cool, heat)
+        flags = [f"clamp:{name}" for name in clamped]
+        if gap:
+            flags.append("gap")
+        return SupervisorySetpoints(cool, heat, base.t_dis_c, base.p_duct_pa), flags
+
+    def _shape(self, t_s: float, cool: float, heat: float) -> tuple[float, float]:
+        """The mode's shaping of the baseline (cool, heat) at t_s."""
         in_win = self._in_window(t_s)
 
         if self.mode is GebMode.EFFICIENCY and in_win:
@@ -105,12 +117,7 @@ class GebController:
 
         if self.mode is GebMode.MODULATE and not in_win:
             self._mod_offset = 0.0
-
-        cool, heat, clamped, gap = self.limit(cool, heat)
-        flags = [f"clamp:{name}" for name in clamped]
-        if gap:
-            flags.append("gap")
-        return SupervisorySetpoints(cool, heat, base.t_dis_c, base.p_duct_pa), flags
+        return cool, heat
 
     def limit(self, cool: float, heat: float) -> tuple[float, float, list[str], bool]:
         """Clamp both setpoints into the bounds, then restore the minimum gap.

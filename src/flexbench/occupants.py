@@ -253,7 +253,10 @@ class PopulationOutcome:
 
 
 class Population:
-    """All agents of one run plus the shared surrogate and effect config."""
+    """All agents of one run plus the shared surrogate and effect config.
+
+    Without agents every step has the same outcome, no gains, actions or
+    discomfort, so it is built once here and step() returns it as it is."""
 
     def __init__(self, agents: list[OccupantAgent], surrogate: NearOccupantSurrogate,
                  effects: EffectConfig, seed: int):
@@ -261,10 +264,14 @@ class Population:
         self.surrogate = surrogate
         self.fx = effects
         self.seed = seed
+        self._idle = (None if agents else
+                      PopulationOutcome(aggregate_gains([], 0.0, effects), (), 0.0))
 
     def step(self, step_index: int, t_s: float, discharge: DischargeAir,
              zone_t_c: float, zone_rh_pct: float,
              surfaces: list[float]) -> PopulationOutcome:
+        if self._idle is not None:
+            return self._idle
         actions = []
         scores = []
         for agent in self.agents:

@@ -133,12 +133,12 @@ class DelayInjector:
 
     def __init__(self, seed: int, latency_s: float, jitter_s: float):
         self.seed = seed
-        self.latency = latency_s
         self.jitter = jitter_s
+        self._half_ms = latency_s / 2.0 * 1000.0
         self._draws = BlockRows(2)
 
     def _one_way_ms(self, u: float) -> int:
-        return int(round(self.latency / 2.0 * 1000.0 + u * self.jitter * 1000.0))
+        return int(round(self._half_ms + u * self.jitter * 1000.0))
 
     def delays_ms(self, step: int) -> tuple[int, int]:
         if self.jitter <= 0:
@@ -269,15 +269,15 @@ class Engine:
         discharge = self.plant.hvac.discharge()
 
         # simulate: occupants react to the previous zone state, then the zone
-        # advances, then the supervisor produces this step's setpoints
-        prev_t, prev_rh = self.zone.t, self.zone.rh
-        prev_surfaces = list(self.zone.surfaces)
-        occ = self.population.step(n, t_s, discharge, prev_t, prev_rh,
-                                   prev_surfaces)
+        # advances (into a new surfaces list), then the supervisor produces
+        # this step's setpoints
+        zone = self.zone
+        occ = self.population.step(n, t_s, discharge, zone.t, zone.rh,
+                                   zone.surfaces)
         out_t, out_rh = self.weather.value_at(t_s)
         gains_s = self.internal_gains_at(t_s) + occ.gains.sensible_w
-        zres = self.zone.step(discharge, out_t, gains_s, occ.gains.latent_w,
-                              self.step_size)
+        zres = zone.step(discharge, out_t, gains_s, occ.gains.latent_w,
+                         self.step_size)
 
         results = [zres.t_c, zres.rh_pct, zres.w, zres.t_surf_mean_c,
                    zres.load_sensible_w, zres.load_latent_w, out_t, out_rh]
@@ -292,9 +292,7 @@ class Engine:
         final_sp, flags = self._supervise(n, t_s, occ.gains.thermostat_delta_c)
         for f in flags:
             self.flag_counts[f] = self.flag_counts.get(f, 0) + 1
-        self._write(n, self._setpoints, [final_sp.t_cool_c, final_sp.t_heat_c,
-                                         final_sp.t_dis_c, final_sp.p_duct_pa],
-                    recv_ms)
+        self._write(n, self._setpoints, final_sp, recv_ms)
 
         # actuate: late results (only possible with stale_hold) are dropped
         # and the plant holds; otherwise the fresh setpoints take effect now

@@ -321,6 +321,8 @@ class PlantSim:
         # Emulator coil/humidifier output and HVAC command of the last substep.
         self.last_q_heater = self.last_q_cooling = self.last_m_hum = 0.0
         self.last_q_cmd = 0.0
+        # (dt, substeps, substep, the four decay factors) of the last advance
+        self._per_dt: tuple | None = None
 
     def measure(self) -> dict[str, float]:
         """Plant measurements at the top of the step (response to the previous
@@ -363,9 +365,10 @@ class PlantSim:
         """Integrate the plant over one dt-long exchange interval.
 
         Without ideal actuators the interval is split into n equal substeps
-        of at most control_dt.  Decay factors depend only on the substep, so
-        they are computed once per call.  Each substep then does, in this
-        order, exactly what these reference calls would do:
+        of at most control_dt.  n, the substep and its decay factors depend
+        only on dt and per-run constants, so they are computed once per dt
+        and reused until an advance brings another dt.  Each substep then
+        does, in this order, exactly what these reference calls would do:
 
         1. HvacUnit.step: pv from the emulator (method1) or the applied zone
            target (method2); a non-finite pv holds everything and counts a
@@ -398,12 +401,14 @@ class PlantSim:
             hvac.w_dis = min(sp.zone_w, w_sat(hvac.t_dis))
             events.extend(out.step(sp.out_t, sp.out_rh, out.decay(dt)))
             return
-        n = max(1, math.ceil(dt / self.control_dt - 1e-9))
-        sub = dt / n
-        k_dis, k_bleed = hvac.decay(sub)
+        per_dt = self._per_dt
+        if per_dt is None or per_dt[0] != dt:
+            n = max(1, math.ceil(dt / self.control_dt - 1e-9))
+            sub = dt / n
+            per_dt = self._per_dt = (dt, n, sub, *hvac.decay(sub),
+                                     *emu.decay(hvac.m_dot, sub), out.decay(sub))
+        _, n, sub, k_dis, k_bleed, k_t, k_w, k_out = per_dt
         m = hvac.m_dot
-        k_t, k_w = emu.decay(m, sub)
-        k_out = out.decay(sub)
         isfinite, exp = math.isfinite, math.exp
         sat_a, sat_b, sat_c = MAGNUS_A, MAGNUS_B, MAGNUS_C
         atm, pw_max, mw_ratio = ATM_PA, PW_CAP * ATM_PA, MW_RATIO

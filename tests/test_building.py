@@ -10,7 +10,7 @@ from flexbench.building import (T_MAX_C, T_MIN_C, WeatherFormatError,
                                 WeatherSeries, ZoneModel, compute_zone_load,
                                 load_weather)
 from flexbench.plant import DischargeAir
-from flexbench.psychro import CP_AIR, H_FG, w_from_rh
+from flexbench.psychro import CP_AIR, H_FG, rh_from_w, w_from_rh
 from flexbench.scenario import ScenarioError, validate_scenario
 from tests.helpers import block
 
@@ -278,3 +278,71 @@ def test_analytic_decay_against_closed_form():
         z.step(DischargeAir(15.0, w_from_rh(15.0, 60.0), 0.5), 33.0, 400.0, 0.0, 60.0)
         y = a / b + (y - a / b) * math.exp(-b * 60.0)
     assert z.t == pytest.approx(y, abs=1e-12)
+
+
+class _InlineZone:
+    """ZoneModel.step as inline arithmetic that computes every decay factor
+    and rh afresh on each step and updates the surfaces in place."""
+
+    def __init__(self, z: ZoneModel):
+        self.c, self.ua, self.c_w = z.c, z.ua, z.c_w
+        self.inherited_delay = z.inherited_delay
+        self.surface_tau = list(z.surface_tau)
+        self.t, self.w, self.surfaces = z.t, z.w, list(z.surfaces)
+        self.buffer = None
+
+    def step(self, discharge, out_t_c, gains_sensible_w, gains_latent_w, dt):
+        eff = discharge
+        if self.inherited_delay:
+            eff = self.buffer if self.buffer is not None else discharge
+            self.buffer = discharge
+        m = eff.m_dot_kg_s
+        b = (m * CP_AIR + self.ua) / self.c
+        if b > 0:
+            a = (m * CP_AIR * eff.t_c + self.ua * out_t_c + gains_sensible_w) / self.c
+            t_eq = a / b
+            self.t = t_eq + (self.t - t_eq) * math.exp(-b * dt)
+        else:
+            self.t += gains_sensible_w * dt / self.c
+        gen = gains_latent_w / H_FG
+        if m > 0:
+            w_eq = eff.w + gen / m
+            self.w = w_eq + (self.w - w_eq) * math.exp(-m * dt / self.c_w)
+        else:
+            self.w += gen * dt / self.c_w
+        self.w = max(0.0, self.w)
+        for i, tau in enumerate(self.surface_tau):
+            self.surfaces[i] = self.t + (self.surfaces[i] - self.t) * math.exp(-dt / tau)
+        sens, lat = compute_zone_load(m, self.t, self.w, eff)
+        surf_mean = sum(self.surfaces) / len(self.surfaces) if self.surfaces else self.t
+        return self.t, rh_from_w(self.t, self.w), self.w, surf_mean, sens, lat
+
+
+def _packed(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@pytest.mark.parametrize("inherited_delay", [False, True], ids=["direct", "inherited"])
+@pytest.mark.parametrize("overrides", [{}, {"ua_w_per_k": 0.0}, {"n_surfaces": 0}],
+                         ids=["default", "no_envelope", "no_surfaces"])
+def test_step_matches_inline_arithmetic(inherited_delay, overrides):
+    # the decay factors are reused while (flow, dt) stays the same and
+    # rebuilt when either changes: every dt of the sequence, at a flow that
+    # switches 0.5 -> 0 -> 0.5 kg/s
+    z = zone(inherited_delay, **overrides)
+    ref = _InlineZone(z)
+    gains = 0.0
+    for m in (0.5, 0.0, 0.5):
+        for dt in (60.0, 60.0, 45.0, 1.5, 600.0):
+            gains += 150.0
+            air = DischargeAir(14.0 + gains / 300.0, w_from_rh(14.0, 80.0), m)
+            before = z.surfaces
+            kept = list(before)
+            r = z.step(air, 31.0, gains, gains / 5.0, dt)
+            expected = ref.step(air, 31.0, gains, gains / 5.0, dt)
+            assert _packed(r.t_c, r.rh_pct, r.w, r.t_surf_mean_c, r.load_sensible_w,
+                           r.load_latent_w) == _packed(*expected)
+            assert _packed(z.t, z.w, z.rh, *z.surfaces) == _packed(
+                ref.t, ref.w, expected[1], *ref.surfaces)
+            # a step builds a new surfaces list: the previous one is unchanged
+            assert before == kept and z.surfaces is not before

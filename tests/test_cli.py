@@ -295,6 +295,42 @@ class TestExport:
         assert "rows" in capsys.readouterr().out
 
 
+_META = '"scenario_id": "x", "seed": 0, "start_wall_ms": 0'
+_STEPS = "is not an int in [0, 33554432]"
+_STEP_SIZE = "is not a finite number > 0"
+# (metadata JSON text, the error after "metadata "): each used to end in a
+# traceback or to be accepted
+_BAD_META = {
+    "steps_float_huge": (f'{{{_META}, "step_size_s": 60, "steps": 1e15}}',
+                         f"field steps: 1000000000000000.0 {_STEPS}"),
+    "steps_int_huge": (f'{{{_META}, "step_size_s": 60, "steps": 1000000000000000}}',
+                       f"field steps: 1000000000000000 {_STEPS}"),
+    "steps_fraction": (f'{{{_META}, "step_size_s": 60, "steps": 3.7}}',
+                       f"field steps: 3.7 {_STEPS}"),
+    "steps_negative": (f'{{{_META}, "step_size_s": 60, "steps": -1}}',
+                       f"field steps: -1 {_STEPS}"),
+    "step_size_missing": (f'{{{_META}, "steps": 1}}', "field step_size_s is missing"),
+    "step_size_zero": (f'{{{_META}, "step_size_s": 0.0, "steps": 1}}',
+                       f"field step_size_s: 0.0 {_STEP_SIZE}"),
+    "step_size_infinite": (f'{{{_META}, "step_size_s": Infinity, "steps": 1}}',
+                           f"field step_size_s: inf {_STEP_SIZE}"),
+    "json_array": ("[1, 2]", "must be a JSON object, not list"),
+}
+
+
+@pytest.mark.parametrize("meta, error", _BAD_META.values(), ids=_BAD_META.keys())
+def test_export_rejects_bad_metadata_at_its_field(tmp_path, capsys, meta, error):
+    csv = tmp_path / "run.csv"
+    csv.write_text("step_index,sim_time_s,variable,source,unit,value,wall_time_ms\n"
+                   "0,0,zone.t,simulated,C,21,5\n")
+    meta_path = tmp_path / "m.json"
+    meta_path.write_text(meta)
+    assert main(["export", "--csv", str(csv), "--meta", str(meta_path),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {meta_path}: metadata {error}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexbench.datastore import (CSV_HEADER, MAX_STAMP_MS, DataIntegrityError,
-                                 ExportError, OutOfOrderError, Source, StepStore,
-                                 UnknownKeyError, VariableKey, export_run,
-                                 import_run, write_csv, write_json, write_meta)
+from flexbench.datastore import (CSV_HEADER, MAX_IMPORT_STEPS, MAX_STAMP_MS,
+                                 DataIntegrityError, ExportError, OutOfOrderError,
+                                 Source, StepStore, UnknownKeyError, VariableKey,
+                                 export_run, import_run, write_csv, write_json,
+                                 write_meta)
 
 
 def make_store(**kw):
@@ -551,3 +552,30 @@ def test_import_outcome_of_each_file_shape(tmp_path, text, meta, expected):
     path = tmp_path / "run.csv"
     path.write_bytes(text.encode())
     assert _import_outcome(str(path), meta) == expected
+
+
+def test_import_caps_the_steps_it_allocates(tmp_path):
+    # metadata may claim up to MAX_IMPORT_STEPS steps (a header-only file
+    # allocates no column); one more, or a row past it, is an ExportError
+    path = tmp_path / "run.csv"
+    path.write_text(f"{CSV_HEADER}\n")
+    meta = dict(_META_1_STEP, steps=MAX_IMPORT_STEPS)
+    assert import_run(str(path), meta).meta.steps == MAX_IMPORT_STEPS
+    meta["steps"] = MAX_IMPORT_STEPS + 1
+    with pytest.raises(ExportError, match=r"metadata field steps: 33554433 is not"):
+        import_run(str(path), meta)
+    path.write_text(f"{CSV_HEADER}\n{MAX_IMPORT_STEPS},{60 * MAX_IMPORT_STEPS},"
+                    "zone.t,simulated,C,21,\n")
+    with pytest.raises(ExportError, match=r"row 2: step 33554432 beyond the maximum"):
+        import_run(str(path))
+
+
+@pytest.mark.parametrize("field, value", [("seed", True), ("seed", 1.5),
+                                          ("start_wall_ms", "0"),
+                                          ("step_size_s", True)])
+def test_import_metadata_fields_have_their_types(tmp_path, field, value):
+    path = tmp_path / "run.csv"
+    path.write_text(f"{CSV_HEADER}\n{_R0}\n")
+    with pytest.raises(ExportError, match=f"metadata field {field}: "):
+        import_run(str(path), dict(_META_1_STEP, **{field: value}))
+    assert import_run(str(path), _META_1_STEP).meta.steps == 1

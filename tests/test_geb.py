@@ -115,6 +115,22 @@ class TestGebController:
         sp, _ = ctl.step(0.0)
         assert sp.t_dis_c == 14.0 and sp.p_duct_pa == 250.0
 
+    def test_setpoints_are_immutable(self):
+        sp, _ = controller("shed", [(0, 600)]).step(0.0)
+        for field in SupervisorySetpoints._fields:
+            with pytest.raises(AttributeError):
+                setattr(sp, field, 0.0)
+        assert sp == SupervisorySetpoints(26.0, 20.0, None, None)
+
+    @pytest.mark.parametrize("mode", [m.value for m in GebMode])
+    def test_no_window_scan_without_windows(self, monkeypatch, mode):
+        def scanned(*args):
+            raise AssertionError("scanned the windows")
+        monkeypatch.setattr(GebController, "_in_window", scanned)
+        monkeypatch.setattr(GebController, "_in_pre_window", scanned)
+        ctl = controller(mode)
+        assert ctl.step(0.0) == (BASE, []) and ctl.step(3600.0) == (BASE, [])
+
     def test_mode_accepts_string_and_enum(self):
         assert controller("shed").mode is GebMode.SHED
         assert controller(GebMode.SHIFT).mode is GebMode.SHIFT

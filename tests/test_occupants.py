@@ -291,3 +291,29 @@ class TestPopulation:
         outcomes = [pop.step(n, n * 60.0, *args) for n in range(2)]
         assert all(o.mean_discomfort > 0 for o in outcomes)
         assert len(calls) == len(set(calls)) == 300
+
+
+@pytest.mark.parametrize("n_agents", [0, 1])
+def test_a_run_without_agents_does_no_occupant_work(monkeypatch, n_agents):
+    from flexbench.orchestrator import Engine
+    from tests.helpers import cfg_from
+    engine = Engine(cfg_from({"run": {"horizon": 5}, "occupants": {
+        "agents": [agent_block(coords=[1, 1, 1], t_pref_c=10.0)] * n_agents}}))
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    monkeypatch.setattr(NearOccupantSurrogate, "local_condition", counted(
+        "local_condition", NearOccupantSurrogate.local_condition))
+    monkeypatch.setattr(occupants, "behave", counted("behave", occupants.behave))
+    monkeypatch.setattr(occupants, "aggregate_gains",
+                        counted("aggregate_gains", occupants.aggregate_gains))
+    engine.run()
+    if n_agents:  # the counters see an agent's calls
+        assert sorted(set(calls)) == ["aggregate_gains", "behave", "local_condition"]
+        return
+    assert calls == []
+    out = engine.population.step(5, 300.0, engine.plant.hvac.discharge(),
+                                 21.0, 50.0, [21.0])
+    assert (out.gains.sensible_w, out.gains.latent_w, out.gains.thermostat_delta_c,
+            out.actions, out.mean_discomfort) == (0.0, 0.0, 0.0, (), 0.0)

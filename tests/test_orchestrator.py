@@ -390,6 +390,8 @@ class TestRunControl:
 
     def test_snapshot_restore_replays_identically(self):
         engine = Engine(cfg_from(FAST_DOC))
+        # a non-ideal plant: the restore carries its per-dt memo mid-run
+        assert not engine.plant.ideal
         for _ in range(4):
             engine.step_once()
         snap = engine.snapshot()

@@ -1,6 +1,7 @@
 """The scripts under tools/ that reproduce shipped configurations."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,57 @@ def test_bench_pairs_bound_of_a_higher_is_better_metric():
     faster = export([1500.0] * 4)
     assert faster["within_bound"] and faster["change_wins"] == 4
     assert faster["gain_claimable"]
+
+
+def _stubbed_bench(tmp_path, failed_on=None):
+    """bench_pairs with run_once stubbed: the change side runs 20 % faster,
+    and the side named by failed_on fails one operation per run."""
+    bench = _load("bench_pairs")
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    (sides["change"] / "BENCHMARK.json").write_text(json.dumps(_SPEC))
+
+    def run_once(root, workload, seed, seconds):
+        side = "change" if root == sides["change"].resolve() else "parent"
+        scale = 0.8 if side == "change" else 1.0
+        return {"returncode": 0, "attempted": 5, "failed": int(side == failed_on),
+                "run_csv_sha256": f"{workload}-{seed}",
+                "environment": {"side": side},
+                "metrics": {"run_us_per_step": scale * (100.0 + seed % 3),
+                            "export_rows_per_s": 1000.0}}
+    bench.run_once = run_once
+    out = tmp_path / "BENCH.json"
+    argv = [str(sides["parent"]), str(sides["change"]), "--out", str(out),
+            "--workload", "plant_day", "--workload", "fine_log", "--pairs", "3"]
+    return bench.main(argv), out
+
+
+def test_bench_pairs_prints_its_verdict_and_both_environments(tmp_path, capsys):
+    code, out = _stubbed_bench(tmp_path)
+    assert code == 0
+    report = json.loads(out.read_text())
+    for workload in ("plant_day", "fine_log"):
+        w = report["workloads"][workload]
+        assert w["environment"] == {"parent": {"side": "parent"},
+                                    "change": {"side": "change"}}
+        assert w["run_csv_identical"]
+    verdict = capsys.readouterr().out.splitlines()[-4:]
+    assert verdict == [
+        "plant_day run_us_per_step: parent 101 change 80.8 us (-20.0 %), "
+        "wins 3/3, gain_claimable true, within_bound true",
+        "plant_day export_rows_per_s: parent 1000 change 1000 rows/s (+0.0 %), "
+        "wins 0/3, gain_claimable false, within_bound true",
+        "fine_log run_us_per_step: parent 101 change 80.8 us (-20.0 %), "
+        "wins 3/3, gain_claimable true, within_bound true",
+        "fine_log export_rows_per_s: parent 1000 change 1000 rows/s (+0.0 %), "
+        "wins 0/3, gain_claimable false, within_bound true"]
+
+
+@pytest.mark.parametrize("failed_on, code", [("change", 1), ("parent", 0)])
+def test_bench_pairs_exits_1_when_a_change_run_fails(tmp_path, capsys,
+                                                     failed_on, code):
+    assert _stubbed_bench(tmp_path, failed_on) == (code, tmp_path / "BENCH.json")
+    report = json.loads((tmp_path / "BENCH.json").read_text())
+    assert report["workloads"]["fine_log"]["failed_ops"][failed_on] == 3
+    assert ("change-side runs failed" in capsys.readouterr().err) == (code == 1)

@@ -13,9 +13,15 @@ relative change of the medians, whether that change stays within the metric's
 bound (the change's median is no worse than the parent's by more than the
 bound), how many pairs the change won, and whether a gain is claimable: the
 change wins at least nine tenths of the pairs and the medians differ by more
-than the parent's interquartile range.  Failed operations, the sha256 of every
-run's run.csv and whether every pair's digests agree are kept too.  A run that
-prints no result line stops the tool with the command and its return code.
+than the parent's interquartile range.  Failed operations, each side's
+environment, the sha256 of every run's run.csv and whether every pair's
+digests agree are kept too.  A run that prints no result line stops the tool
+with the command and its return code.
+
+At the end it prints its verdict, one line per workload and end-to-end
+metric: both medians, the change in per cent, the pairs won, gain_claimable
+and within_bound.  It exits 1, after writing the file, when any change-side
+run failed an operation.
 """
 
 from __future__ import annotations
@@ -73,6 +79,21 @@ def summarise(runs: list[dict], spec: dict) -> dict:
     return out
 
 
+def verdict_lines(report: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a written report."""
+    lines = []
+    for workload, w in report["workloads"].items():
+        for name, m in w["metrics"].items():
+            lines.append(
+                f"{workload} {name}: parent {m['parent']['median']:.6g} change "
+                f"{m['change']['median']:.6g} {m['unit']} "
+                f"({100.0 * m['median_change']:+.1f} %), wins "
+                f"{m['change_wins']}/{m['pairs']}, gain_claimable "
+                f"{str(m['gain_claimable']).lower()}, within_bound "
+                f"{str(m['within_bound']).lower()}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -104,8 +125,8 @@ def main(argv=None) -> int:
                       f"{pair[side]['metrics'].get('run_us_per_step', float('nan')):.1f}",
                       flush=True)
             runs.append(pair)
-        report["environment"] = runs[0]["change"]["environment"]
         report["workloads"][workload] = {
+            "environment": {s: runs[0][s]["environment"] for s in sides},
             "metrics": summarise(runs, spec),
             "failed_ops": {s: sum(r[s]["failed"] for r in runs) for s in sides},
             "attempted_ops": {s: sum(r[s]["attempted"] for r in runs) for s in sides},
@@ -115,6 +136,11 @@ def main(argv=None) -> int:
                                      == r["change"]["run_csv_sha256"] for r in runs),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(verdict_lines(report)))
+    failed = {w: r["failed_ops"]["change"] for w, r in report["workloads"].items()}
+    if any(failed.values()):
+        print(f"change-side runs failed operations: {failed}", file=sys.stderr)
+        return 1
     return 0
 
 
