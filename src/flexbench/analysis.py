@@ -5,10 +5,16 @@ a NEGATIVE shift compares the current sample of `a` against the PREVIOUS
 sample of `b`.  The plant always responds one step behind the software side,
 so comparing an emulated trace (a) to its simulated counterpart (b) aligns at
 shift -1.  Sign errors here invert conclusions; the tests pin this down.
+
+Every metric works on whole arrays: no per-sample Python loop and no per-step
+Python object.  Wall stamps come out of a RunLog as int64 tables in ascending
+step order, `hw` with rows (step, send_ms, recv_ms) and `sw` with rows
+(step, store_ms), so a year of steps costs a few arrays, not a dict per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,13 +76,14 @@ def response_time(values, dt_s: float, event_index: int,
 
     thr = y0 + 0.632 * change
     sign = 1.0 if change > 0 else -1.0
-    if sign * (y[event_index] - thr) >= 0:
+    hits = np.flatnonzero(sign * (y[event_index:] - thr) >= 0)
+    if not hits.size:
+        raise AnalysisError("no response: 63.2 % threshold never crossed")
+    k = event_index + int(hits[0])
+    if k == event_index:
         return 0.0
-    for k in range(event_index + 1, n):
-        if sign * (y[k] - thr) >= 0:
-            frac = (thr - y[k - 1]) / (y[k] - y[k - 1])
-            return ((k - 1) + frac - event_index) * dt_s
-    raise AnalysisError("no response: 63.2 % threshold never crossed")
+    frac = (thr - y[k - 1]) / (y[k] - y[k - 1])
+    return ((k - 1) + frac - event_index) * dt_s
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,14 @@ def hunting_metric(pv, sp, dt_s: float, settle_s: float = 600.0,
     """Sustained-oscillation check on the control error after a settle period.
 
     Hunting requires both amplitude (peak-to-peak of pv - sp above eps_amp)
-    and persistence (at least n_min sign changes inside the window).  The
-    dominant period comes from the mean spacing of upward zero crossings.
+    and persistence (at least n_min sign changes inside the window).  Zero
+    and NaN errors have no sign and are skipped.  The dominant period comes
+    from the mean spacing of upward zero crossings.  A negative or non-finite
+    settle_s or window_s is a ValueError.
     """
+    for name, value in (("settle_s", settle_s), ("window_s", window_s)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     pv = np.asarray(pv, dtype=float)
     sp = np.asarray(sp, dtype=float)
     if pv.shape != sp.shape or pv.ndim != 1:
@@ -108,44 +120,35 @@ def hunting_metric(pv, sp, dt_s: float, settle_s: float = 600.0,
     err = (pv - sp)[start:start + count]
 
     ptp = float(np.max(err) - np.min(err))
-    crossings = 0
-    up_indices = []
-    last_sign = 0
-    for i, e in enumerate(err):
-        s = int(e > 0) - int(e < 0)
-        if s == 0:
-            continue
-        if last_sign != 0 and s != last_sign:
-            crossings += 1
-            if s > 0:
-                up_indices.append(i)
-        last_sign = s
+    signed = np.flatnonzero((err > 0) | (err < 0))  # indices of nonzero signs
+    up = err[signed] > 0
+    flips = np.flatnonzero(np.diff(up)) + 1  # where the sign differs from the last
+    crossings = flips.size  # ndarray.size is a Python int
+    up_indices = signed[flips[up[flips]]]
 
     period = None
-    if len(up_indices) >= 2:
+    if up_indices.size >= 2:
         period = float(np.mean(np.diff(up_indices))) * dt_s
     return HuntingVerdict(ptp, crossings, ptp > eps_amp and crossings >= n_min, period)
 
 
-def comm_delay_bound(hw_log: dict[int, tuple[int, int]],
-                     sw_log: dict[int, int]) -> float:
+def comm_delay_bound(hw, sw) -> float:
     """Upper bound (s) on the communication round trip, from wall stamps.
 
-    hw_log maps step -> (send_ms, receive_ms) on the hardware side; sw_log
-    maps step -> store_ms on the software side and is used to match steps.
-    The bound is the worst receive - send gap, which brackets transmission
-    both ways plus the software compute in between.
+    hw and sw are the int64 tables of exchange_stamps: rows (step, send_ms,
+    recv_ms) on the hardware side and rows (step, store_ms) on the software
+    side, which is used to match steps.  The bound is the worst recv - send
+    gap over the matched steps, which brackets transmission both ways plus
+    the software compute in between.
     """
-    common = sorted(set(hw_log) & set(sw_log))
-    if not common:
+    hw = hw[np.isin(hw[:, 0], sw[:, 0])]
+    if not hw.size:
         raise InsufficientDataError("no steps with stamps on both sides")
-    worst = -math.inf
-    for step in common:
-        send, recv = hw_log[step]
-        if recv < send:
-            raise AnalysisError(f"step {step}: receive stamp precedes send stamp")
-        worst = max(worst, recv - send)
-    return worst / 1000.0
+    gaps = hw[:, 2] - hw[:, 1]  # exact: stamps lie within 2**53 ms (store, import)
+    late = hw[gaps < 0, 0]
+    if late.size:
+        raise AnalysisError(f"step {int(late.min())}: receive stamp precedes send stamp")
+    return int(gaps.max()) / 1000.0
 
 
 @dataclass(frozen=True)
@@ -202,22 +205,15 @@ def series_from_log(log: RunLog, expr: str) -> np.ndarray:
     return values.copy()
 
 
-def _stamp_by_step(columns, reduce) -> dict[int, int]:
-    """Per step, the min or max over the given wall-stamp columns, for steps
-    where at least one of them has a stamp."""
-    if not columns:
-        return {}
-    stamps = reduce(np.vstack(columns), axis=0)  # NaN where no column has one
-    steps = np.flatnonzero(~np.isnan(stamps))
-    return dict(zip(steps.tolist(), stamps[steps].astype(np.int64).tolist()))
+def exchange_stamps(log: RunLog) -> tuple[np.ndarray, np.ndarray]:
+    """Hardware send/receive and software store stamps per step, as int64
+    tables in ascending step order: hw with rows (step, send_ms, recv_ms) for
+    the steps that have both hardware stamps, sw with rows (step, store_ms).
 
-
-def exchange_stamps(log: RunLog) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
-    """Extract hardware send/receive and software store stamps per step.
-
-    Hardware sends its measurements (plant.* emulated samples), the software
-    stores its results (simulated samples), and the hardware logs the received
-    supervisory setpoints (ctrl.* samples) on arrival.
+    Hardware sends its measurements (plant.* emulated samples; a step's send
+    is the earliest of them), the software stores its results (simulated
+    samples; the latest), and the hardware logs the received supervisory
+    setpoints (ctrl.* samples; the latest) on arrival.
     """
     sends, recvs, stores = [], [], []
     for key in log.keys:
@@ -228,7 +224,13 @@ def exchange_stamps(log: RunLog) -> tuple[dict[int, tuple[int, int]], dict[int, 
             recvs.append(walls)
         elif key.source is Source.SIMULATED:
             stores.append(walls)
-    send = _stamp_by_step(sends, np.fmin.reduce)
-    recv = _stamp_by_step(recvs, np.fmax.reduce)
-    hw = {step: (send[step], recv[step]) for step in send if step in recv}
-    return hw, _stamp_by_step(stores, np.fmax.reduce)
+    # Pairwise folds over the columns, from a column of no stamps: a step's
+    # stamp stays NaN only where none of its columns has one.
+    none = np.full(log.meta.steps, np.nan)
+    send = functools.reduce(np.fmin, sends, none)
+    recv = functools.reduce(np.fmax, recvs, none)
+    steps = np.flatnonzero(~(np.isnan(send) | np.isnan(recv)))
+    hw = np.column_stack((steps, send[steps], recv[steps])).astype(np.int64)
+    store = functools.reduce(np.fmax, stores, none)
+    steps = np.flatnonzero(~np.isnan(store))
+    return hw, np.column_stack((steps, store[steps])).astype(np.int64)

@@ -202,7 +202,8 @@ class Engine:
 
         p = cfg["plant"]
         out_t0, out_rh0 = self.weather.value_at(0.0)
-        applied0 = AppliedSetpoints(self.zone.t, self.zone.w, out_t0, out_rh0,
+        applied0 = AppliedSetpoints(self.zone.t, self.zone.w, self.zone.rh,
+                                    out_t0, out_rh0,
                                     baseline.t_cool_c, baseline.t_heat_c,
                                     self.dis_schedule.at(0.0))
         self.plant = PlantSim(HvacUnit(**p["hvac"]),
@@ -303,7 +304,7 @@ class Engine:
             self.plant.apply(None)
         else:
             self.plant.apply(AppliedSetpoints(
-                zres.t_c, zres.w, out_t, out_rh,
+                zres.t_c, zres.w, zres.rh_pct, out_t, out_rh,
                 final_sp.t_cool_c, final_sp.t_heat_c, final_sp.t_dis_c))
         self.plant.advance(self.step_size)
         self.counters["limitation_events"] += len(self.plant.drain_events())

@@ -283,10 +283,13 @@ class OutdoorEmulator:
 
 @dataclass
 class AppliedSetpoints:
-    """Targets the plant is currently tracking (set at the previous actuation)."""
+    """Targets the plant is currently tracking (set at the previous actuation).
+    zone_rh is the RH of (zone_t, zone_w) that the zone model computed with
+    them; the plant only reports it."""
 
     zone_t: float
     zone_w: float
+    zone_rh: float
     out_t: float
     out_rh: float
     cool_spt: float
@@ -343,7 +346,7 @@ class PlantSim:
             "q_hvac": self.last_q_cmd,
             # Setpoints in effect while this state developed.
             "t_zone_spt": sp.zone_t,
-            "rh_zone_spt": rh_from_w(sp.zone_t, sp.zone_w),
+            "rh_zone_spt": sp.zone_rh,
             "t_out_spt": sp.out_t,
             "t_cool_spt": sp.cool_spt,
             "t_heat_spt": sp.heat_spt,

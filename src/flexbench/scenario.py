@@ -49,6 +49,10 @@ MIN_STEP_S = 1e-6
 # Near the float's smallest values the emulator's time constant underflows to
 # 0, a division by zero, and the zone's rate overflows to infinity.
 MIN_C_J_PER_K = 1.0
+# Smallest air mass of the zone emulator, kg (a litre of air weighs about
+# 1.2 g).  The humidifier adds m_u * dt / air_mass_kg to the humidity ratio
+# each substep, which overflows near the float's smallest values.
+MIN_AIR_MASS_KG = 1e-3
 _NUMBER = (int, float)
 
 
@@ -343,7 +347,8 @@ SCHEMA: dict[str, Any] = {
         },
         "zone_emulator": {
             "c_emu_j_per_k": _heat_capacity(50000.0),
-            "air_mass_kg": Leaf(60.0, "float", check=_pos, msg="must be > 0"),
+            "air_mass_kg": Leaf(60.0, "float", check=lambda v: v >= MIN_AIR_MASS_KG,
+                                msg=f"must be >= {MIN_AIR_MASS_KG:g}"),
             "heater_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
             "cooling_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
             "humidifier_kg_s_max": Leaf(0.002, "float", check=_pos, msg="must be > 0"),

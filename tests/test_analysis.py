@@ -1,15 +1,19 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexbench.analysis import (AnalysisError, InsufficientDataError,
-                                capacity_check, comm_delay_bound,
+from flexbench.analysis import (AnalysisError, HuntingVerdict,
+                                InsufficientDataError, capacity_check,
+                                comm_delay_bound,
                                 exchange_stamps, hunting_metric,
                                 parse_variable, response_time, rmse_shift,
                                 series_from_log)
 from flexbench.datastore import Source, StepStore, UnknownKeyError, VariableKey
+from tests.helpers import run_doc
 
 
 class TestRmseShift:
@@ -142,25 +146,64 @@ class TestHuntingMetric:
         with pytest.raises(InsufficientDataError):
             hunting_metric([22.0] * 20, [22.0] * 20, 60.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("settle_s", -1200.0),  # would index from the end of the series
+        ("settle_s", -120.0),   # would leave an empty window
+        ("settle_s", math.inf),
+        ("window_s", -600.0),
+        ("window_s", math.nan),
+        ("window_s", -math.inf),
+    ])
+    def test_negative_or_non_finite_window_is_a_value_error(self, name, value):
+        pv = [22.0 + math.sin(math.pi * k / 2.0) for k in range(40)]
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number "
+                                             rf">= 0, got {value!r}$"):
+            hunting_metric(pv, [22.0] * 40, 60.0, **{name: value})
+
+    def test_zero_settle_and_negative_zero_are_valid(self):
+        pv = [22.0 + math.sin(math.pi * k / 2.0) for k in range(40)]
+        v = hunting_metric(pv, [22.0] * 40, 60.0, settle_s=-0.0)
+        assert v == hunting_metric(pv, [22.0] * 40, 60.0, settle_s=0.0)
+        assert v.crossings == 14
+
+    def test_zero_and_nan_samples_have_no_sign(self):
+        # zeros and NaNs between signed samples neither count as a sign nor
+        # reset the last one: + . . - . + . . - + has four crossings
+        err = [1.0, 0.0, math.nan, -1.0, -0.0, 1.0, 0.0, 0.0, -1.0, 1.0]
+        v = hunting_metric(err, [0.0] * 10, 1.0, settle_s=0.0, window_s=10.0,
+                           n_min=4)
+        assert (v.crossings, v.is_hunting) == (4, False)  # ptp is NaN
+        assert math.isnan(v.peak_to_peak)
+        assert v.period_s == 4.0  # up-crossings at indices 5 and 9
+
+
+def stamps(hw_rows, sw_rows):
+    """hw and sw stamp tables as exchange_stamps returns them."""
+    return (np.array(hw_rows, dtype=np.int64).reshape(-1, 3),
+            np.array(sw_rows, dtype=np.int64).reshape(-1, 2))
+
 
 class TestCommDelayBound:
     def test_worst_gap_in_seconds(self):
-        hw = {0: (1000, 1150), 1: (2000, 2100), 2: (3000, 3300)}
-        sw = {0: 1050, 1: 2050, 2: 3100}
+        hw, sw = stamps([(0, 1000, 1150), (1, 2000, 2100), (2, 3000, 3300)],
+                        [(0, 1050), (1, 2050), (2, 3100)])
         assert comm_delay_bound(hw, sw) == pytest.approx(0.3)
 
     def test_only_matched_steps_count(self):
-        hw = {0: (1000, 1100), 5: (9000, 99999)}
-        sw = {0: 1050}
+        hw, sw = stamps([(0, 1000, 1100), (5, 9000, 99999)], [(0, 1050)])
         assert comm_delay_bound(hw, sw) == pytest.approx(0.1)
 
     def test_causality_enforced(self):
         with pytest.raises(AnalysisError, match="precedes"):
-            comm_delay_bound({0: (2000, 1000)}, {0: 1500})
+            comm_delay_bound(*stamps([(0, 2000, 1000)], [(0, 1500)]))
 
     def test_no_common_steps(self):
         with pytest.raises(InsufficientDataError):
-            comm_delay_bound({0: (1, 2)}, {9: 5})
+            comm_delay_bound(*stamps([(0, 1, 2)], [(9, 5)]))
+
+    def test_receive_at_the_send_stamp_is_causal(self):
+        assert comm_delay_bound(*stamps([(0, 1000, 1000), (1, 2000, 2000)],
+                                        [(0, 1000), (1, 2000)])) == 0.0
 
 
 class TestCapacityCheck:
@@ -232,6 +275,200 @@ class TestLogPlumbing:
     def test_exchange_stamps(self):
         hw, sw = exchange_stamps(small_log())
         # earliest hardware send, latest received setpoint, latest sim store
-        assert hw[0] == (5, 200)
-        assert sw[0] == 120
+        assert hw.dtype == sw.dtype == np.int64
+        assert hw[0].tolist() == [0, 5, 200]
+        assert sw[0].tolist() == [0, 120]
         assert comm_delay_bound(hw, sw) == pytest.approx(0.195)
+
+    def test_exchange_stamps_without_received_setpoints(self):
+        s = StepStore(step_size_s=60.0)
+        zt = s.register(VariableKey("zone.t", Source.SIMULATED, "C"))
+        pa = s.register(VariableKey("plant.t_dis", Source.EMULATED, "C"))
+        for step in range(3):
+            s.upsert(step, (zt, pa), [22.0, 14.0], wall_time_ms=1000 * step)
+            s.seal(step)
+        hw, sw = exchange_stamps(s.to_runlog())
+        assert hw.shape == (0, 3)
+        assert sw.tolist() == [[0, 0], [1, 1000], [2, 2000]]
+        with pytest.raises(InsufficientDataError, match="no steps with stamps"):
+            comm_delay_bound(hw, sw)
+
+
+# --- the array code against the per-sample loops it replaced --------------
+# Test-local copies of the loops of response_time, hunting_metric and
+# comm_delay_bound as they were before the analysis worked on whole arrays.
+# The array code must give the same values, of the same types, and raise the
+# same errors with the same text.
+
+def loop_response_time(values, dt_s, event_index, final_window=10, lead=10):
+    y = np.asarray(values, dtype=float)
+    n = len(y)
+    if n < 4 or not (0 < event_index < n - 1):
+        raise InsufficientDataError("series too short around the event")
+    lead_seg = y[max(0, event_index - lead):event_index]
+    if len(lead_seg) < 2:
+        raise InsufficientDataError("need at least 2 pre-event samples")
+    final_seg = y[-final_window:] if final_window > 0 else y[-1:]
+    y0 = float(np.mean(lead_seg))
+    y_final = float(np.mean(final_seg))
+    change = y_final - y0
+    scale = max(1.0, abs(y0), abs(y_final))
+    if abs(change) < 1e-9 * scale:
+        raise AnalysisError("no response: series is flat after the event")
+    if float(np.std(lead_seg)) >= 0.01 * abs(change):
+        raise AnalysisError("pre-event series is not steady")
+    thr = y0 + 0.632 * change
+    sign = 1.0 if change > 0 else -1.0
+    if sign * (y[event_index] - thr) >= 0:
+        return 0.0
+    for k in range(event_index + 1, n):
+        if sign * (y[k] - thr) >= 0:
+            frac = (thr - y[k - 1]) / (y[k] - y[k - 1])
+            return ((k - 1) + frac - event_index) * dt_s
+    raise AnalysisError("no response: 63.2 % threshold never crossed")
+
+
+def loop_hunting_metric(pv, sp, dt_s, settle_s=600.0, window_s=1800.0,
+                        eps_amp=0.5, n_min=6):
+    pv = np.asarray(pv, dtype=float)
+    sp = np.asarray(sp, dtype=float)
+    if pv.shape != sp.shape or pv.ndim != 1:
+        raise InsufficientDataError("hunting_metric needs equal-length pv and sp")
+    start = int(round(settle_s / dt_s))
+    count = int(round(window_s / dt_s))
+    if count < 4 or start + count > len(pv):
+        raise InsufficientDataError(
+            f"window needs {max(count, 4)} samples after {start}, have {len(pv)}")
+    err = (pv - sp)[start:start + count]
+    ptp = float(np.max(err) - np.min(err))
+    crossings = 0
+    up_indices = []
+    last_sign = 0
+    for i, e in enumerate(err):
+        s = int(e > 0) - int(e < 0)
+        if s == 0:
+            continue
+        if last_sign != 0 and s != last_sign:
+            crossings += 1
+            if s > 0:
+                up_indices.append(i)
+        last_sign = s
+    period = None
+    if len(up_indices) >= 2:
+        period = float(np.mean(np.diff(up_indices))) * dt_s
+    return HuntingVerdict(ptp, crossings, ptp > eps_amp and crossings >= n_min, period)
+
+
+def loop_comm_delay_bound(hw_log, sw_log):
+    common = sorted(set(hw_log) & set(sw_log))
+    if not common:
+        raise InsufficientDataError("no steps with stamps on both sides")
+    worst = -math.inf
+    for step in common:
+        send, recv = hw_log[step]
+        if recv < send:
+            raise AnalysisError(f"step {step}: receive stamp precedes send stamp")
+        worst = max(worst, recv - send)
+    return worst / 1000.0
+
+
+def _exact(v):
+    """A value with its type, NaN made comparable; a verdict field by field."""
+    if isinstance(v, HuntingVerdict):
+        return tuple(_exact(getattr(v, f.name)) for f in dataclasses.fields(v))
+    return type(v), ("nan" if isinstance(v, float) and math.isnan(v) else v)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "returned", _exact(fn(*args, **kwargs))
+    except Exception as e:  # the error is the outcome under comparison
+        return "raised", type(e), str(e)
+
+
+# Samples with zeros of both signs, NaNs, ties and tiny magnitudes.
+_SAMPLES = st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0, 0.25, -2.0, 1e-300,
+                            22.0])
+
+
+@st.composite
+def _step_series(draw):
+    """A series with a steady (or slightly disturbed) lead-in at a, a tail
+    at b, and between them samples at a, b, halfway, past b, NaN and exactly
+    at the 63.2 % threshold, which is where the first crossing ties."""
+    a = draw(st.sampled_from([0.0, -0.0, 20.0, -3.5]))
+    b = draw(st.sampled_from([0.0, 1.0, 22.5, -10.0, 20.0]))
+    lead, final = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    head = [a] * draw(st.integers(0, 6))
+    if head and draw(st.booleans()):
+        head[0] += draw(st.sampled_from([1e-3, 5.0]))
+    thr = a + 0.632 * (b - a)
+    pick = {"a": a, "b": b, "thr": thr, "nan": math.nan,
+            "mid": (a + b) / 2.0, "past": b + (b - a)}
+    body = draw(st.lists(st.sampled_from(sorted(pick)), min_size=1, max_size=12))
+    y = head + [pick[k] for k in body] + [b] * max(final, 1)
+    return y, len(head), final, lead
+
+
+@st.composite
+def _error_window(draw):
+    """pv and sp of n samples, and settle and window sample counts that
+    mostly fit in n (a few do not, which is an error on both sides)."""
+    n = draw(st.integers(0, 50))
+    pairs = draw(st.lists(st.tuples(_SAMPLES, _SAMPLES), min_size=n, max_size=n))
+    settle = draw(st.integers(0, max(n - 4, 0)))
+    window = draw(st.integers(0, n - settle + 2))
+    return [p for p, _ in pairs], [s for _, s in pairs], settle, window
+
+
+class TestArraysMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(_step_series(), st.sampled_from([60.0, 1.0, 0.1]))
+    def test_response_time(self, series, dt_s):
+        y, event, final, lead = series
+        for event_index in (event, event - 1, event + 1):
+            args = (y, dt_s, event_index, final, lead)
+            assert _outcome(response_time, *args) == \
+                _outcome(loop_response_time, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_error_window(), st.sampled_from([60.0, 1.0, 30.0, 7.0]),
+           st.integers(0, 8))
+    def test_hunting_metric(self, window, dt_s, n_min):
+        pv, sp, settle_n, window_n = window
+        kwargs = dict(settle_s=settle_n * dt_s, window_s=window_n * dt_s,
+                      eps_amp=0.5, n_min=n_min)
+        assert _outcome(hunting_metric, pv, sp, dt_s, **kwargs) == \
+            _outcome(loop_hunting_metric, pv, sp, dt_s, **kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 40),
+                           st.tuples(st.integers(0, 2**53 - 10**4),
+                                     st.integers(-100, -1) | st.integers(0, 5000)),
+                           max_size=20),
+           st.dictionaries(st.integers(0, 40), st.integers(0, 10**6), max_size=20))
+    def test_comm_delay_bound(self, hw_gaps, sw_log):
+        # steps with gaps, late steps (receive before send) and unmatched steps
+        hw_log = {step: (send, send + gap) for step, (send, gap) in hw_gaps.items()}
+        hw, sw = stamps([(step, *hw_log[step]) for step in sorted(hw_log)],
+                        [(step, sw_log[step]) for step in sorted(sw_log)])
+        assert _outcome(comm_delay_bound, hw, sw) == \
+            _outcome(loop_comm_delay_bound, hw_log, sw_log)
+
+
+def test_stamp_analysis_keeps_no_per_step_objects():
+    # an hour at 1 s steps, every variable logged; the dict-per-step analysis
+    # peaked at about 451 B/step here, the int64 tables at about 96
+    log, _ = run_doc({"run": {"step_size_s": 1.0, "horizon": 3600},
+                      "delays": {"comm_latency_s": 0.2, "jitter_s": 0.05},
+                      "logging": {"plant_internals": True, "include": None}})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hw, sw = exchange_stamps(log)
+        bound = comm_delay_bound(hw, sw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0.2 <= bound < 1.0 and len(hw) == 3600
+    assert peak / log.meta.steps <= 200.0, f"{peak / log.meta.steps:.0f} B/step"

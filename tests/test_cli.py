@@ -94,7 +94,8 @@ class TestRun:
         # non-finite plant.t_zone_emu), divide by a surrogate weight sum that
         # underflowed to 0, run on at 1e200 degC, at -50 % RH or past the
         # end of its weather, step between weather rows 1e-307 s apart (a
-        # slope that overflowed) or overflow the envelope load ua * t_out
+        # slope that overflowed), overflow the envelope load ua * t_out or
+        # humidify 5e-324 kg of emulator air to a non-finite latent load
         ({"run": {"horizon": 3}, "plant": {"control_dt_s": 1e-300}},
          "plant.control_dt_s"),
         ({"run": {"step_size_s": 1e13, "horizon": 3},
@@ -126,10 +127,13 @@ class TestRun:
          "run.step_size_s"),
         ({"run": {"horizon": 3}, "building": {"ua_w_per_k": 1e308}},
          "building.ua_w_per_k"),
+        ({"plant": {"hvac": {"m_dot_kg_s": 0.0},
+                    "zone_emulator": {"air_mass_kg": 5e-324}}},
+         "plant.zone_emulator.air_mass_kg"),
     ], ids=["substeps", "stamps", "surrogate_weights", "supply_flow",
             "temperature", "weather_series", "weather_rh", "emulator_capacity",
             "zone_capacity", "tiny_flow", "weather_coverage", "tiny_step",
-            "envelope_conductance"])
+            "envelope_conductance", "emulator_air_mass"])
     def test_unrunnable_timeline_is_exit_1(self, tmp_path, capsys, doc, path):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))
@@ -147,6 +151,15 @@ class TestRun:
             "plant": {"hvac": {"m_dot_kg_s": 100.0},
                       "zone_emulator": {"c_emu_j_per_k": 1.0}},
             "building": {"c_z_j_per_k": 1.0}}))
+        assert main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 0
+
+    def test_emulator_air_mass_floor_runs(self, tmp_path):
+        # the lightest valid emulator air, humidified with no supply flow
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "run": {"horizon": 30},
+            "plant": {"hvac": {"m_dot_kg_s": 0.0},
+                      "zone_emulator": {"air_mass_kg": 1e-3}}}))
         assert main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 0
 
     def test_envelope_conductance_ceiling_runs(self, tmp_path):
@@ -253,6 +266,26 @@ class TestAnalyze:
                      "--sp", "plant.t_cool_spt:emulated",
                      "--settle", "0", "--window", "300"]) == 0
         assert "verdict=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("settle, window, name", [
+        ("-1200", "600", "settle_s"),  # used to analyze steps 10-19, exit 0
+        ("-120", "600", "settle_s"),   # used to end in numpy's empty-max error
+        ("0", "nan", "window_s"),      # used to fail converting NaN to int
+        ("0", "-inf", "window_s"),
+    ])
+    def test_hunting_negative_or_non_finite_window_is_exit_1(
+            self, tmp_path, capsys, settle, window, name):
+        # a 30-step run at 60 s steps
+        scenario = tmp_path / "h.json"
+        scenario.write_text(json.dumps({"run": {"horizon": 30}}))
+        out = run_dir(tmp_path, str(scenario))
+        rc = main(["analyze", "hunting", "--csv", os.path.join(out, "run.csv"),
+                   "--pv", "plant.t_zone_emu:emulated",
+                   "--sp", "plant.t_cool_spt:emulated",
+                   f"--settle={settle}", f"--window={window}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {name} must be a finite number >= 0, got ")
 
     def test_capacity(self, run_csv, capsys):
         assert main(["analyze", "capacity", "--csv", run_csv,

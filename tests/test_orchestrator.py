@@ -92,6 +92,9 @@ class TestExchangeLaw:
         zone_t = self.series("zone.t:simulated")
         spt = self.series("plant.t_zone_spt:emulated")
         assert np.array_equal(spt[1:], zone_t[:-1])
+        zone_rh = self.series("zone.rh:simulated")
+        rh_spt = self.series("plant.rh_zone_spt:emulated")
+        assert np.array_equal(rh_spt[1:], zone_rh[:-1])
 
     def test_plant_echoes_previous_supervisory_setpoints(self):
         sent = self.series("ctrl.t_cool_spt:setpoint")
@@ -108,12 +111,17 @@ class TestExchangeLaw:
     def test_wall_stamps_follow_modeled_path(self):
         hw, sw = exchange_stamps(self.log)
         inj = self.engine.injector
+        # one row per step, in step order: (step, send_ms, recv_ms) and
+        # (step, store_ms)
+        assert hw.shape == (8, 3) and sw.shape == (8, 2)
         for n in range(8):
             up, down = inj.delays_ms(n)
-            send, recv = hw[n]
+            step, send, recv = hw[n]
+            step_sw, store = sw[n]
+            assert step == step_sw == n
             assert send == n * 60000
-            assert sw[n] == send + up + COMPUTE_FLOOR_MS
-            assert recv == sw[n] + down
+            assert store == send + up + COMPUTE_FLOOR_MS
+            assert recv == store + down
 
     def test_fresh_delivery_has_no_stale_steps(self):
         assert self.engine.counters["stale_steps"] == 0

@@ -6,7 +6,8 @@ import pytest
 from flexbench.plant import (AppliedSetpoints, DischargeAir, HvacUnit,
                              OutdoorEmulator, PidController, PlantSim,
                              ZoneEmulator)
-from flexbench.psychro import ATM_PA, CP_AIR, PW_CAP, p_ws, w_from_rh, w_sat
+from flexbench.psychro import (ATM_PA, CP_AIR, PW_CAP, p_ws, rh_from_w,
+                              w_from_rh, w_sat)
 from tests.helpers import block
 
 
@@ -191,7 +192,8 @@ def default_plant(pv_mode="method2", emu_t=23.0, **overrides):
     emu = ZoneEmulator(**block("plant.zone_emulator", t_init_c=emu_t))
     out = OutdoorEmulator(**block("plant.outdoor", kind="air", tau_s=0.0,
                                   t_init_c=30.0))
-    applied = AppliedSetpoints(zone_t=23.0, zone_w=w_from_rh(23.0, 45.0),
+    w = w_from_rh(23.0, 45.0)
+    applied = AppliedSetpoints(zone_t=23.0, zone_w=w, zone_rh=rh_from_w(23.0, w),
                                out_t=30.0, out_rh=50.0,
                                cool_spt=24.0, heat_spt=20.0)
     p = block("plant", **overrides)
@@ -236,7 +238,8 @@ class TestPlantSim:
 
     def test_drain_events_clears(self):
         plant = default_plant()
-        plant.applied = AppliedSetpoints(23.0, 0.008, 80.0, 50.0, 24.0, 20.0)
+        plant.applied = AppliedSetpoints(23.0, 0.008, rh_from_w(23.0, 0.008),
+                                         80.0, 50.0, 24.0, 20.0)
         plant.advance(60.0)
         assert plant.drain_events()
         assert plant.drain_events() == []
@@ -251,6 +254,12 @@ class TestPlantSim:
         assert plant.emulator.t != coarse.emulator.t
 
 
+def applied_setpoints(sp: dict) -> AppliedSetpoints:
+    """AppliedSetpoints from keyword values, with the zone RH that the zone
+    model computes from zone_t and zone_w."""
+    return AppliedSetpoints(zone_rh=rh_from_w(sp["zone_t"], sp["zone_w"]), **sp)
+
+
 def lagged_plant(pv_mode, **applied):
     """A plant whose every loop carries state across substeps: discharge lag,
     integrating HVAC and emulator PIDs, a tracking outdoor chamber."""
@@ -263,7 +272,7 @@ def lagged_plant(pv_mode, **applied):
     sp = dict(zone_t=25.5, zone_w=w_from_rh(25.5, 55.0), out_t=70.0, out_rh=5.0,
               cool_spt=24.0, heat_spt=20.0)
     sp.update(applied)
-    return PlantSim(hvac, emu, out, AppliedSetpoints(**sp),
+    return PlantSim(hvac, emu, out, applied_setpoints(sp),
                     control_dt_s=1.0, ideal_actuators=False)
 
 
@@ -363,7 +372,7 @@ def varied_plant(pv_mode, hvac=(), emulator=(), outdoor=(), applied=(),
     sp.update(applied)
     if emu_w is not None:
         emu.w = emu_w
-    return PlantSim(hv, emu, out, AppliedSetpoints(**sp),
+    return PlantSim(hv, emu, out, applied_setpoints(sp),
                     control_dt_s=1.0, ideal_actuators=False)
 
 

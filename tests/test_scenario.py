@@ -286,6 +286,9 @@ _COMPONENT_RULES = [
      "plant.zone_emulator.c_emu_j_per_k"),
     ({"plant": {"zone_emulator": {"air_mass_kg": 0}}},
      "plant.zone_emulator.air_mass_kg"),
+    # the emulator's air mass is at least 1e-3 kg
+    ({"plant": {"zone_emulator": {"air_mass_kg": 9e-4}}},
+     "plant.zone_emulator.air_mass_kg"),
     ({"plant": {"outdoor": {"kind": "soil"}}}, "plant.outdoor.kind"),
     ({"building": {"c_z_j_per_k": -1.0}}, "building.c_z_j_per_k"),
     ({"building": {"moisture_capacity_kg": 0}}, "building.moisture_capacity_kg"),

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -90,9 +91,10 @@ def test_bench_pairs_bound_of_a_higher_is_better_metric():
     assert faster["gain_claimable"]
 
 
-def _stubbed_bench(tmp_path, failed_on=None):
+def _stubbed_bench(tmp_path, failed_on=None, change_analysis=None):
     """bench_pairs with run_once stubbed: the change side runs 20 % faster,
-    and the side named by failed_on fails one operation per run."""
+    the side named by failed_on fails one operation per run, and the change
+    side's analysis results are change_analysis(seed) when given."""
     bench = _load("bench_pairs")
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for path in sides.values():
@@ -102,8 +104,11 @@ def _stubbed_bench(tmp_path, failed_on=None):
     def run_once(root, workload, seed, seconds):
         side = "change" if root == sides["change"].resolve() else "parent"
         scale = 0.8 if side == "change" else 1.0
+        analysis = {"delay_bound_s": 0.25, "hunting": [float("nan"), seed, False]}
+        if side == "change" and change_analysis is not None:
+            analysis = change_analysis(seed)
         return {"returncode": 0, "attempted": 5, "failed": int(side == failed_on),
-                "run_csv_sha256": f"{workload}-{seed}",
+                "run_csv_sha256": f"{workload}-{seed}", "analysis": analysis,
                 "environment": {"side": side},
                 "metrics": {"run_us_per_step": scale * (100.0 + seed % 3),
                             "export_rows_per_s": 1000.0}}
@@ -123,6 +128,7 @@ def test_bench_pairs_prints_its_verdict_and_both_environments(tmp_path, capsys):
         assert w["environment"] == {"parent": {"side": "parent"},
                                     "change": {"side": "change"}}
         assert w["run_csv_identical"]
+        assert w["analysis_identical"]  # NaN results match NaN
     verdict = capsys.readouterr().out.splitlines()[-4:]
     assert verdict == [
         "plant_day run_us_per_step: parent 101 change 80.8 us (-20.0 %), "
@@ -142,3 +148,19 @@ def test_bench_pairs_exits_1_when_a_change_run_fails(tmp_path, capsys,
     report = json.loads((tmp_path / "BENCH.json").read_text())
     assert report["workloads"]["fine_log"]["failed_ops"][failed_on] == 3
     assert ("change-side runs failed" in capsys.readouterr().err) == (code == 1)
+
+
+def test_bench_pairs_records_each_runs_analysis_and_compares_them(tmp_path):
+    # the change side reports the integer crossing count as a string (as
+    # json.dump(default=str) writes a numpy integer) for one seed only
+    def change_analysis(seed):
+        hunting = [float("nan"), str(seed) if seed == 202 else seed, False]
+        return {"delay_bound_s": 0.25, "hunting": hunting}
+    code, out = _stubbed_bench(tmp_path, change_analysis=change_analysis)
+    assert code == 0
+    w = json.loads(out.read_text())["workloads"]["fine_log"]
+    assert not w["analysis_identical"] and w["run_csv_identical"]
+    assert [r["seed"] for r in w["analysis"]] == [201, 202, 203]
+    assert w["analysis"][1]["parent"]["hunting"][1] == 202
+    assert w["analysis"][1]["change"]["hunting"][1] == "202"
+    assert math.isnan(w["analysis"][0]["change"]["hunting"][0])

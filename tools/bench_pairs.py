@@ -15,7 +15,9 @@ bound), how many pairs the change won, and whether a gain is claimable: the
 change wins at least nine tenths of the pairs and the medians differ by more
 than the parent's interquartile range.  Failed operations, each side's
 environment, the sha256 of every run's run.csv and whether every pair's
-digests agree are kept too.  A run that prints no result line stops the tool
+digests agree are kept too, and so are every run's analysis results
+(perfbench's `details.analysis`) and whether every pair's results agree
+(`analysis_identical`, compared as sorted-key JSON, so NaN equals NaN).  A run that prints no result line stops the tool
 with the command and its return code.
 
 At the end it prints its verdict, one line per workload and end-to-end
@@ -47,8 +49,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     detail = json.loads(result_file.read_text(encoding="utf-8"))
     return {"returncode": proc.returncode, "attempted": last["attempted"],
             "failed": last["failed"], "run_csv_sha256": detail["run_csv_sha256"],
+            "analysis": detail["details"].get("analysis"),
             "environment": detail["environment"],
             "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
+
+
+def same_analysis(pair: dict) -> bool:
+    """Whether both sides of a pair gave the same analysis results."""
+    return (json.dumps(pair["parent"]["analysis"], sort_keys=True)
+            == json.dumps(pair["change"]["analysis"], sort_keys=True))
 
 
 def spread(values: list[float]) -> dict:
@@ -134,6 +143,9 @@ def main(argv=None) -> int:
                                 "change": r["change"]["run_csv_sha256"]} for r in runs],
             "run_csv_identical": all(r["parent"]["run_csv_sha256"]
                                      == r["change"]["run_csv_sha256"] for r in runs),
+            "analysis": [{"seed": r["seed"], "parent": r["parent"]["analysis"],
+                          "change": r["change"]["analysis"]} for r in runs],
+            "analysis_identical": all(same_analysis(r) for r in runs),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print("\n".join(verdict_lines(report)))
