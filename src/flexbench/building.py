@@ -30,11 +30,41 @@ class WeatherFormatError(Exception):
 
 
 WEATHER_HEADER = "time_s,tdb_c,rh_pct"
+
+
+class Range:
+    """A numeric range, and the text that follows a value outside it in an
+    error ("must be >= 0", "must be > 0", "outside [-100, 200] degC", "is
+    neither 0 nor in [0.001, 100]"), derived once from the fields.  v is in it
+    when lo <= v (lo < v with open_lo, for a range without hi) and, if hi is
+    given, v <= hi; with zero_ok (for a range with hi), 0 is in it too.
+    -0.0 == 0, so -0.0 is in a range that holds 0 (a closed lower end at 0, or
+    zero_ok) and not in an open "> 0" one."""
+
+    __slots__ = ("lo", "hi", "open_lo", "zero_ok", "unit", "text")
+
+    def __init__(self, lo: float, hi: float | None = None, open_lo: bool = False,
+                 zero_ok: bool = False, unit: str = ""):
+        self.lo, self.hi, self.open_lo, self.zero_ok, self.unit = (
+            lo, hi, open_lo, zero_ok, unit)
+        if hi is None:
+            text = f"must be {'>' if open_lo else '>='} {lo:g}"
+        else:
+            text = f"{'is neither 0 nor in' if zero_ok else 'outside'} [{lo:g}, {hi:g}]"
+        self.text = f"{text} {unit}" if unit else text
+
+    def __contains__(self, v) -> bool:
+        return ((self.lo < v if self.open_lo else self.lo <= v)
+                and (self.hi is None or v <= self.hi) or self.zero_ok and v == 0)
+
+
 # Range of every absolute temperature a scenario gives, degC.  Finite extremes
 # such as 1e200 degC would otherwise pass and overflow the plant or zone to
 # infinity.
 T_MIN_C, T_MAX_C = -100.0, 200.0
-T_RANGE = f"outside [{T_MIN_C:g}, {T_MAX_C:g}] degC"
+ABS_TEMP = Range(T_MIN_C, T_MAX_C, unit="degC")
+# Range of every relative humidity, %.
+PERCENT = Range(0.0, 100.0)
 
 
 class WeatherSeries:
@@ -81,10 +111,10 @@ def load_weather(path: str) -> WeatherSeries:
             raise WeatherFormatError(f"{path}: row {n}: values must be finite")
         if rows and t <= rows[-1][0]:
             raise WeatherFormatError(f"{path}: row {n}: times must be strictly increasing")
-        if not T_MIN_C <= tdb <= T_MAX_C:
-            raise WeatherFormatError(f"{path}: row {n}: tdb_c {tdb!r} {T_RANGE}")
-        if not 0.0 <= rh <= 100.0:
-            raise WeatherFormatError(f"{path}: row {n}: rh_pct {rh!r} outside [0, 100]")
+        if tdb not in ABS_TEMP:
+            raise WeatherFormatError(f"{path}: row {n}: tdb_c {tdb!r} {ABS_TEMP.text}")
+        if rh not in PERCENT:
+            raise WeatherFormatError(f"{path}: row {n}: rh_pct {rh!r} {PERCENT.text}")
         rows.append([t, tdb, rh])
     return WeatherSeries(rows)
 

@@ -4,7 +4,9 @@ A scenario is a JSON tree with the blocks run / delays / plant / building /
 occupants / geb / logging.  Validation is strict: unknown keys are fatal
 (assumed typos), every failure names the dotted key path, and the validated
 result has all defaults materialized so the echoed effective configuration is
-complete on its own.
+complete on its own.  Every numeric bound is data: a `building.Range` on a
+leaf or on a series column, whose text reads in the error as
+"<path>: <value> <range text>".
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import copy
 import json
 import math
 import sys
+from functools import partial
 from typing import Any
 
-from .building import (T_MAX_C, T_MIN_C, T_RANGE, WeatherFormatError,
-                       build_weather)
+from .building import ABS_TEMP, PERCENT, Range, WeatherFormatError, build_weather
 from .datastore import MAX_STAMP_MS
 from .geb import EventWindow, validate_windows
 from .occupants import ActionType
@@ -72,20 +74,21 @@ def _finite(x, path: str) -> float:
 
 
 class Leaf:
-    """One schema leaf: default value, type kind, optional constraint."""
+    """One schema leaf, all data: default value, type kind, and optionally
+    the Range a number must lie in or the choices a value must be one of.
+    A value outside its range fails with "<path>: <value!r> <range.text>"."""
 
-    def __init__(self, default, kind: str, choices=None, check=None, msg: str = ""):
+    def __init__(self, default, kind: str, range: Range | None = None, choices=None):
         self.default = default
         self.kind = kind
+        self.range = range
         self.choices = choices
-        self.check = check
-        self.msg = msg
 
     def validate(self, value, path: str):
         k = self.kind
-        if value is None and self.default is None and k.endswith("?"):
-            return None
-        if k.endswith("?"):
+        if k[-1] == "?":
+            if value is None and self.default is None:
+                return None
             k = k[:-1]
         if k == "float":
             if isinstance(value, bool) or not isinstance(value, _NUMBER):
@@ -102,77 +105,45 @@ class Leaf:
                 raise ScenarioError(f"{path}: expected a string, got {value!r}")
         if self.choices is not None and value not in self.choices:
             raise ScenarioError(f"{path}: {value!r} not one of {sorted(self.choices)}")
-        if self.check is not None and not self.check(value):
-            raise ScenarioError(f"{path}: {value!r} {self.msg}")
+        if self.range is not None and value not in self.range:
+            raise ScenarioError(f"{path}: {value!r} {self.range.text}")
         return value
 
 
-def _pos(v):
-    return v > 0
-
-
-def _nonneg(v):
-    return v >= 0
-
-
-def _pct(v):
-    return 0.0 <= v <= 100.0
-
-
-def _abs_temp(v):
-    return T_MIN_C <= v <= T_MAX_C
-
-
-def _temp(default) -> Leaf:
-    """An absolute temperature leaf (a t_*_c or tdb_c key), in degC."""
-    kind = "float?" if default is None else "float"
-    return Leaf(default, kind, check=_abs_temp, msg=T_RANGE)
-
-
-def _heat_capacity(default: float) -> Leaf:
-    """A heat capacity leaf (a c_*_j_per_k key), in J/K."""
-    return Leaf(default, "float", check=lambda v: v >= MIN_C_J_PER_K,
-                msg=f"must be >= {MIN_C_J_PER_K:g}")
-
-
-def _column(rows: list[list[float]], path: str, col: int, check,
-            msg: str) -> list[list[float]]:
-    """Breakpoint rows whose column col passes check; msg names its range."""
-    for i, row in enumerate(rows):
-        if not check(row[col]):
-            raise ScenarioError(f"{path}[{i}][{col}]: {row[col]!r} {msg}")
-    return rows
-
-
+_NONNEG, _POSITIVE = Range(0.0), Range(0.0, open_lo=True)
 _ACTION_NAMES = {a.value for a in ActionType}
 
 
-def _breakpoints(value, path: str, names: tuple[str, ...], empty_ok: bool = False,
-                 ties_ok: bool = False) -> list[list[float]]:
+def _breakpoints(value, path: str, names: tuple[str, ...], ranges: tuple = (),
+                 empty_ok: bool = False, ties_ok: bool = False) -> list[list[float]]:
     """Parse [[time_s, *values], ...]: rows of len(names) finite numbers (bools
     are not numbers) with strictly increasing times (with ties_ok,
     non-decreasing: the later of two equal times wins), returned as floats.
+    ranges gives the Range of each value column after time_s, in order.
     Every scheduled input goes through here; see `schedule.Schedule` for how
     a series is read between and outside its breakpoints."""
-    shape = f"[{', '.join(names)}]"
     if not isinstance(value, list) or not (value or empty_ok):
         raise ScenarioError(f"{path}: expected a {'' if empty_ok else 'non-empty '}"
-                            f"[{shape}, ...] list")
-    order = "not decrease" if ties_ok else "be strictly increasing"
+                            f"[[{', '.join(names)}], ...] list")
+    checks = tuple(enumerate(ranges, 1))
     out = []
     last = -math.inf
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != len(names):
-            raise ScenarioError(f"{path}[{i}]: expected {shape}")
+            raise ScenarioError(f"{path}[{i}]: expected [{', '.join(names)}]")
         floats = []
         for x in row:
             if isinstance(x, bool) or not isinstance(x, _NUMBER):
-                raise ScenarioError(f"{path}[{i}]: expected {shape}")
+                raise ScenarioError(f"{path}[{i}]: expected [{', '.join(names)}]")
             # series can be long: build a cell's path only to report it
             floats.append(float(x) if -_MAX <= x <= _MAX
                           else _finite(x, f"{path}[{i}][{len(floats)}]"))
         if floats[0] < last or (floats[0] == last and not ties_ok):
+            order = "not decrease" if ties_ok else "be strictly increasing"
             raise ScenarioError(f"{path}[{i}]: times must {order}")
+        for col, rng in checks:
+            if floats[col] not in rng:
+                raise ScenarioError(f"{path}[{i}][{col}]: {floats[col]!r} {rng.text}")
         last = floats[0]
         out.append(floats)
     return out
@@ -196,20 +167,21 @@ def _objects(schema: dict):
     return parse
 
 
-def _weather_series(value, path):
-    rows = _breakpoints(value, path, ("time_s", "tdb_c", "rh_pct"))
-    _column(rows, path, 1, _abs_temp, T_RANGE)
-    return _column(rows, path, 2, _pct, "outside [0, 100]")
+def _file_path(value, path):
+    if Leaf(None, "str").validate(value, path) == "":
+        raise ScenarioError(f"{path}: '' is not a file path")
+    return value
 
 
 _WEATHER_CONSTANT = {
-    "tdb_c": _temp(REQUIRED),
-    "rh_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
+    "tdb_c": Leaf(REQUIRED, "float", ABS_TEMP),
+    "rh_pct": Leaf(50.0, "float", PERCENT),
 }
 _WEATHER = {
-    "path": Leaf(None, "str", check=bool, msg="is not a file path"),
+    "path": (None, _file_path),
     "constant": (None, lambda v, p: _validate_level(v, _WEATHER_CONSTANT, p)),
-    "series": (None, _weather_series),
+    "series": (None, partial(_breakpoints, names=("time_s", "tdb_c", "rh_pct"),
+                             ranges=(ABS_TEMP, PERCENT))),
 }
 
 
@@ -239,11 +211,6 @@ def _signal(value, path):
     return rows
 
 
-def _dis_schedule(value, path):
-    return _column(_breakpoints(value, path, ("time_s", "t_dis_c"), empty_ok=True),
-                   path, 1, _abs_temp, T_RANGE)
-
-
 def _xyz(value, path):
     if (not isinstance(value, list) or len(value) != 3
             or not all(map(_is_number, value))):
@@ -260,8 +227,7 @@ def _zone_bounds(value, path):
     return [lo, hi]
 
 
-_PROBABILITY = Leaf(None, "float", check=lambda p: 0.0 <= p <= 1.0,
-                    msg="outside [0, 1]")
+_PROBABILITY = Leaf(None, "float", Range(0.0, 1.0))
 
 
 def _action_probs(value, path):
@@ -278,15 +244,15 @@ def _action_probs(value, path):
 
 _AGENT = {
     "coords": (REQUIRED, _xyz),
-    "clo": Leaf(0.7, "float", check=_nonneg, msg="must be >= 0"),
-    "t_pref_c": _temp(22.5),
-    "deadband_c": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
+    "clo": Leaf(0.7, "float", _NONNEG),
+    "t_pref_c": Leaf(22.5, "float", ABS_TEMP),
+    "deadband_c": Leaf(1.0, "float", _POSITIVE),
     "action_probs": ({}, _action_probs),
     "presence": (None, _presence),
 }
 
 _WINDOW = {
-    "start_s": Leaf(REQUIRED, "float", check=_nonneg, msg="must be >= 0"),
+    "start_s": Leaf(REQUIRED, "float", _NONNEG),
     "end_s": Leaf(REQUIRED, "float"),
 }
 
@@ -314,95 +280,91 @@ def _include(value, path):
 SCHEMA: dict[str, Any] = {
     "run": {
         "scenario_id": Leaf(None, "str?"),
-        "step_size_s": Leaf(60.0, "float", check=_pos, msg="must be > 0"),
-        "horizon": Leaf(60, "int", check=lambda v: v >= 1, msg="must be >= 1"),
+        "step_size_s": Leaf(60.0, "float", _POSITIVE),
+        "horizon": Leaf(60, "int", Range(1)),
         "mode": Leaf("fast", "str", choices={"fast", "realtime"}),
-        "seed": Leaf(0, "int", check=_nonneg, msg="must be >= 0"),
+        "seed": Leaf(0, "int", _NONNEG),
         "overrun_policy": Leaf("hold", "str", choices={"hold", "abort"}),
     },
     "delays": {
-        "comm_latency_s": Leaf(0.0, "float", check=_nonneg, msg="must be >= 0"),
-        "jitter_s": Leaf(0.0, "float", check=_nonneg, msg="must be >= 0"),
+        "comm_latency_s": Leaf(0.0, "float", _NONNEG),
+        "jitter_s": Leaf(0.0, "float", _NONNEG),
         "inherited_delay": Leaf(False, "bool"),
         "stale_hold": Leaf(False, "bool"),
     },
     "plant": {
         "ideal_actuators": Leaf(False, "bool"),
-        "control_dt_s": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
+        "control_dt_s": Leaf(1.0, "float", _POSITIVE),
         "hvac": {
-            "m_dot_kg_s": Leaf(0.5, "float",
-                               check=lambda v: v == 0.0 or MIN_M_DOT <= v <= MAX_M_DOT,
-                               msg=f"is neither 0 nor in [{MIN_M_DOT:g}, {MAX_M_DOT:g}]"),
-            "rated_cooling_w": Leaf(8000.0, "float", check=_pos, msg="must be > 0"),
-            "rated_heating_w": Leaf(6000.0, "float", check=_pos, msg="must be > 0"),
-            "kp_w_per_k": Leaf(400.0, "float", check=_nonneg, msg="must be >= 0"),
-            "ki_w_per_k_s": Leaf(2.0, "float", check=_nonneg, msg="must be >= 0"),
-            "tau_dis_s": Leaf(120.0, "float", check=_nonneg, msg="must be >= 0"),
-            "t_dis_min_c": _temp(8.0),
-            "t_dis_max_c": _temp(45.0),
+            "m_dot_kg_s": Leaf(0.5, "float", Range(MIN_M_DOT, MAX_M_DOT, zero_ok=True)),
+            "rated_cooling_w": Leaf(8000.0, "float", _POSITIVE),
+            "rated_heating_w": Leaf(6000.0, "float", _POSITIVE),
+            "kp_w_per_k": Leaf(400.0, "float", _NONNEG),
+            "ki_w_per_k_s": Leaf(2.0, "float", _NONNEG),
+            "tau_dis_s": Leaf(120.0, "float", _NONNEG),
+            "t_dis_min_c": Leaf(8.0, "float", ABS_TEMP),
+            "t_dis_max_c": Leaf(45.0, "float", ABS_TEMP),
             "pv_mode": Leaf("method2", "str", choices={"method1", "method2"}),
-            "t_dis_init_c": _temp(20.0),
-            "rh_dis_init_pct": Leaf(60.0, "float", check=_pct, msg="outside [0, 100]"),
-            "bleed_tau_s": Leaf(300.0, "float", check=_nonneg, msg="must be >= 0"),
+            "t_dis_init_c": Leaf(20.0, "float", ABS_TEMP),
+            "rh_dis_init_pct": Leaf(60.0, "float", PERCENT),
+            "bleed_tau_s": Leaf(300.0, "float", _NONNEG),
         },
         "zone_emulator": {
-            "c_emu_j_per_k": _heat_capacity(50000.0),
-            "air_mass_kg": Leaf(60.0, "float", check=lambda v: v >= MIN_AIR_MASS_KG,
-                                msg=f"must be >= {MIN_AIR_MASS_KG:g}"),
-            "heater_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
-            "cooling_w_max": Leaf(5000.0, "float", check=_nonneg, msg="must be >= 0"),
-            "humidifier_kg_s_max": Leaf(0.002, "float", check=_pos, msg="must be > 0"),
-            "kp_w_per_k": Leaf(800.0, "float", check=_nonneg, msg="must be >= 0"),
-            "ki_w_per_k_s": Leaf(4.0, "float", check=_nonneg, msg="must be >= 0"),
-            "kd_w_s_per_k": Leaf(0.0, "float", check=_nonneg, msg="must be >= 0"),
-            "hum_kp": Leaf(0.05, "float", check=_nonneg, msg="must be >= 0"),
-            "hum_ki": Leaf(0.002, "float", check=_nonneg, msg="must be >= 0"),
-            "t_init_c": _temp(22.0),
-            "rh_init_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
+            "c_emu_j_per_k": Leaf(50000.0, "float", Range(MIN_C_J_PER_K)),
+            "air_mass_kg": Leaf(60.0, "float", Range(MIN_AIR_MASS_KG)),
+            "heater_w_max": Leaf(5000.0, "float", _NONNEG),
+            "cooling_w_max": Leaf(5000.0, "float", _NONNEG),
+            "humidifier_kg_s_max": Leaf(0.002, "float", _POSITIVE),
+            "kp_w_per_k": Leaf(800.0, "float", _NONNEG),
+            "ki_w_per_k_s": Leaf(4.0, "float", _NONNEG),
+            "kd_w_s_per_k": Leaf(0.0, "float", _NONNEG),
+            "hum_kp": Leaf(0.05, "float", _NONNEG),
+            "hum_ki": Leaf(0.002, "float", _NONNEG),
+            "t_init_c": Leaf(22.0, "float", ABS_TEMP),
+            "rh_init_pct": Leaf(50.0, "float", PERCENT),
         },
         "outdoor": {
             "kind": Leaf("air", "str", choices={"air", "water"}),
-            "tau_s": Leaf(300.0, "float", check=_nonneg, msg="must be >= 0"),
-            "t_init_c": _temp(15.0),
-            "rh_init_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
+            "tau_s": Leaf(300.0, "float", _NONNEG),
+            "t_init_c": Leaf(15.0, "float", ABS_TEMP),
+            "rh_init_pct": Leaf(50.0, "float", PERCENT),
         },
     },
     "building": {
-        "c_z_j_per_k": _heat_capacity(2.0e7),
-        "ua_w_per_k": Leaf(250.0, "float", check=lambda v: 0 <= v <= MAX_UA_W_PER_K,
-                           msg=f"outside [0, {MAX_UA_W_PER_K:g}]"),
-        "moisture_capacity_kg": Leaf(800.0, "float", check=_pos, msg="must be > 0"),
-        "surface_tau_s": Leaf(1800.0, "float", check=_pos, msg="must be > 0"),
-        "n_surfaces": Leaf(4, "int", check=_nonneg, msg="must be >= 0"),
-        "t_init_c": _temp(23.0),
-        "rh_init_pct": Leaf(50.0, "float", check=_pct, msg="outside [0, 100]"),
+        "c_z_j_per_k": Leaf(2.0e7, "float", Range(MIN_C_J_PER_K)),
+        "ua_w_per_k": Leaf(250.0, "float", Range(0.0, MAX_UA_W_PER_K)),
+        "moisture_capacity_kg": Leaf(800.0, "float", _POSITIVE),
+        "surface_tau_s": Leaf(1800.0, "float", _POSITIVE),
+        "n_surfaces": Leaf(4, "int", _NONNEG),
+        "t_init_c": Leaf(23.0, "float", ABS_TEMP),
+        "rh_init_pct": Leaf(50.0, "float", PERCENT),
         "internal_gains_w": (300.0, _gains),
         "weather": ({"constant": {"tdb_c": 30.0, "rh_pct": 40.0}}, _weather),
     },
     "occupants": {
         "agents": ([], _objects(_AGENT)),
         "effects": {
-            "fan_offset_c": Leaf(0.8, "float", check=_nonneg, msg="must be >= 0"),
-            "clo_step": Leaf(0.5, "float", check=_pos, msg="must be > 0"),
+            "fan_offset_c": Leaf(0.8, "float", _NONNEG),
+            "clo_step": Leaf(0.5, "float", _POSITIVE),
             "clo_offset_c_per_clo": Leaf(2.0, "float"),
-            "clo_min": Leaf(0.3, "float", check=_nonneg, msg="must be >= 0"),
-            "clo_max": Leaf(1.5, "float", check=_pos, msg="must be > 0"),
-            "drink_offset_c": Leaf(0.5, "float", check=_nonneg, msg="must be >= 0"),
-            "drink_duration_s": Leaf(900.0, "float", check=_pos, msg="must be > 0"),
-            "walk_offset_c": Leaf(0.3, "float", check=_nonneg, msg="must be >= 0"),
-            "walk_duration_s": Leaf(300.0, "float", check=_pos, msg="must be > 0"),
-            "thermostat_step_c": Leaf(0.5, "float", check=_pos, msg="must be > 0"),
-            "thermostat_band_c": Leaf(2.0, "float", check=_pos, msg="must be > 0"),
-            "base_sensible_w": Leaf(75.0, "float", check=_nonneg, msg="must be >= 0"),
-            "base_latent_w": Leaf(55.0, "float", check=_nonneg, msg="must be >= 0"),
-            "heater_w": Leaf(800.0, "float", check=_nonneg, msg="must be >= 0"),
-            "walk_sensible_w": Leaf(40.0, "float", check=_nonneg, msg="must be >= 0"),
+            "clo_min": Leaf(0.3, "float", _NONNEG),
+            "clo_max": Leaf(1.5, "float", _POSITIVE),
+            "drink_offset_c": Leaf(0.5, "float", _NONNEG),
+            "drink_duration_s": Leaf(900.0, "float", _POSITIVE),
+            "walk_offset_c": Leaf(0.3, "float", _NONNEG),
+            "walk_duration_s": Leaf(300.0, "float", _POSITIVE),
+            "thermostat_step_c": Leaf(0.5, "float", _POSITIVE),
+            "thermostat_band_c": Leaf(2.0, "float", _POSITIVE),
+            "base_sensible_w": Leaf(75.0, "float", _NONNEG),
+            "base_latent_w": Leaf(55.0, "float", _NONNEG),
+            "heater_w": Leaf(800.0, "float", _NONNEG),
+            "walk_sensible_w": Leaf(40.0, "float", _NONNEG),
         },
         "surrogate": {
-            "w_discharge": Leaf(0.2, "float", check=_nonneg, msg="must be >= 0"),
-            "w_zone": Leaf(0.6, "float", check=_nonneg, msg="must be >= 0"),
-            "w_surfaces": Leaf(0.2, "float", check=_nonneg, msg="must be >= 0"),
-            "decay_length_m": Leaf(3.0, "float", check=_pos, msg="must be > 0"),
+            "w_discharge": Leaf(0.2, "float", _NONNEG),
+            "w_zone": Leaf(0.6, "float", _NONNEG),
+            "w_surfaces": Leaf(0.2, "float", _NONNEG),
+            "decay_length_m": Leaf(3.0, "float", _POSITIVE),
             "diffuser_xyz": ([0.0, 0.0, 2.5], _xyz),
             "zone_bounds": ([[0.0, 0.0, 0.0], [6.0, 6.0, 3.0]], _zone_bounds),
         },
@@ -411,31 +373,32 @@ SCHEMA: dict[str, Any] = {
         "mode": Leaf("efficiency", "str",
                      choices={"efficiency", "shed", "shift", "modulate"}),
         "baseline": {
-            "t_cool_c": _temp(24.0),
-            "t_heat_c": _temp(20.0),
-            "t_dis_c": _temp(None),
+            "t_cool_c": Leaf(24.0, "float", ABS_TEMP),
+            "t_heat_c": Leaf(20.0, "float", ABS_TEMP),
+            "t_dis_c": Leaf(None, "float?", ABS_TEMP),
             "p_duct_pa": Leaf(None, "float?"),
         },
         "windows": ([], _windows),
-        "dis_schedule": ([], _dis_schedule),
-        "delta_eff_c": Leaf(1.0, "float", check=_nonneg, msg="must be >= 0"),
-        "delta_shed_c": Leaf(2.0, "float", check=_nonneg, msg="must be >= 0"),
-        "delta_pre_c": Leaf(1.5, "float", check=_nonneg, msg="must be >= 0"),
-        "pre_window_s": Leaf(7200.0, "float", check=_nonneg, msg="must be >= 0"),
-        "r_max_c_per_step": Leaf(0.5, "float", check=_pos, msg="must be > 0"),
+        "dis_schedule": ([], partial(_breakpoints, names=("time_s", "t_dis_c"),
+                                     ranges=(ABS_TEMP,), empty_ok=True)),
+        "delta_eff_c": Leaf(1.0, "float", _NONNEG),
+        "delta_shed_c": Leaf(2.0, "float", _NONNEG),
+        "delta_pre_c": Leaf(1.5, "float", _NONNEG),
+        "pre_window_s": Leaf(7200.0, "float", _NONNEG),
+        "r_max_c_per_step": Leaf(0.5, "float", _POSITIVE),
         "modulation": {
-            "depth_c": Leaf(1.0, "float", check=_nonneg, msg="must be >= 0"),
+            "depth_c": Leaf(1.0, "float", _NONNEG),
             "signal": ([], _signal),
         },
         "bounds": {
-            "t_min_c": _temp(12.0),
-            "t_max_c": _temp(32.0),
+            "t_min_c": Leaf(12.0, "float", ABS_TEMP),
+            "t_max_c": Leaf(32.0, "float", ABS_TEMP),
         },
-        "min_gap_c": Leaf(1.0, "float", check=_pos, msg="must be > 0"),
+        "min_gap_c": Leaf(1.0, "float", _POSITIVE),
         "policy": Leaf("rbc", "str", choices={"rbc", "slow"}),
         "slow": {
-            "compute_latency_s": Leaf(90.0, "float", check=_nonneg, msg="must be >= 0"),
-            "freshness_s": Leaf(600.0, "float", check=_pos, msg="must be > 0"),
+            "compute_latency_s": Leaf(90.0, "float", _NONNEG),
+            "freshness_s": Leaf(600.0, "float", _POSITIVE),
         },
     },
     "logging": {
@@ -468,7 +431,7 @@ def _validate_level(doc, schema: dict, path: str) -> dict:
         if default is REQUIRED:
             raise ScenarioError(f"{child_path}: missing required key")
         # leaf defaults are immutable scalars (or None): shared, not copied
-        out[name] = default if leaf else copy.deepcopy(default)
+        out[name] = default if leaf or default is None else copy.deepcopy(default)
     return out
 
 

@@ -108,6 +108,21 @@ class TestResponseTime:
         with pytest.raises(InsufficientDataError):
             response_time(first_order_trace(), 60.0, 59)
 
+    @pytest.mark.parametrize("name, value", [
+        ("final_window", -5),  # used to average only the last sample
+        ("final_window", -1),
+        ("lead", -3),          # used to report too few pre-event samples
+        ("lead", -1),
+    ])
+    def test_negative_window_or_lead_is_a_value_error(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got {value}$"):
+            response_time(first_order_trace(), 60.0, 30, **{name: value})
+
+    def test_zero_final_window_reads_the_last_sample(self):
+        y = first_order_trace()
+        assert response_time(y, 60.0, 30, final_window=0) == \
+            response_time(y, 60.0, 30, final_window=1)
+
 
 class TestHuntingMetric:
     def test_sustained_sinusoid(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from flexbench.building import (T_MAX_C, T_MIN_C, WeatherFormatError,
+from flexbench.building import (T_MAX_C, T_MIN_C, Range, WeatherFormatError,
                                 WeatherSeries, ZoneModel, compute_zone_load,
                                 load_weather)
 from flexbench.plant import DischargeAir
@@ -103,6 +103,34 @@ def test_value_at_is_np_interp(rows_and_time):
     for col, value in zip((1, 2), got):
         want = np.interp(t, times, [r[col] for r in rows])
         assert type(value) is float and _bits(value) == _bits(float(want))
+
+
+class TestRange:
+    @pytest.mark.parametrize("r, text", [
+        (Range(0.0), "must be >= 0"),
+        (Range(0.0, open_lo=True), "must be > 0"),
+        (Range(1), "must be >= 1"),
+        (Range(0.0, 1e7), "outside [0, 1e+07]"),
+        (Range(-100.0, 200.0, unit="degC"), "outside [-100, 200] degC"),
+        (Range(1e-3, 100.0, zero_ok=True), "is neither 0 nor in [0.001, 100]"),
+    ])
+    def test_text_is_derived_from_the_fields(self, r, text):
+        assert r.text == text
+
+    def test_negative_zero_is_zero(self):
+        assert -0.0 in Range(0.0) and -0.0 in Range(-1.0, 0.0)
+        assert -0.0 not in Range(0.0, open_lo=True)
+        assert 0.0 not in Range(0.0, open_lo=True)
+        flow = Range(1e-3, 100.0, zero_ok=True)
+        assert 0 in flow and -0.0 in flow
+        assert 5e-324 not in flow and -5e-324 not in flow
+
+    def test_ends(self):
+        r = Range(-1.0, 1.0)
+        assert -1.0 in r and 1.0 in r
+        assert math.nextafter(-1.0, -math.inf) not in r
+        assert math.nextafter(1.0, math.inf) not in r
+        assert 1e308 in Range(0.0) and math.nan not in Range(0.0)
 
 
 class TestLoadWeather:

@@ -254,6 +254,18 @@ class TestAnalyze:
         assert rc == 3
         assert "analysis error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arg, name", [
+        ("--final-window=-5", "final_window"),
+        ("--lead=-3", "lead"),
+    ])
+    def test_step_response_negative_argument_is_exit_1(self, run_csv, capsys,
+                                                       arg, name):
+        # a bad argument, not the analysis error (exit 3) it used to end in
+        rc = main(["analyze", "step-response", "--csv", run_csv,
+                   "--var", "plant.t_zone_emu:emulated", "--event", "3", arg])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {name} must be >= 0, got {arg[-2:]}\n"
+
     def test_delay_bound(self, run_csv, capsys):
         assert main(["analyze", "delay-bound", "--csv", run_csv]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,9 @@
 
 Each shipped scenario, run in fast mode through `flexbench run`, must write
 the `run.csv` and `summary.json` pinned here.  A change that moves any byte
-of them has to update the digest and declare the numeric change.
+of them has to update the digest and declare the numeric change.  The
+`scenario.effective.json` it writes is pinned too, so a change to validation
+or its defaults shows here even when the run itself does not move.
 """
 
 import hashlib
@@ -34,6 +36,16 @@ GOLDEN = {
         "c7224c3a851573594d5db3e6dec2bb320a3d1b33519b2c8e95d8a8ad9b16ee5b"),
 }
 
+# scenario -> sha256 of scenario.effective.json
+EFFECTIVE = {
+    "delay_bound": "a56d47683bc0663a034d39a6c2274ddedb5ee68f120c53fe22b4ae74f5a8a8d0",
+    "geb_shed": "45551dd0ecaba3842e27873621c13d9f010cad6dc13d82d13bc767d4ef468c86",
+    "geb_shift": "7f6aba3dd73892643be083cc05373e2f00369131a9e0fc142d183627a863069b",
+    "h1_hunting": "cbfc45cda0e2f2a3d590477d8b69d42df3ec7a2624a701836ad31d9744c85125",
+    "standard_dynamic": "17fec2d4b9f54f566473a10a87ad1449862e621ec3d51c026f6fa2b0de362b10",
+    "step_response": "ddc9a2135e8adc1fa8a4b27b473edad3030d70646950a5fd9ec2a3de3b7b6bb7",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -50,3 +62,4 @@ def test_shipped_scenario_bytes(name, tmp_path, capsys):
                  "--mode", "fast"]) == 0
     capsys.readouterr()
     assert (_sha256(out / "run.csv"), _sha256(out / "summary.json")) == GOLDEN[name]
+    assert _sha256(out / "scenario.effective.json") == EFFECTIVE[name]

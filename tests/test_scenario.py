@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from flexbench.cli import main
 from flexbench.orchestrator import Engine
-from flexbench.scenario import (SCHEMA, Leaf, ScenarioError, apply_overrides,
+from flexbench.scenario import (_AGENT, _PROBABILITY, _WEATHER_CONSTANT, _WINDOW,
+                                SCHEMA, Leaf, ScenarioError, apply_overrides,
                                 load_scenario, validate_scenario)
 
 
@@ -106,6 +107,17 @@ class TestWeatherField:
         doc = {"building": {"weather": {"path": "nope.csv"}}}
         with pytest.raises(ScenarioError, match="file not found"):
             validate_scenario(doc, base_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("path, error", [
+        ("", "'' is not a file path"),
+        (3, "expected a string, got 3"),
+        (None, "expected a string, got None"),
+    ])
+    def test_path_is_a_non_empty_string(self, tmp_path, path, error):
+        with pytest.raises(ScenarioError) as e:
+            validate_scenario({"building": {"weather": {"path": path}}},
+                              base_dir=str(tmp_path))
+        assert str(e.value) == f"building.weather.path: {error}"
 
     def test_file_coverage_checked(self, tmp_path):
         p = tmp_path / "w.csv"
@@ -359,6 +371,52 @@ def test_every_absolute_temperature_leaf_shares_one_range():
     assert validate_scenario({"occupants": {"effects": {"fan_offset_c": 300}}})
     assert validate_scenario({"occupants": {"agents": [
         {"coords": [1, 1, 1], "deadband_c": 300}]}})
+
+
+# Every leaf with a number, the nested schemas of list items and of the
+# constant weather included.
+_NUMERIC_LEAVES = [
+    (p, leaf) for p, _, leaf in [
+        *_leaves(SCHEMA), *_leaves(_AGENT, "occupants.agents[0]"),
+        *_leaves(_WINDOW, "geb.windows[0]"),
+        *_leaves(_WEATHER_CONSTANT, "building.weather.constant"),
+        ("occupants.agents[0].action_probs.fan_toggle", "", _PROBABILITY)]
+    if leaf.kind.rstrip("?") in ("float", "int")]
+# Float leaves that take any finite number.  A new one belongs here only by
+# decision: otherwise it gets a range.
+_UNBOUNDED = {"occupants.effects.clo_offset_c_per_clo", "geb.windows[0].end_s",
+              "geb.baseline.p_duct_pa"}
+
+
+def test_every_unbounded_number_is_listed():
+    assert {p for p, leaf in _NUMERIC_LEAVES if leaf.range is None} == _UNBOUNDED
+
+
+@pytest.mark.parametrize("path, leaf", [pytest.param(p, leaf, id=p)
+                                        for p, leaf in _NUMERIC_LEAVES
+                                        if leaf.range is not None])
+def test_range_boundaries_read_from_the_schema(path, leaf):
+    r = leaf.range
+    integer = leaf.kind == "int"
+
+    def fails(v):
+        with pytest.raises(ScenarioError) as e:
+            leaf.validate(v, path)
+        assert str(e.value) == f"{path}: {v!r} {r.text}"
+
+    ends = [int(r.lo) if integer else r.lo] + (
+        [] if r.hi is None else [int(r.hi) if integer else r.hi])
+    if r.open_lo:
+        fails(ends[0])
+        ends[0] = math.nextafter(r.lo, math.inf)
+    for v in ends:
+        assert leaf.validate(v, path) == v
+    if r.zero_ok:
+        for zero in (0, -0.0):
+            assert leaf.validate(zero, path) == 0
+    fails(int(r.lo) - 1 if integer else math.nextafter(r.lo, -math.inf))
+    if r.hi is not None:
+        fails(int(r.hi) + 1 if integer else math.nextafter(r.hi, math.inf))
 
 
 class TestAgents:
