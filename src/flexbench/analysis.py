@@ -56,11 +56,12 @@ def response_time(values, dt_s: float, event_index: int,
 
     The lead-in before the event must be steady (std below 1 % of the total
     change); a series that never crosses the threshold has no response.  A
-    negative final_window or lead is a ValueError.
+    negative final_window, or a lead under the 2 samples a steady lead-in
+    needs, is a ValueError.
     """
-    for name, value in (("final_window", final_window), ("lead", lead)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value!r}")
+    for name, value, lo in (("final_window", final_window, 0), ("lead", lead, 2)):
+        if value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value!r}")
     y = np.asarray(values, dtype=float)
     n = len(y)
     if n < 4 or not (0 < event_index < n - 1):

@@ -1,12 +1,13 @@
 """Occupant agents: local comfort sensing, stochastic adaptive actions, gains.
 
 Each agent senses a local temperature through a near-occupant surrogate (a
-convex blend of discharge air, zone air, and surface temperatures weighted by
-distance to the diffuser), scores its discomfort against a preference band,
-and then fires adaptive actions stochastically.  An agent's action draws for
-a step are one row of a block keyed by (run seed, agent id, step //
-BLOCK_STEPS) (see `streams`), so results are independent of agent evaluation
-order.
+convex blend of discharge air, zone air, and mean surface temperatures
+weighted by distance to the diffuser), scores its discomfort against a
+preference band, and then fires adaptive actions stochastically.  An agent's
+blend weights depend only on its position, so they are computed once, when
+the population is built.  An agent's action draws for a step are one row of
+a block keyed by (run seed, agent id, step // BLOCK_STEPS) (see `streams`),
+so results are independent of agent evaluation order.
 """
 
 from __future__ import annotations
@@ -97,20 +98,13 @@ class OccupantAgent:
         return t_s < self.walk_until_s
 
 
-@dataclass
-class LocalCondition:
-    t_c: float          # effective local temperature (fan offset included)
-    rh_pct: float
-    t_mix_c: float      # convex blend before personal effects
-    coords_clamped: bool = False
-
-
 class NearOccupantSurrogate:
-    """Maps plant/zone records to a local condition at an occupant position.
+    """Weights of the local-temperature blend at an occupant position.
 
     The discharge-air weight decays exponentially with distance to the
-    diffuser; weights are renormalized to sum to one, so the blended
-    temperature always lies inside the range of its inputs.
+    diffuser, measured from the position clamped into the zone bounds;
+    weights are renormalized to sum to one, so the blended temperature always
+    lies inside the range of its inputs.
     """
 
     def __init__(self, w_discharge: float, w_zone: float, w_surfaces: float,
@@ -123,30 +117,20 @@ class NearOccupantSurrogate:
         self.diffuser = diffuser_xyz
         self.lo, self.hi = zone_bounds
 
-    def local_condition(self, agent: OccupantAgent, discharge: DischargeAir,
-                        zone_t_c: float, zone_rh_pct: float,
-                        surfaces: list[float], fx: EffectConfig) -> LocalCondition:
-        clamped = False
-        pos = []
-        for c, lo, hi in zip(agent.coords, self.lo, self.hi):
-            cc = min(max(c, lo), hi)
-            clamped = clamped or cc != c
-            pos.append(cc)
+    def weights(self, coords: list[float]) -> tuple[float, float, float]:
+        """(discharge, zone, surfaces) weights at coords."""
+        pos = [min(max(c, lo), hi) for c, lo, hi in zip(coords, self.lo, self.hi)]
         dist = math.dist(pos, self.diffuser)
         wd = self.w_discharge * math.exp(-dist / self.decay_length)
         total = wd + self.w_zone + self.w_surfaces
-        wd, wz, ws = wd / total, self.w_zone / total, self.w_surfaces / total
-        surf = sum(surfaces) / len(surfaces) if surfaces else zone_t_c
-        t_mix = wd * discharge.t_c + wz * zone_t_c + ws * surf
-        rh = wd * discharge.rh_pct + (wz + ws) * zone_rh_pct
-        t_eff = t_mix - (fx.fan_offset_c if agent.fan_on else 0.0)
-        return LocalCondition(t_eff, rh, t_mix, clamped)
+        return wd / total, self.w_zone / total, self.w_surfaces / total
 
 
-def comfort_eval(agent: OccupantAgent, local: LocalCondition, t_s: float,
+def comfort_eval(agent: OccupantAgent, t_local_c: float, t_s: float,
                  fx: EffectConfig) -> float:
-    """Signed discomfort: degrees beyond the preference band, 0 inside it."""
-    eff = (local.t_c
+    """Signed discomfort: degrees beyond the preference band, 0 inside it.
+    t_local_c is the surrogate's blend with the fan offset taken off."""
+    eff = (t_local_c
            + fx.clo_offset_c_per_clo * (agent.clo - agent.clo_ref)
            + agent.drink_offset(t_s, fx)
            + (fx.walk_offset_c if agent.walking(t_s) else 0.0))
@@ -225,26 +209,6 @@ class OccupantGains:
     thermostat_delta_c: float
 
 
-def aggregate_gains(agents: list[OccupantAgent], t_s: float,
-                    fx: EffectConfig) -> OccupantGains:
-    """Zone-level gains, summed in fixed agent-id order for reproducibility."""
-    sens = lat = 0.0
-    deltas = []
-    for agent in sorted(agents, key=lambda a: a.agent_id):
-        if not agent.present(t_s):
-            continue
-        sens += fx.base_sensible_w
-        if agent.heater_on:
-            sens += fx.heater_w
-        if agent.walking(t_s):
-            sens += fx.walk_sensible_w
-        lat += fx.base_latent_w
-        deltas.append(agent.thermostat_delta_c)
-    band = fx.thermostat_band_c
-    delta = sum(deltas) / len(deltas) if deltas else 0.0
-    return OccupantGains(sens, lat, min(max(delta, -band), band))
-
-
 @dataclass
 class PopulationOutcome:
     gains: OccupantGains
@@ -253,7 +217,8 @@ class PopulationOutcome:
 
 
 class Population:
-    """All agents of one run plus the shared surrogate and effect config.
+    """All agents of one run, each with its blend weights computed here once,
+    plus the shared effect config.
 
     Without agents every step has the same outcome, no gains, actions or
     discomfort, so it is built once here and step() returns it as it is."""
@@ -261,28 +226,42 @@ class Population:
     def __init__(self, agents: list[OccupantAgent], surrogate: NearOccupantSurrogate,
                  effects: EffectConfig, seed: int):
         self.agents = sorted(agents, key=lambda a: a.agent_id)
-        self.surrogate = surrogate
         self.fx = effects
         self.seed = seed
+        self._weighted = [(a, surrogate.weights(a.coords)) for a in self.agents]
         self._idle = (None if agents else
-                      PopulationOutcome(aggregate_gains([], 0.0, effects), (), 0.0))
+                      PopulationOutcome(OccupantGains(0.0, 0.0, 0.0), (), 0.0))
 
     def step(self, step_index: int, t_s: float, discharge: DischargeAir,
-             zone_t_c: float, zone_rh_pct: float,
-             surfaces: list[float]) -> PopulationOutcome:
+             zone_t_c: float, surfaces: list[float]) -> PopulationOutcome:
+        """One pass in agent-id order: each present agent senses, scores and
+        behaves, then adds its gains and thermostat vote."""
         if self._idle is not None:
             return self._idle
+        fx = self.fx
+        surf = sum(surfaces) / len(surfaces) if surfaces else zone_t_c
+        sens = lat = 0.0
         actions = []
         scores = []
-        for agent in self.agents:
+        deltas = []
+        for agent, (wd, wz, ws) in self._weighted:
             if not agent.present(t_s):
                 continue
-            local = self.surrogate.local_condition(agent, discharge, zone_t_c,
-                                                   zone_rh_pct, surfaces, self.fx)
-            score = comfort_eval(agent, local, t_s, self.fx)
+            t_local = (wd * discharge.t_c + wz * zone_t_c + ws * surf
+                       - (fx.fan_offset_c if agent.fan_on else 0.0))
+            score = comfort_eval(agent, t_local, t_s, fx)
             scores.append(abs(score))
-            for action in behave(agent, score, self.seed, step_index, t_s, self.fx):
+            for action in behave(agent, score, self.seed, step_index, t_s, fx):
                 actions.append((agent.agent_id, action))
-        gains = aggregate_gains(self.agents, t_s, self.fx)
+            sens += fx.base_sensible_w
+            if agent.heater_on:
+                sens += fx.heater_w
+            if agent.walking(t_s):
+                sens += fx.walk_sensible_w
+            lat += fx.base_latent_w
+            deltas.append(agent.thermostat_delta_c)
+        band = fx.thermostat_band_c
+        delta = sum(deltas) / len(deltas) if deltas else 0.0
+        gains = OccupantGains(sens, lat, min(max(delta, -band), band))
         mean_disc = sum(scores) / len(scores) if scores else 0.0
         return PopulationOutcome(gains, tuple(actions), mean_disc)

@@ -266,15 +266,14 @@ class Engine:
 
         # measure: plant state at the top of the interval
         self._write(n, self._uplink, self._measured(self.plant.measure()), send_ms)
-        # the state measure() just read, humidity as w; RH only for occupants
+        # the state measure() just read, humidity as w
         discharge = self.plant.hvac.discharge()
 
         # simulate: occupants react to the previous zone state, then the zone
         # advances (into a new surfaces list), then the supervisor produces
         # this step's setpoints
         zone = self.zone
-        occ = self.population.step(n, t_s, discharge, zone.t, zone.rh,
-                                   zone.surfaces)
+        occ = self.population.step(n, t_s, discharge, zone.t, zone.surfaces)
         out_t, out_rh = self.weather.value_at(t_s)
         gains_s = self.internal_gains_at(t_s) + occ.gains.sensible_w
         zres = zone.step(discharge, out_t, gains_s, occ.gains.latent_w,

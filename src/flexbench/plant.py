@@ -8,7 +8,7 @@ exponential update so trajectories are independent of substep choice for
 constant inputs.
 
 Humidity is carried as humidity ratio end to end; relative humidity appears
-only in measure() and, for the occupants, in DischargeAir.rh_pct.
+only in measure().
 
 PlantSim.advance() is the production integrator: one loop over local
 variables that performs, substep by substep, the operations of HvacUnit.step,
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .psychro import (ATM_PA, CP_AIR, H_FG, MAGNUS_A, MAGNUS_B, MAGNUS_C,
                       MW_RATIO, PW_CAP, rh_from_w, w_from_rh, w_sat)
@@ -37,17 +36,12 @@ from .psychro import (ATM_PA, CP_AIR, H_FG, MAGNUS_A, MAGNUS_B, MAGNUS_C,
 class DischargeAir:
     """Supply air delivered by the HVAC unit: dry bulb, humidity ratio, flow.
 
-    Humidity travels as w end to end, so the zone consumes it unchanged.  RH
-    exists only for the occupants: rh_pct is derived on first read and kept,
-    so one exchange step converts at most once."""
+    Humidity travels as w end to end, so the zone consumes it unchanged; its
+    RH is derived only in measure()."""
 
     t_c: float
     w: float
     m_dot_kg_s: float
-
-    @cached_property
-    def rh_pct(self) -> float:
-        return rh_from_w(self.t_c, self.w)
 
 
 class PidController:

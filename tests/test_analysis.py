@@ -113,9 +113,12 @@ class TestResponseTime:
         ("final_window", -1),
         ("lead", -3),          # used to report too few pre-event samples
         ("lead", -1),
+        ("lead", 0),           # a steady lead-in needs 2 samples
+        ("lead", 1),
     ])
     def test_negative_window_or_lead_is_a_value_error(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got {value}$"):
+        lo = 2 if name == "lead" else 0
+        with pytest.raises(ValueError, match=rf"^{name} must be >= {lo}, got {value}$"):
             response_time(first_order_trace(), 60.0, 30, **{name: value})
 
     def test_zero_final_window_reads_the_last_sample(self):
@@ -413,7 +416,10 @@ def _step_series(draw):
     at the 63.2 % threshold, which is where the first crossing ties."""
     a = draw(st.sampled_from([0.0, -0.0, 20.0, -3.5]))
     b = draw(st.sampled_from([0.0, 1.0, 22.5, -10.0, 20.0]))
-    lead, final = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    # a lead under 2 is an argument error before any sample is read (see
+    # test_negative_window_or_lead_is_a_value_error); an event at index 1
+    # still leaves too few pre-event samples
+    lead, final = draw(st.integers(2, 5)), draw(st.integers(0, 4))
     head = [a] * draw(st.integers(0, 6))
     if head and draw(st.booleans()):
         head[0] += draw(st.sampled_from([1e-3, 5.0]))

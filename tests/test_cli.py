@@ -257,6 +257,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("arg, name", [
         ("--final-window=-5", "final_window"),
         ("--lead=-3", "lead"),
+        ("--lead=1", "lead"),
     ])
     def test_step_response_negative_argument_is_exit_1(self, run_csv, capsys,
                                                        arg, name):
@@ -264,7 +265,9 @@ class TestAnalyze:
         rc = main(["analyze", "step-response", "--csv", run_csv,
                    "--var", "plant.t_zone_emu:emulated", "--event", "3", arg])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {name} must be >= 0, got {arg[-2:]}\n"
+        lo = 2 if name == "lead" else 0
+        assert capsys.readouterr().err == \
+            f"error: {name} must be >= {lo}, got {arg.partition('=')[2]}\n"
 
     def test_delay_bound(self, run_csv, capsys):
         assert main(["analyze", "delay-bound", "--csv", run_csv]) == 0

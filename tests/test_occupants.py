@@ -1,13 +1,15 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flexbench import occupants
-from flexbench.occupants import (ActionType, EffectConfig, LocalCondition,
+from flexbench.cli import main
+from flexbench.occupants import (ActionType, EffectConfig,
                                  NearOccupantSurrogate, OccupantAgent,
-                                 Population, aggregate_gains, behave,
-                                 comfort_eval)
+                                 Population, behave, comfort_eval)
 from flexbench.plant import DischargeAir
 from flexbench.psychro import w_from_rh
 from tests.helpers import agent_block, block
@@ -24,23 +26,25 @@ def agent(agent_id=0, **fields):
     return OccupantAgent(agent_id, **agent_block(**fields))
 
 
-def local(t):
-    return LocalCondition(t_c=t, rh_pct=50.0, t_mix_c=t)
+def one_step(agents, t_s=0.0):
+    """The outcome of one Population.step of agents at 26 degC."""
+    air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5)
+    return Population(agents, surrogate(), FX, 1).step(0, t_s, air, 26.0, [26.0])
 
 
 class TestComfortEval:
     def test_band_edges(self):
         a = agent(t_pref_c=22.5, deadband_c=1.0)
-        assert comfort_eval(a, local(24.5), 0.0, FX) == pytest.approx(1.0)
-        assert comfort_eval(a, local(22.5), 0.0, FX) == 0.0
-        assert comfort_eval(a, local(23.5), 0.0, FX) == 0.0
-        assert comfort_eval(a, local(20.0), 0.0, FX) == pytest.approx(-1.5)
+        assert comfort_eval(a, 24.5, 0.0, FX) == pytest.approx(1.0)
+        assert comfort_eval(a, 22.5, 0.0, FX) == 0.0
+        assert comfort_eval(a, 23.5, 0.0, FX) == 0.0
+        assert comfort_eval(a, 20.0, 0.0, FX) == pytest.approx(-1.5)
 
     def test_extra_clothing_warms(self):
         a = agent(t_pref_c=22.5)
-        cold = comfort_eval(a, local(20.0), 0.0, FX)
+        cold = comfort_eval(a, 20.0, 0.0, FX)
         a.clo += 0.5
-        assert comfort_eval(a, local(20.0), 0.0, FX) == pytest.approx(cold + 1.0)
+        assert comfort_eval(a, 20.0, 0.0, FX) == pytest.approx(cold + 1.0)
 
     def test_drink_offset_decays_linearly(self):
         a = agent()
@@ -52,20 +56,18 @@ class TestComfortEval:
 
     def test_walk_adds_warmth_while_active(self):
         a = agent(t_pref_c=22.5)
-        base = comfort_eval(a, local(20.0), 100.0, FX)
+        base = comfort_eval(a, 20.0, 100.0, FX)
         a.walk_until_s = 400.0
-        assert comfort_eval(a, local(20.0), 100.0, FX) == pytest.approx(base + 0.3)
-        assert comfort_eval(a, local(20.0), 400.0, FX) == pytest.approx(base)
+        assert comfort_eval(a, 20.0, 100.0, FX) == pytest.approx(base + 0.3)
+        assert comfort_eval(a, 20.0, 400.0, FX) == pytest.approx(base)
 
     def test_fan_cools_via_surrogate(self):
-        a = agent()
-        sur = surrogate()
-        air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5)
-        off = sur.local_condition(a, air, 26.0, 50.0, [26.0], FX)
+        a = agent()  # hot at 26 degC either way, so discomfort is the excess
+        off = one_step([a]).mean_discomfort
         a.fan_on = True
-        on = sur.local_condition(a, air, 26.0, 50.0, [26.0], FX)
-        assert on.t_c == pytest.approx(off.t_c - 0.8)
-        assert on.t_mix_c == off.t_mix_c
+        on = one_step([a]).mean_discomfort
+        assert off > FX.fan_offset_c
+        assert on == pytest.approx(off - FX.fan_offset_c)
 
 
 class TestBehave:
@@ -158,47 +160,32 @@ class TestBehave:
 class TestSurrogate:
     def test_distance_shrinks_discharge_weight(self):
         sur = surrogate(diffuser_xyz=[0.0, 0.0, 2.5])
-        air = DischargeAir(10.0, w_from_rh(10.0, 60.0), 0.5)
-        near = sur.local_condition(agent(coords=[0.2, 0.2, 2.3]), air,
-                                   26.0, 50.0, [26.0], FX)
-        far = sur.local_condition(agent(coords=[5.9, 5.9, 0.1]), air,
-                                  26.0, 50.0, [26.0], FX)
-        assert near.t_c < far.t_c < 26.0
+        near = sur.weights([0.2, 0.2, 2.3])
+        far = sur.weights([5.9, 5.9, 0.1])
+        assert near[0] > far[0] > 0.0
 
-    def test_coords_outside_bounds_flagged(self):
+    def test_coords_outside_bounds_are_clamped(self):
         sur = surrogate()
-        air = DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5)
-        inside = sur.local_condition(agent(coords=[1.0, 1.0, 1.0]), air,
-                                     26.0, 50.0, [26.0], FX)
-        outside = sur.local_condition(agent(coords=[-4.0, 1.0, 1.0]), air,
-                                      26.0, 50.0, [26.0], FX)
-        assert not inside.coords_clamped and outside.coords_clamped
-        # clamped position sits on the boundary, so the blend stays sane
-        clamped_match = sur.local_condition(agent(coords=[0.0, 1.0, 1.0]), air,
-                                            26.0, 50.0, [26.0], FX)
-        assert outside.t_mix_c == clamped_match.t_mix_c
+        # a position outside the zone is weighted as its clamped position
+        assert sur.weights([-4.0, 1.0, 1.0]) == sur.weights([0.0, 1.0, 1.0])
+        assert sur.weights([9.0, 7.0, 4.0]) == sur.weights([6.0, 6.0, 3.0])
+        assert sur.weights([1.0, 1.0, 1.0]) != sur.weights([0.0, 1.0, 1.0])
 
     @settings(max_examples=60, deadline=None)
     @given(wd=st.floats(0.0, 5.0), wz=st.floats(0.01, 5.0),
            ws=st.floats(0.0, 5.0),
-           x=st.floats(0.0, 6.0), y=st.floats(0.0, 6.0), z=st.floats(0.0, 3.0),
-           t_dis=st.floats(5.0, 35.0), t_zone=st.floats(15.0, 30.0),
-           t_surf=st.floats(10.0, 35.0))
-    def test_blend_stays_inside_input_range(self, wd, wz, ws, x, y, z,
-                                            t_dis, t_zone, t_surf):
-        sur = surrogate(w_discharge=wd, w_zone=wz, w_surfaces=ws)
-        cond = sur.local_condition(agent(coords=[x, y, z]),
-                                   DischargeAir(t_dis, w_from_rh(t_dis, 60.0), 0.5),
-                                   t_zone, 50.0, [t_surf], FX)
-        lo = min(t_dis, t_zone, t_surf) - 1e-9
-        hi = max(t_dis, t_zone, t_surf) + 1e-9
-        assert lo <= cond.t_mix_c <= hi
+           x=st.floats(-3.0, 9.0), y=st.floats(-3.0, 9.0), z=st.floats(-1.0, 4.0))
+    def test_blend_stays_inside_input_range(self, wd, wz, ws, x, y, z):
+        # convex weights keep the blend inside the range of its inputs
+        weights = surrogate(w_discharge=wd, w_zone=wz,
+                            w_surfaces=ws).weights([x, y, z])
+        assert min(weights) >= 0.0
+        assert abs(sum(weights) - 1.0) <= 1e-12
 
 
 class TestAggregateGains:
     def test_base_occupancy(self):
-        agents = [agent(agent_id=i) for i in range(3)]
-        g = aggregate_gains(agents, 0.0, FX)
+        g = one_step([agent(agent_id=i) for i in range(3)]).gains
         assert g.sensible_w == 3 * 75.0
         assert g.latent_w == 3 * 55.0
         assert g.thermostat_delta_c == 0.0
@@ -207,32 +194,31 @@ class TestAggregateGains:
         a = agent()
         a.heater_on = True
         a.walk_until_s = 300.0
-        g = aggregate_gains([a], 0.0, FX)
-        assert g.sensible_w == 75.0 + 800.0 + 40.0
+        assert one_step([a]).gains.sensible_w == 75.0 + 800.0 + 40.0
 
     def test_presence_gates_everything(self):
         away = agent(presence=[[0.0, 0]])
         away.thermostat_delta_c = 2.0
         here = agent(agent_id=1)
-        g = aggregate_gains([away, here], 100.0, FX)
+        g = one_step([away, here], 100.0).gains
         assert g.sensible_w == 75.0
         assert g.thermostat_delta_c == 0.0  # absent vote ignored
 
     def test_order_independent(self):
         agents = []
         for i in range(6):
-            a = agent(agent_id=i)
+            a = agent(agent_id=i, coords=[0.5 + i, 1.0, 1.0])
             a.thermostat_delta_c = (-1) ** i * 0.5 * i
+            a.heater_on = i % 2 == 0
             agents.append(a)
         shuffled = agents[:]
         random.Random(3).shuffle(shuffled)
-        assert aggregate_gains(agents, 0.0, FX) == aggregate_gains(shuffled, 0.0, FX)
+        assert one_step(agents) == one_step(shuffled)
 
     def test_mean_delta_clamped(self):
         a = agent()
-        a.thermostat_delta_c = 2.0
-        g = aggregate_gains([a], 0.0, FX)
-        assert g.thermostat_delta_c == 2.0
+        a.thermostat_delta_c = 3.0
+        assert one_step([a]).gains.thermostat_delta_c == FX.thermostat_band_c
 
 
 class TestPresence:
@@ -259,19 +245,19 @@ class TestPopulation:
 
     def test_step_reports_actions_and_discomfort(self):
         pop = self._pop(probs={"drink": 1.0})
-        out = pop.step(0, 0.0, DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [28.0])
+        out = pop.step(0, 0.0, DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, [28.0])
         assert out.mean_discomfort > 0
         assert set(out.actions) == {(0, ActionType.DRINK), (1, ActionType.DRINK)}
         assert out.gains.sensible_w == 2 * 75.0
 
     def test_comfortable_zone_is_quiet(self):
         pop = self._pop(probs={t.value: 1.0 for t in ActionType})
-        out = pop.step(0, 0.0, DischargeAir(22.0, w_from_rh(22.0, 50.0), 0.5), 22.5, 50.0, [22.5])
+        out = pop.step(0, 0.0, DischargeAir(22.0, w_from_rh(22.0, 50.0), 0.5), 22.5, [22.5])
         assert out.actions == ()
         assert out.mean_discomfort == 0.0
 
     def test_runs_identically_for_same_seed(self):
-        args = (DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [27.0])
+        args = (DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, [27.0])
         probs = {t.value: 0.4 for t in ActionType}
         first = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]
         second = [self._pop(probs, seed=5).step(i, i * 60.0, *args) for i in range(5)]
@@ -287,7 +273,7 @@ class TestPopulation:
         agents = [agent(agent_id=i, action_probs={"drink": 0.5})
                   for i in range(300)]
         pop = Population(agents, surrogate(), FX, 5)
-        args = (DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, 50.0, [28.0])
+        args = (DischargeAir(16.0, w_from_rh(16.0, 60.0), 0.5), 28.0, [28.0])
         outcomes = [pop.step(n, n * 60.0, *args) for n in range(2)]
         assert all(o.mean_discomfort > 0 for o in outcomes)
         assert len(calls) == len(set(calls)) == 300
@@ -303,17 +289,61 @@ def test_a_run_without_agents_does_no_occupant_work(monkeypatch, n_agents):
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
-    monkeypatch.setattr(NearOccupantSurrogate, "local_condition", counted(
-        "local_condition", NearOccupantSurrogate.local_condition))
     monkeypatch.setattr(occupants, "behave", counted("behave", occupants.behave))
-    monkeypatch.setattr(occupants, "aggregate_gains",
-                        counted("aggregate_gains", occupants.aggregate_gains))
+    monkeypatch.setattr(occupants, "comfort_eval",
+                        counted("comfort_eval", occupants.comfort_eval))
     engine.run()
     if n_agents:  # the counters see an agent's calls
-        assert sorted(set(calls)) == ["aggregate_gains", "behave", "local_condition"]
+        assert sorted(set(calls)) == ["behave", "comfort_eval"]
         return
     assert calls == []
     out = engine.population.step(5, 300.0, engine.plant.hvac.discharge(),
-                                 21.0, 50.0, [21.0])
+                                 21.0, [21.0])
     assert (out.gains.sensible_w, out.gains.latent_w, out.gains.thermostat_delta_c,
             out.actions, out.mean_discomfort) == (0.0, 0.0, 0.0, (), 0.0)
+
+
+# A crowd that exercises every occupant path: all six actions likely, absences,
+# one agent outside zone_bounds.  n_surfaces 0 makes the surrogate fall back
+# to the zone temperature for the surface term.
+_CROWD = {
+    "run": {"scenario_id": "crowd", "horizon": 240, "seed": 7},
+    "delays": {"comm_latency_s": 0.1, "jitter_s": 0.02},
+    "building": {"t_init_c": 24.0, "weather": {"series": [
+        [0, 26.0, 40.0], [3600, 35.0, 55.0], [7200, 18.0, 45.0],
+        [10800, 33.0, 50.0], [14400, 20.0, 40.0]]}},
+    "occupants": {"agents": [
+        {"coords": [0.5 + 0.7 * i, 5.5 - 0.6 * i, 0.4 + 0.3 * i],
+         "t_pref_c": 20.5 + 0.6 * i, "deadband_c": 0.5 + 0.1 * (i % 3),
+         "clo": 0.5 + 0.1 * (i % 4),
+         "action_probs": {a.value: 0.2 + 0.05 * ((i + k) % 7)
+                          for k, a in enumerate(ActionType)},
+         "presence": ([[0, 1], [1800 * (i + 1), 0], [1800 * (i + 3), 1]]
+                      if i % 2 else None)}
+        for i in range(7)] + [
+        {"coords": [-1.5, 7.0, 1.0], "t_pref_c": 21.0, "deadband_c": 0.5,
+         "action_probs": {a.value: 0.3 for a in ActionType},
+         "presence": [[0, 0], [2400, 1], [9000, 0], [12000, 1]]}]},
+    "geb": {"baseline": {"t_cool_c": 24.0, "t_heat_c": 20.0, "t_dis_c": 14.0},
+            "windows": [{"start_s": 6000.0, "end_s": 9600.0}]},
+}
+
+# n_surfaces -> (sha256 of run.csv, sha256 of summary.json)
+CROWD_GOLDEN = {
+    0: ("f30a6c9096b3a2500836203065a43fe19c13deeaa32e2a867851503e7c590589",
+        "a400be2222cfe04f935762b00e3061e1e724bc436afd4bdf8d34c66cbc601c62"),
+    4: ("2ee36c0d13703b2f084a7486b68c8becb1fce87d917a34d21819374cb0e1c245",
+        "a9ff272d238489a23debacec5dadf6ccdc3cbe3ee2d604c1cc9c8063fe7d2d07"),
+}
+
+
+@pytest.mark.parametrize("n_surfaces", sorted(CROWD_GOLDEN))
+def test_crowd_run_bytes(n_surfaces, tmp_path, capsys):
+    doc = dict(_CROWD, building=dict(_CROWD["building"], n_surfaces=n_surfaces))
+    (tmp_path / "crowd.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "crowd.json"), "--out", str(out),
+                 "--mode", "fast"]) == 0
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("run.csv", "summary.json"))
+    assert digests == CROWD_GOLDEN[n_surfaces]

@@ -313,7 +313,6 @@ class TestHoistedSubsteps:
         air = plant.hvac.discharge()
         assert (air.t_c, air.w, air.m_dot_kg_s) == (
             plant.hvac.t_dis, plant.hvac.w_dis, plant.hvac.m_dot)
-        assert air.rh_pct == plant.measure()["rh_dis"]
 
 
 def reference_advance(plant, dt):

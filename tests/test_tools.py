@@ -129,16 +129,18 @@ def test_bench_pairs_prints_its_verdict_and_both_environments(tmp_path, capsys):
                                     "change": {"side": "change"}}
         assert w["run_csv_identical"]
         assert w["analysis_identical"]  # NaN results match NaN
-    verdict = capsys.readouterr().out.splitlines()[-4:]
+    verdict = capsys.readouterr().out.splitlines()[-6:]
     assert verdict == [
         "plant_day run_us_per_step: parent 101 change 80.8 us (-20.0 %), "
         "wins 3/3, gain_claimable true, within_bound true",
         "plant_day export_rows_per_s: parent 1000 change 1000 rows/s (+0.0 %), "
         "wins 0/3, gain_claimable false, within_bound true",
+        "plant_day bytes: run_csv_identical true, analysis_identical true",
         "fine_log run_us_per_step: parent 101 change 80.8 us (-20.0 %), "
         "wins 3/3, gain_claimable true, within_bound true",
         "fine_log export_rows_per_s: parent 1000 change 1000 rows/s (+0.0 %), "
-        "wins 0/3, gain_claimable false, within_bound true"]
+        "wins 0/3, gain_claimable false, within_bound true",
+        "fine_log bytes: run_csv_identical true, analysis_identical true"]
 
 
 @pytest.mark.parametrize("failed_on, code", [("change", 1), ("parent", 0)])

@@ -22,7 +22,8 @@ with the command and its return code.
 
 At the end it prints its verdict, one line per workload and end-to-end
 metric: both medians, the change in per cent, the pairs won, gain_claimable
-and within_bound.  It exits 1, after writing the file, when any change-side
+and within_bound; then, per workload, one line with run_csv_identical and
+analysis_identical.  It exits 1, after writing the file, when any change-side
 run failed an operation.
 """
 
@@ -89,7 +90,8 @@ def summarise(runs: list[dict], spec: dict) -> dict:
 
 
 def verdict_lines(report: dict) -> list[str]:
-    """One line per workload and end-to-end metric of a written report."""
+    """One line per workload and end-to-end metric of a written report, and
+    one per workload on whether both sides gave the same bytes."""
     lines = []
     for workload, w in report["workloads"].items():
         for name, m in w["metrics"].items():
@@ -100,6 +102,10 @@ def verdict_lines(report: dict) -> list[str]:
                 f"{m['change_wins']}/{m['pairs']}, gain_claimable "
                 f"{str(m['gain_claimable']).lower()}, within_bound "
                 f"{str(m['within_bound']).lower()}")
+        lines.append(
+            f"{workload} bytes: run_csv_identical "
+            f"{str(w['run_csv_identical']).lower()}, analysis_identical "
+            f"{str(w['analysis_identical']).lower()}")
     return lines
 
 
