@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .psychro import CP_AIR, H_FG, rh_from_w, w_from_rh
 from .plant import DischargeAir
@@ -134,8 +134,9 @@ def build_weather(spec: dict, base_dir: str | None = None) -> WeatherSeries:
     return load_weather(path)
 
 
-@dataclass
-class ZoneStepResult:
+class ZoneStepResult(NamedTuple):
+    """A zone step's results, in the order of the engine's zone.* variables."""
+
     t_c: float
     rh_pct: float
     w: float
@@ -194,16 +195,15 @@ class ZoneModel:
 
     def step(self, discharge: DischargeAir, out_t_c: float,
              gains_sensible_w: float, gains_latent_w: float, dt: float) -> ZoneStepResult:
-        eff = self.effective_discharge(discharge)
-        m = eff.m_dot_kg_s
-        w_dis = eff.w
+        eff = self.effective_discharge(discharge) if self.inherited_delay else discharge
+        t_dis, w_dis, m = eff
         d = self._decay
         if d is None or d[0] != m or d[1] != dt:
             d = self._decay = self._decay_factors(m, dt)
         _, _, b, k_t, k_w, k_surf = d
 
         if b > 0:
-            a = (m * CP_AIR * eff.t_c + self.ua * out_t_c + gains_sensible_w) / self.c
+            a = (m * CP_AIR * t_dis + self.ua * out_t_c + gains_sensible_w) / self.c
             t_eq = a / b
             t = self.t = t_eq + (self.t - t_eq) * k_t
         else:

@@ -186,13 +186,18 @@ class StepStore:
         of a (key, step) replaces the first.  A non-finite value, a stamp of
         2**53 ms or more in magnitude or a write at or below the sealed
         frontier rejects the whole exchange, and no cell is written.
+
+        The values are checked through their sum first: a finite sum has
+        only finite terms, so each value is tested on its own only when the
+        sum is not finite (a NaN or infinite value, or an overflow), to name
+        the first non-finite one or to find that there is none.
         """
         if not isinstance(step_index, int) or step_index < 0:
             raise DataIntegrityError(f"bad step_index {step_index!r}")
         if len(values) != len(keys):
             raise DataIntegrityError(
                 f"{len(values)} values for {len(keys)} keys at step {step_index}")
-        if not all(map(math.isfinite, values)):
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             key = keys[[math.isfinite(v) for v in values].index(False)]
             raise DataIntegrityError(
                 f"non-finite value for {key.name}:{key.source.value} at step {step_index}")

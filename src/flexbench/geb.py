@@ -75,22 +75,38 @@ class GebController:
         self.t_min, self.t_max = g["bounds"]["t_min_c"], g["bounds"]["t_max_c"]
         self.min_gap = g["min_gap_c"]
         self._mod_offset = 0.0
+        # Without windows every step has the baseline's limited setpoints and
+        # flags: computed here once (see step)
+        self._fixed = (None if self.windows else
+                       self._limited(self.baseline.t_cool_c, self.baseline.t_heat_c))
 
     def _in_window(self, t_s: float) -> bool:
-        return any(w.contains(t_s) for w in self.windows)
+        for w in self.windows:
+            if w.contains(t_s):
+                return True
+        return False
 
     def _in_pre_window(self, t_s: float) -> bool:
         return any(w.start_s - self.pre_window <= t_s < w.start_s for w in self.windows)
 
     def step(self, t_s: float) -> tuple[SupervisorySetpoints, list[str]]:
         """Setpoints for the step starting at t_s, plus clamp/gap flags.
-        Without windows the baseline passes through: no window is scanned."""
+        Without windows the baseline passes through: no window is scanned,
+        and each call returns the result computed at construction, with a
+        fresh flags list."""
+        if self._fixed is not None:
+            sp, flags = self._fixed
+            return sp, flags[:]
         base = self.baseline
-        cool, heat = base.t_cool_c, base.t_heat_c
-        if self.windows:
-            cool, heat = self._shape(t_s, cool, heat)
+        return self._limited(*self._shape(t_s, base.t_cool_c, base.t_heat_c))
+
+    def _limited(self, cool: float, heat: float) -> tuple[SupervisorySetpoints,
+                                                          list[str]]:
+        """The setpoints of shaped (cool, heat) after limit(), and its flags:
+        one clamp flag per clamped setpoint, then "gap"."""
+        base = self.baseline
         cool, heat, clamped, gap = self.limit(cool, heat)
-        flags = [f"clamp:{name}" for name in clamped]
+        flags = [f"clamp:{name}" for name in clamped] if clamped else []
         if gap:
             flags.append("gap")
         return SupervisorySetpoints(cool, heat, base.t_dis_c, base.p_duct_pa), flags

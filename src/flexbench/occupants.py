@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .plant import DischargeAir
 from .schedule import Schedule
@@ -202,15 +203,16 @@ def behave(agent: OccupantAgent, score: float, seed: int, step: int, t_s: float,
     return fired
 
 
-@dataclass
-class OccupantGains:
+class OccupantGains(NamedTuple):
+    """A step's occupant gains and thermostat vote, in the order of the
+    engine's occ.* variables."""
+
     sensible_w: float
     latent_w: float
     thermostat_delta_c: float
 
 
-@dataclass
-class PopulationOutcome:
+class PopulationOutcome(NamedTuple):
     gains: OccupantGains
     actions: tuple[tuple[int, ActionType], ...]
     mean_discomfort: float

@@ -36,10 +36,10 @@ from .datastore import Source, StepStore, VariableKey
 from .geb import GebController, SlowControllerHarness, SupervisorySetpoints
 from .occupants import (EffectConfig, NearOccupantSurrogate, OccupantAgent,
                         Population)
-from .plant import (AppliedSetpoints, HvacUnit, OutdoorEmulator, PlantSim,
-                    ZoneEmulator)
+from .plant import (UPLINK, AppliedSetpoints, HvacUnit, OutdoorEmulator,
+                    PlantSim, ZoneEmulator)
 from .schedule import Schedule
-from .streams import COMM_DOMAIN, BlockRows, substream
+from .streams import BLOCK_STEPS, COMM_DOMAIN, substream
 
 COMPUTE_FLOOR_MS = 1
 PACING_TOL_S = 0.05
@@ -48,28 +48,11 @@ PACING_TOL_S = 0.05
 _E, _S, _P = Source.EMULATED, Source.SIMULATED, Source.SETPOINT
 # Every variable the engine logs: (name, source, unit, plant internal).  Plant
 # internals are published only with logging.plant_internals.  The source
-# names the exchange: the plant uplink logs the emulated variables, the
-# software results the simulated ones and the downlink the setpoints, each
-# exchange's values in table order.
-_VARIABLE_TABLE = (
-    ("plant.t_dis", _E, "C", False),
-    ("plant.rh_dis", _E, "%", False),
-    ("plant.m_dot", _E, "kg/s", False),
-    ("plant.t_zone_emu", _E, "C", False),
-    ("plant.rh_zone_emu", _E, "%", False),
-    ("plant.t_out", _E, "C", False),
-    ("plant.rh_out", _E, "%", False),  # air-chamber outdoor emulator only
-    ("plant.load_sensible", _E, "W", False),
-    ("plant.load_latent", _E, "W", False),
-    ("plant.q_heater", _E, "W", True),
-    ("plant.q_cooling", _E, "W", True),
-    ("plant.m_humidifier", _E, "kg/s", True),
-    ("plant.q_hvac", _E, "W", True),
-    ("plant.t_zone_spt", _E, "C", False),
-    ("plant.rh_zone_spt", _E, "%", False),
-    ("plant.t_out_spt", _E, "C", False),
-    ("plant.t_cool_spt", _E, "C", False),
-    ("plant.t_heat_spt", _E, "C", False),
+# names the exchange: the plant uplink logs the emulated variables (the rows
+# of plant.UPLINK), the software results the simulated ones and the downlink
+# the setpoints, each exchange's values in table order.
+_VARIABLE_TABLE = tuple((name, _E, unit, internal)
+                        for name, unit, internal in UPLINK) + (
     ("zone.t", _S, "C", False),
     ("zone.rh", _S, "%", False),
     ("zone.w", _S, "kg/kg", False),
@@ -90,7 +73,7 @@ _VARIABLE_TABLE = (
 )
 VARIABLES = {name: VariableKey(name, source, unit)
              for name, source, unit, _ in _VARIABLE_TABLE}
-_UPLINK = tuple(n for n, source, _, _ in _VARIABLE_TABLE if source is _E)
+_UPLINK = tuple(n for n, _, _ in UPLINK)
 _OCCUPANT = tuple(n for n in VARIABLES if n.startswith("occ."))
 _RESULTS = tuple(n for n, source, _, _ in _VARIABLE_TABLE
                  if source is _S and n not in _OCCUPANT)
@@ -99,14 +82,20 @@ _INTERNALS = frozenset(n for n, _, _, internal in _VARIABLE_TABLE if internal)
 
 
 def _exchange(names: tuple[str, ...], absent: set[str],
-              include: set[str] | None) -> tuple[tuple, list[int] | None]:
-    """The logged keys of an exchange whose values come in the order of
-    names, and the positions of their values (None: every value is logged).
-    A variable is logged if the run produces it and logging.include has it."""
+              include: set[str] | None) -> tuple[tuple, object]:
+    """The logged keys of an exchange whose values come as a tuple in the
+    order of names, and the pick that gives their values from that tuple:
+    an itemgetter, or None when every value or none is logged.  A variable
+    is logged if the run produces it and logging.include has it."""
     pick = [i for i, n in enumerate(names)
             if n not in absent and (include is None or n in include)]
     keys = tuple(VARIABLES[names[i]] for i in pick)
-    return keys, None if len(pick) == len(names) else pick
+    if not pick or len(pick) == len(names):
+        return keys, None
+    if len(pick) == 1:  # itemgetter of one index gives the value, not a tuple
+        (only,) = pick
+        return keys, lambda values: (values[only],)
+    return keys, itemgetter(*pick)
 
 
 class EngineError(Exception):
@@ -128,23 +117,36 @@ class DelayInjector:
     Step n reads row n % BLOCK_STEPS (uplink, downlink) of the block drawn
     from the (seed, comm domain, n // BLOCK_STEPS) substream (see `streams`),
     so delays for a given step never depend on what else consumed randomness
-    or on which steps were drawn before.  The injector keeps the live block.
+    or on which steps were drawn before.  The injector keeps the live block
+    as its (up_ms, down_ms) int pairs, converted once when it is drawn.
     """
 
     def __init__(self, seed: int, latency_s: float, jitter_s: float):
         self.seed = seed
         self.jitter = jitter_s
         self._half_ms = latency_s / 2.0 * 1000.0
-        self._draws = BlockRows(2)
+        self._block = None  # the number of the live block; none drawn yet
+        self._pairs: list[tuple[int, int]] = []
 
     def _one_way_ms(self, u: float) -> int:
         return int(round(self._half_ms + u * self.jitter * 1000.0))
 
-    def delays_ms(self, step: int) -> tuple[int, int]:
+    def _draw_pairs(self, block: int) -> list[tuple[int, int]]:
+        """The (up_ms, down_ms) of every step of a block.  Without jitter
+        nothing is drawn; with it, through this module's `substream` name,
+        so wrapping that name sees every block drawn."""
         if self.jitter <= 0:
-            return self._one_way_ms(0.0), self._one_way_ms(0.0)
-        u_up, u_down = self._draws.row(substream, step, self.seed, COMM_DOMAIN)
-        return self._one_way_ms(u_up), self._one_way_ms(u_down)
+            return [(self._one_way_ms(0.0), self._one_way_ms(0.0))] * BLOCK_STEPS
+        one_way = self._one_way_ms
+        rows = substream(self.seed, COMM_DOMAIN, block).random((BLOCK_STEPS, 2))
+        return [(one_way(u_up), one_way(u_down)) for u_up, u_down in rows.tolist()]
+
+    def delays_ms(self, step: int) -> tuple[int, int]:
+        block, row = divmod(step, BLOCK_STEPS)
+        if block != self._block:
+            self._pairs = self._draw_pairs(block)
+            self._block = block
+        return self._pairs[row]
 
     def worst_exchange_ms(self) -> int:
         """The longest modelled exchange: uplink and downlink at the top of
@@ -199,6 +201,8 @@ class Engine:
             self.harness = SlowControllerHarness(self.step_size, **g["slow"])
         self._slow_sp = baseline
         self._slow_flags: list[str] = []
+        # (setpoints, occupant vote, geb.limit of their sums) of the last step
+        self._last_limit = (None, None, None)
 
         p = cfg["plant"]
         out_t0, out_rh0 = self.weather.value_at(0.0)
@@ -222,12 +226,7 @@ class Engine:
             absent.add("ctrl.t_dis_spt")
         if baseline.p_duct_pa is None:
             absent.add("ctrl.p_duct_spt")
-        uplink, _ = _exchange(_UPLINK, absent, include)
-        self._uplink = uplink, None
-        # PlantSim.measure() -> the uplink's values
-        fields = [k.name.removeprefix("plant.") for k in uplink]
-        self._measured = (itemgetter(*fields) if len(fields) > 1
-                          else lambda m: [m[f] for f in fields])
+        self._uplink = _exchange(_UPLINK, absent, include)
         self._results = _exchange(_RESULTS + _OCCUPANT if agents else _RESULTS,
                                   absent, include)
         self._setpoints = _exchange(_SETPOINTS, absent, include)
@@ -241,13 +240,12 @@ class Engine:
         self._discomfort_sum = 0.0
         self._pacing = {"max_drift_ms": 0.0, "sum_drift_ms": 0.0, "paced_steps": 0}
 
-    def _write(self, n: int, exchange: tuple, values: list, wall_ms: int) -> None:
+    def _write(self, n: int, exchange: tuple, values: tuple, wall_ms: int) -> None:
         """One exchange's logged values into the store, in one write."""
         keys, pick = exchange
-        if pick is not None:
-            values = [values[i] for i in pick]
         if keys:
-            self.store.upsert(n, keys, values, wall_ms)
+            self.store.upsert(n, keys, values if pick is None else pick(values),
+                              wall_ms)
 
     # -- stepping ------------------------------------------------------------
 
@@ -265,31 +263,32 @@ class Engine:
         recv_ms = store_ms + down_ms
 
         # measure: plant state at the top of the interval
-        self._write(n, self._uplink, self._measured(self.plant.measure()), send_ms)
+        plant = self.plant
+        self._write(n, self._uplink, plant.measure(), send_ms)
         # the state measure() just read, humidity as w
-        discharge = self.plant.hvac.discharge()
+        discharge = plant.hvac.discharge()
 
         # simulate: occupants react to the previous zone state, then the zone
         # advances (into a new surfaces list), then the supervisor produces
         # this step's setpoints
         zone = self.zone
         occ = self.population.step(n, t_s, discharge, zone.t, zone.surfaces)
+        gains = occ.gains
         out_t, out_rh = self.weather.value_at(t_s)
-        gains_s = self.internal_gains_at(t_s) + occ.gains.sensible_w
-        zres = zone.step(discharge, out_t, gains_s, occ.gains.latent_w,
-                         self.step_size)
+        zres = zone.step(discharge, out_t, self.internal_gains.at(t_s)
+                         + gains.sensible_w, gains.latent_w, self.step_size)
 
-        results = [zres.t_c, zres.rh_pct, zres.w, zres.t_surf_mean_c,
-                   zres.load_sensible_w, zres.load_latent_w, out_t, out_rh]
         if self.population.agents:
-            results += [occ.gains.sensible_w, occ.gains.latent_w,
-                        occ.gains.thermostat_delta_c, float(len(occ.actions)),
-                        occ.mean_discomfort]
-        self._write(n, self._results, results, store_ms)
-        self.counters["occupant_actions"] += len(occ.actions)
-        self._discomfort_sum += occ.mean_discomfort
+            n_actions = len(occ.actions)
+            self._write(n, self._results, (*zres, out_t, out_rh, *gains,
+                                           float(n_actions), occ.mean_discomfort),
+                        store_ms)
+            self.counters["occupant_actions"] += n_actions
+            self._discomfort_sum += occ.mean_discomfort
+        else:  # no actions and no discomfort to count
+            self._write(n, self._results, (*zres, out_t, out_rh), store_ms)
 
-        final_sp, flags = self._supervise(n, t_s, occ.gains.thermostat_delta_c)
+        final_sp, flags = self._supervise(n, t_s, gains.thermostat_delta_c)
         for f in flags:
             self.flag_counts[f] = self.flag_counts.get(f, 0) + 1
         self._write(n, self._setpoints, final_sp, recv_ms)
@@ -297,16 +296,15 @@ class Engine:
         # actuate: late results (only possible with stale_hold) are dropped
         # and the plant holds; otherwise the fresh setpoints take effect now
         late = recv_ms > self.run_start_ms + (n + 1) * self.step_ms
-        overrun = self._realtime_overrun(n)
-        if late or overrun:
+        if late or self.mode == "realtime" and self._realtime_overrun(n):
             self.counters["stale_steps"] += int(late)
-            self.plant.apply(None)
+            plant.apply(None)
         else:
-            self.plant.apply(AppliedSetpoints(
+            plant.apply(AppliedSetpoints(
                 zres.t_c, zres.w, zres.rh_pct, out_t, out_rh,
                 final_sp.t_cool_c, final_sp.t_heat_c, final_sp.t_dis_c))
-        self.plant.advance(self.step_size)
-        self.counters["limitation_events"] += len(self.plant.drain_events())
+        plant.advance(self.step_size)
+        self.counters["limitation_events"] += len(plant.drain_events())
 
         self.store.seal(n)
         self._step += 1
@@ -323,8 +321,13 @@ class Engine:
                 self.harness.submit(n, self.geb.step(t_s))
             sp, flags = self._slow_sp, list(self._slow_flags)
 
-        cool, heat, clamped, gap = self.geb.limit(sp.t_cool_c + occ_delta,
-                                                  sp.t_heat_c + occ_delta)
+        # The same setpoints and vote objects give the same limits: a run
+        # without windows or agents limits once.
+        last_sp, last_delta, limited = self._last_limit
+        if sp is not last_sp or occ_delta is not last_delta:
+            limited = self.geb.limit(sp.t_cool_c + occ_delta, sp.t_heat_c + occ_delta)
+            self._last_limit = sp, occ_delta, limited
+        cool, heat, clamped, gap = limited
         if occ_delta != 0.0 and clamped:
             flags = flags + ["clamp:occ"]
             self.counters["setpoint_clamps"] += 1
@@ -334,7 +337,8 @@ class Engine:
                                     sp.p_duct_pa), flags
 
     def _realtime_overrun(self, n: int) -> bool:
-        if self.mode != "realtime" or self._t0 is None:
+        """Whether realtime step n overran its slot (counted; abort raises)."""
+        if self._t0 is None:
             return False
         target = self._t0 + (n + 1) * self.step_size
         drift = time.monotonic() - target

@@ -8,7 +8,8 @@ exponential update so trajectories are independent of substep choice for
 constant inputs.
 
 Humidity is carried as humidity ratio end to end; relative humidity appears
-only in measure().
+only in measure(), which returns the uplink's values as one tuple in the
+order of UPLINK.
 
 PlantSim.advance() is the production integrator: one loop over local
 variables that performs, substep by substep, the operations of HvacUnit.step,
@@ -19,21 +20,51 @@ Only the coil PID keeps a derivative term in the loop: the capacity and
 humidifier PIDs are always built with kd = 0.
 The loop computes the saturation curve psychro.w_sat inline, from psychro's
 constants and in its operation order, so a substep calls no flexbench
-function: only math.exp, math.isfinite and, per envelope clamp, the
+function: only math.exp, math.isfinite and, per new envelope clamp, the
 LimitationEvent constructor remain.
+
+Each value of advance() is computed at the rate its inputs change: per run
+(the plan of a dt), per advance (what depends only on the applied
+setpoints, under method2 the deadband error too), per change of the clamped
+discharge target (its w_sat) or per substep; a repeated envelope clamp
+appends the same immutable event again.  advance() documents each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .psychro import (ATM_PA, CP_AIR, H_FG, MAGNUS_A, MAGNUS_B, MAGNUS_C,
                       MW_RATIO, PW_CAP, rh_from_w, w_from_rh, w_sat)
 
+# The plant uplink: (name, unit, plant internal) of each value measure()
+# returns, in its order.  Plant internals are logged only with
+# logging.plant_internals, and plant.rh_out only for an air chamber (a water
+# loop reports its rh of 0.0 there, which is never logged).
+UPLINK = (
+    ("plant.t_dis", "C", False),
+    ("plant.rh_dis", "%", False),
+    ("plant.m_dot", "kg/s", False),
+    ("plant.t_zone_emu", "C", False),
+    ("plant.rh_zone_emu", "%", False),
+    ("plant.t_out", "C", False),
+    ("plant.rh_out", "%", False),
+    ("plant.load_sensible", "W", False),
+    ("plant.load_latent", "W", False),
+    ("plant.q_heater", "W", True),
+    ("plant.q_cooling", "W", True),
+    ("plant.m_humidifier", "kg/s", True),
+    ("plant.q_hvac", "W", True),
+    ("plant.t_zone_spt", "C", False),
+    ("plant.rh_zone_spt", "%", False),
+    ("plant.t_out_spt", "C", False),
+    ("plant.t_cool_spt", "C", False),
+    ("plant.t_heat_spt", "C", False),
+)
 
-@dataclass
-class DischargeAir:
+
+class DischargeAir(NamedTuple):
     """Supply air delivered by the HVAC unit: dry bulb, humidity ratio, flow.
 
     Humidity travels as w end to end, so the zone consumes it unchanged; its
@@ -115,10 +146,6 @@ class ZoneEmulator:
         self.hum_pid = PidController(hum_kp, hum_ki, 0.0,
                                      out_min=0.0, out_max=humidifier_kg_s_max)
 
-    @property
-    def rh(self) -> float:
-        return rh_from_w(self.t, self.w)
-
     def decay(self, m: float, dt: float) -> tuple[float, float]:
         """Thermal and moisture decay factors of one dt-long substep at flow m."""
         if not m > 0:
@@ -170,10 +197,6 @@ class HvacUnit:
                                  out_min=-rated_cooling_w, out_max=rated_heating_w)
         self.stale_holds = 0
 
-    @property
-    def rh_dis(self) -> float:
-        return rh_from_w(self.t_dis, self.w_dis)
-
     def discharge(self) -> DischargeAir:
         return DischargeAir(self.t_dis, self.w_dis, self.m_dot)
 
@@ -221,9 +244,9 @@ class HvacUnit:
         return q, clamped != target
 
 
-@dataclass
-class LimitationEvent:
-    """Envelope clamp on the outdoor emulator: requested target vs delivered."""
+class LimitationEvent(NamedTuple):
+    """Envelope clamp on the outdoor emulator: requested target vs delivered.
+    Immutable, so advance() may append one event again for a repeated clamp."""
 
     channel: str
     requested: float
@@ -275,8 +298,7 @@ class OutdoorEmulator:
         return events
 
 
-@dataclass
-class AppliedSetpoints:
+class AppliedSetpoints(NamedTuple):
     """Targets the plant is currently tracking (set at the previous actuation).
     zone_rh is the RH of (zone_t, zone_w) that the zone model computed with
     them; the plant only reports it."""
@@ -289,6 +311,13 @@ class AppliedSetpoints:
     cool_spt: float
     heat_spt: float
     dis_spt: float | None = None
+
+
+def _pid_plan(pid: PidController) -> tuple:
+    """(kp, ki, kd, out_min, out_max, span) of a PID, span being the bound of
+    its anti-windup integral as PidController.step computes it."""
+    span = (pid.out_max - pid.out_min) / abs(pid.ki) if pid.ki != 0.0 else 0.0
+    return pid.kp, pid.ki, pid.kd, pid.out_min, pid.out_max, span
 
 
 class PlantSim:
@@ -318,36 +347,27 @@ class PlantSim:
         # Emulator coil/humidifier output and HVAC command of the last substep.
         self.last_q_heater = self.last_q_cooling = self.last_m_hum = 0.0
         self.last_q_cmd = 0.0
-        # (dt, substeps, substep, the four decay factors) of the last advance
+        # The plan of the last advance's dt (see _plan)
         self._per_dt: tuple | None = None
+        # (clamped discharge target, its w_sat) of the last substep
+        self._sat = (math.nan, math.nan)
+        # The last event of each channel (t, then air_rh); NaN never repeats
+        none = LimitationEvent("", math.nan, math.nan)
+        self._last_events = (none, none)
 
-    def measure(self) -> dict[str, float]:
+    def measure(self) -> tuple[float, ...]:
         """Plant measurements at the top of the step (response to the previous
-        step's simulated results)."""
-        emu, hv, out, sp = self.emulator, self.hvac, self.outdoor, self.applied
-        m = {
-            "t_dis": hv.t_dis,
-            "rh_dis": hv.rh_dis,
-            "m_dot": hv.m_dot,
-            "t_zone_emu": emu.t,
-            "rh_zone_emu": emu.rh,
-            "t_out": out.t,
-            "load_sensible": hv.m_dot * CP_AIR * (emu.t - hv.t_dis),
-            "load_latent": hv.m_dot * H_FG * (emu.w - hv.w_dis),
-            "q_heater": self.last_q_heater,
-            "q_cooling": self.last_q_cooling,
-            "m_humidifier": self.last_m_hum,
-            "q_hvac": self.last_q_cmd,
-            # Setpoints in effect while this state developed.
-            "t_zone_spt": sp.zone_t,
-            "rh_zone_spt": sp.zone_rh,
-            "t_out_spt": sp.out_t,
-            "t_cool_spt": sp.cool_spt,
-            "t_heat_spt": sp.heat_spt,
-        }
-        if out.kind == "air":
-            m["rh_out"] = out.rh
-        return m
+        step's simulated results), in the order of UPLINK."""
+        hv, emu, out, sp = self.hvac, self.emulator, self.outdoor, self.applied
+        t_dis, w_dis, m = hv.t_dis, hv.w_dis, hv.m_dot
+        emu_t, emu_w = emu.t, emu.w
+        return (t_dis, rh_from_w(t_dis, w_dis), m, emu_t, rh_from_w(emu_t, emu_w),
+                out.t, out.rh, m * CP_AIR * (emu_t - t_dis),
+                m * H_FG * (emu_w - w_dis),
+                self.last_q_heater, self.last_q_cooling, self.last_m_hum,
+                self.last_q_cmd,
+                # Setpoints in effect while this state developed.
+                sp.zone_t, sp.zone_rh, sp.out_t, sp.cool_spt, sp.heat_spt)
 
     def apply(self, setpoints: AppliedSetpoints | None) -> bool:
         """Adopt freshly received setpoints; None means hold the last ones
@@ -358,14 +378,35 @@ class PlantSim:
         self.applied = setpoints
         return True
 
+    def _plan(self, dt: float) -> tuple:
+        """Everything a non-ideal advance(dt) reads that depends only on dt
+        and the components' parameters, which are fixed once the plant is
+        built: dt, the substep count n and the substep, the five decay
+        factors, the mode and flow flags, the discharge and envelope limits,
+        the outdoor t channel's name and the three PIDs' _pid_plan."""
+        hvac, emu, out = self.hvac, self.emulator, self.outdoor
+        n = max(1, math.ceil(dt / self.control_dt - 1e-9))
+        sub = dt / n
+        m = hvac.m_dot
+        env = out.env
+        air = out.kind == "air"
+        return (dt, n, sub, *hvac.decay(sub), *emu.decay(m, sub), out.decay(sub),
+                hvac.pv_mode == "method1", sub > 0, m, m > 0, m * CP_AIR,
+                hvac.tau_dis > 0, hvac.t_dis_min, hvac.t_dis_max, emu.c,
+                emu.m_air, out.tau > 0, air, env["t_min"], env["t_max"],
+                *((env["rh_min"], env["rh_max"]) if air else (0.0, 0.0)),
+                f"{out.kind}_t", *_pid_plan(hvac.pid), *_pid_plan(emu.coil_pid),
+                *_pid_plan(emu.hum_pid))
+
     def advance(self, dt: float) -> None:
         """Integrate the plant over one dt-long exchange interval.
 
         Without ideal actuators the interval is split into n equal substeps
-        of at most control_dt.  n, the substep and its decay factors depend
-        only on dt and per-run constants, so they are computed once per dt
-        and reused until an advance brings another dt.  Each substep then
-        does, in this order, exactly what these reference calls would do:
+        of at most control_dt.  n, the substep, its decay factors and every
+        other per-run constant depend only on dt and the components'
+        parameters, so they are planned once per dt (_plan) and reused until
+        an advance brings another dt.  Each substep then does, in this
+        order, exactly what these reference calls would do:
 
         1. HvacUnit.step: pv from the emulator (method1) or the applied zone
            target (method2); a non-finite pv holds everything and counts a
@@ -379,6 +420,16 @@ class PlantSim:
         3. OutdoorEmulator.step: track and clamp t, then rh for an air
            chamber, appending one LimitationEvent per clamp in that order.
 
+        What depends only on the applied setpoints is worked out once per
+        advance: the finiteness of the zone targets and, under method2, the
+        pv's stale test, the deadband error and whether the capacity PID may
+        run.  w_sat of the clamped discharge target is recomputed only when
+        that target changes, and the last (target, w_sat) pair is kept across
+        advances.  A clamp whose request repeats that of the last event of
+        its channel bit for bit, signed zero included, appends that immutable
+        event again instead of a new one: the delivered value, the clamp of
+        the request into the channel's fixed envelope, repeats with it.
+
         Component state is read into locals once and written back at the
         end.  The capacity and humidifier PIDs have kd = 0: their derivative
         term is the constant + 0.0, which turns a -0.0 sum into 0.0 as
@@ -386,12 +437,13 @@ class PlantSim:
         computed inline (psychro's constants, its operation order and its
         cap at PW_CAP * ATM_PA, NaN passing through), so the only calls left
         in a substep are math.exp, math.isfinite and one LimitationEvent per
-        envelope clamp.  tests/test_plant.py pins the equivalence bit for
-        bit.
+        new envelope clamp.  tests/test_plant.py pins the equivalence bit
+        for bit.
         """
-        sp, hvac, emu, out = self.applied, self.hvac, self.emulator, self.outdoor
+        hvac, emu, out = self.hvac, self.emulator, self.outdoor
         events = self.limitation_events
         if self.ideal:
+            sp = self.applied
             emu.t = sp.zone_t
             emu.w = sp.zone_w
             hvac.t_dis = min(max(sp.zone_t, hvac.t_dis_min), hvac.t_dis_max)
@@ -400,76 +452,64 @@ class PlantSim:
             return
         per_dt = self._per_dt
         if per_dt is None or per_dt[0] != dt:
-            n = max(1, math.ceil(dt / self.control_dt - 1e-9))
-            sub = dt / n
-            per_dt = self._per_dt = (dt, n, sub, *hvac.decay(sub),
-                                     *emu.decay(hvac.m_dot, sub), out.decay(sub))
-        _, n, sub, k_dis, k_bleed, k_t, k_w, k_out = per_dt
-        m = hvac.m_dot
-        isfinite, exp = math.isfinite, math.exp
+            per_dt = self._per_dt = self._plan(dt)
+        (_, n, sub, k_dis, k_bleed, k_t, k_w, k_out, method1, dt_ok, m, flow,
+         mcp, lag, dis_lo, dis_hi, c_emu, m_air, tracked, air, o_tlo, o_thi,
+         o_rhlo, o_rhhi, channel_t, h_kp, h_ki, _, h_lo, h_hi, h_span,
+         c_kp, c_ki, c_kd, c_lo, c_hi, c_span,
+         m_kp, m_ki, _, m_lo, m_hi, m_span) = per_dt
+        zone_t, zone_w, _, out_t_spt, out_rh_spt, cool, heat, dis_spt = self.applied
+        isfinite, exp, copysign = math.isfinite, math.exp, math.copysign
         sat_a, sat_b, sat_c = MAGNUS_A, MAGNUS_B, MAGNUS_C
         atm, pw_max, mw_ratio = ATM_PA, PW_CAP * ATM_PA, MW_RATIO
-        method1 = hvac.pv_mode == "method1"
-        zone_t, zone_w = sp.zone_t, sp.zone_w
-        cool, heat, dis_spt = sp.cool_spt, sp.heat_spt, sp.dis_spt
-        out_t_spt, out_rh_spt = sp.out_t, sp.out_rh
+        # Per advance: the zone targets feed the coil and humidifier PIDs.
+        coil_ok = isfinite(zone_t) and dt_ok
+        hum_ok = isfinite(zone_w) and dt_ok
         pv_t, pv_w = zone_t, zone_w
-        dt_ok = sub > 0
-        flow = m > 0
-        mcp = m * CP_AIR
-        lag = hvac.tau_dis > 0
-        dis_lo, dis_hi = hvac.t_dis_min, hvac.t_dis_max
-        c_emu, m_air = emu.c, emu.m_air
-        tracked = out.tau > 0
-        air = out.kind == "air"
-        env = out.env
-        o_tlo, o_thi = env["t_min"], env["t_max"]
-        o_rhlo, o_rhhi = (env["rh_min"], env["rh_max"]) if air else (0.0, 0.0)
-        channel_t = f"{out.kind}_t"
 
-        # PidController constants (span as in its anti-windup bound) and state.
         hp, cp, mp = hvac.pid, emu.coil_pid, emu.hum_pid
-        h_kp, h_ki, h_lo, h_hi = hp.kp, hp.ki, hp.out_min, hp.out_max
-        c_kp, c_ki, c_kd, c_lo, c_hi = cp.kp, cp.ki, cp.kd, cp.out_min, cp.out_max
-        m_kp, m_ki, m_lo, m_hi = mp.kp, mp.ki, mp.out_min, mp.out_max
-        h_span = (h_hi - h_lo) / abs(h_ki) if h_ki != 0.0 else 0.0
-        c_span = (c_hi - c_lo) / abs(c_ki) if c_ki != 0.0 else 0.0
-        m_span = (m_hi - m_lo) / abs(m_ki) if m_ki != 0.0 else 0.0
         h_i, h_pv, h_u, h_fault = hp.integral, hp.last_pv, hp.last_command, hp.fault
         c_i, c_pv, c_u, c_fault = cp.integral, cp.last_pv, cp.last_command, cp.fault
         m_i, m_pv, m_u, m_fault = mp.integral, mp.last_pv, mp.last_command, mp.fault
-
         t_dis, w_dis, stale = hvac.t_dis, hvac.w_dis, hvac.stale_holds
         emu_t, emu_w = emu.t, emu.w
         o_t, o_rh = out.t, out.rh
         clamps = self.clamp_count
+        sat_t, sat_w = self._sat
+        ev_t, ev_rh = self._last_events
         # min(max(x, lo), hi) is written "x = lo if lo > x else x;
         # x = hi if hi < x else x", which matches it for every x, NaN included.
-        for _ in range(n):
-            # 1. HvacUnit.step
-            if method1:
-                pv_t, pv_w = emu_t, emu_w
-            if not (isfinite(pv_t) and isfinite(pv_w)):
+        for i in range(n):
+            # 1. HvacUnit.step.  The pv and what depends on it alone: every
+            # substep under method1, once per advance under method2.
+            if method1 or not i:
+                if method1:
+                    pv_t, pv_w = emu_t, emu_w
+                pv_ok = isfinite(pv_t) and isfinite(pv_w)
+                if pv_ok:
+                    if pv_t > cool:
+                        h_err, in_band = cool - pv_t, False
+                    elif pv_t < heat:
+                        h_err, in_band = heat - pv_t, False
+                    else:
+                        h_err, in_band = 0.0, True
+                    # hvac.pid.step(h_err, 0.0, sub) runs; h_err - 0.0 is h_err.
+                    pid_ok = isfinite(h_err) and dt_ok
+            if not pv_ok:
                 stale += 1
                 q_cmd = 0.0
             else:
-                if pv_t > cool:
-                    err = cool - pv_t
-                elif pv_t < heat:
-                    err = heat - pv_t
-                else:
-                    err = 0.0
+                if in_band:
                     h_i *= k_bleed
-                # hvac.pid.step(err, 0.0, sub); err - 0.0 is err.
-                if isfinite(err) and dt_ok:
+                if pid_ok:
                     h_fault = False
-                    if h_ki != 0.0 and not (h_u >= h_hi and err > 0
-                                            or h_u <= h_lo and err < 0):
-                        h_i += err * sub
+                    if h_ki != 0.0 and not (h_u >= h_hi and h_err > 0
+                                            or h_u <= h_lo and h_err < 0):
+                        h_i += h_err * sub
                         h_i = -h_span if -h_span > h_i else h_i
                         h_i = h_span if h_span < h_i else h_i
                     h_pv = 0.0
-                    u = h_kp * err + h_ki * h_i + 0.0
+                    u = h_kp * h_err + h_ki * h_i + 0.0
                     u = h_lo if h_lo > u else u
                     h_u = h_hi if h_hi < u else u
                 else:
@@ -486,11 +526,14 @@ class PlantSim:
                 clamped = dis_hi if dis_hi < clamped else clamped
                 if clamped != target:
                     clamps += 1
-                # w_sat(clamped), then min(pv_w, it)
-                pw = sat_a * exp(sat_b * clamped / (sat_c + clamped))
-                pw = pw_max if pw_max < pw else pw
-                w_cap = mw_ratio * pw / (atm - pw)
-                w_target = w_cap if w_cap < pv_w else pv_w
+                # w_sat(clamped), kept while clamped stays equal (w_sat(-0.0)
+                # is w_sat(0.0); NaN is never equal, so it is recomputed)
+                if clamped != sat_t:
+                    pw = sat_a * exp(sat_b * clamped / (sat_c + clamped))
+                    pw = pw_max if pw_max < pw else pw
+                    sat_t, sat_w = clamped, mw_ratio * pw / (atm - pw)
+                # min(pv_w, w_sat(clamped))
+                w_target = sat_w if sat_w < pv_w else pv_w
                 if lag:
                     t_dis = clamped + (t_dis - clamped) * k_dis
                     w_dis = w_target + (w_dis - w_target) * k_dis
@@ -504,7 +547,7 @@ class PlantSim:
                     w_dis = w_target
 
             # 2. ZoneEmulator.step: coil_pid.step(zone_t, emu_t, sub) ...
-            if isfinite(zone_t) and isfinite(emu_t) and dt_ok:
+            if coil_ok and isfinite(emu_t):
                 c_fault = False
                 err = zone_t - emu_t
                 if c_ki != 0.0 and not (c_u >= c_hi and err > 0
@@ -522,7 +565,7 @@ class PlantSim:
             else:
                 c_fault = True
             # ... then hum_pid.step(zone_w, emu_w, sub)
-            if isfinite(zone_w) and isfinite(emu_w) and dt_ok:
+            if hum_ok and isfinite(emu_w):
                 m_fault = False
                 err = zone_w - emu_w
                 if m_ki != 0.0 and not (m_u >= m_hi and err > 0
@@ -546,19 +589,27 @@ class PlantSim:
                 emu_w = emu_w + m_u * sub / m_air
             emu_w = emu_w if emu_w > 0.0 else 0.0
 
-            # 3. OutdoorEmulator.step
+            # 3. OutdoorEmulator.step.  A clamp delivers the clamp of its
+            # request into the channel's fixed envelope, so an equal request
+            # of the same sign repeats the last event of the channel.
             raw = out_t_spt + (o_t - out_t_spt) * k_out if tracked else out_t_spt
             o_t = o_tlo if o_tlo > raw else raw
             o_t = o_thi if o_thi < o_t else o_t
             if o_t != raw:
-                events.append(LimitationEvent(channel_t, raw, o_t))
+                if not (raw == ev_t.requested and (
+                        raw or copysign(1.0, raw) == copysign(1.0, ev_t.requested))):
+                    ev_t = LimitationEvent(channel_t, raw, o_t)
+                events.append(ev_t)
             if air:
                 raw = (out_rh_spt + (o_rh - out_rh_spt) * k_out if tracked
                        else out_rh_spt)
                 o_rh = o_rhlo if o_rhlo > raw else raw
                 o_rh = o_rhhi if o_rhhi < o_rh else o_rh
                 if o_rh != raw:
-                    events.append(LimitationEvent("air_rh", raw, o_rh))
+                    if not (raw == ev_rh.requested and (
+                            raw or copysign(1.0, raw) == copysign(1.0, ev_rh.requested))):
+                        ev_rh = LimitationEvent("air_rh", raw, o_rh)
+                    events.append(ev_rh)
 
         hvac.t_dis, hvac.w_dis, hvac.stale_holds = t_dis, w_dis, stale
         hp.integral, hp.last_pv, hp.last_command, hp.fault = h_i, h_pv, h_u, h_fault
@@ -567,9 +618,12 @@ class PlantSim:
         emu.t, emu.w = emu_t, emu_w
         out.t, out.rh = o_t, o_rh
         self.clamp_count = clamps
+        self._sat = sat_t, sat_w
+        self._last_events = ev_t, ev_rh
         self.last_q_cmd = q_cmd
-        self.last_q_heater = max(c_u, 0.0)
-        self.last_q_cooling = max(-c_u, 0.0)
+        # max(c_u, 0.0) and max(-c_u, 0.0), NaN included
+        self.last_q_heater = 0.0 if 0.0 > c_u else c_u
+        self.last_q_cooling = 0.0 if 0.0 > -c_u else -c_u
         self.last_m_hum = m_u
 
     def drain_events(self) -> list[LimitationEvent]:

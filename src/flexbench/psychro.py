@@ -37,11 +37,16 @@ def w_from_rh(tdb_c: float, rh_pct: float) -> float:
 
 
 def rh_from_w(tdb_c: float, w: float) -> float:
-    """Relative humidity (%) from dry-bulb and humidity ratio, clamped to [0, 100]."""
-    w = max(0.0, w)
+    """Relative humidity (%) from dry-bulb and humidity ratio, clamped to [0, 100].
+
+    The engine calls it three times a step, so p_ws is written out and the
+    clamps are conditional expressions; each gives what max(0.0, x) and
+    min(100.0, x) give, NaN included."""
+    w = w if w > 0.0 else 0.0
     pw = w * ATM_PA / (MW_RATIO + w)
-    rh = 100.0 * pw / p_ws(tdb_c)
-    return min(100.0, max(0.0, rh))
+    rh = 100.0 * pw / (MAGNUS_A * math.exp(MAGNUS_B * tdb_c / (MAGNUS_C + tdb_c)))
+    rh = rh if rh > 0.0 else 0.0
+    return rh if rh < 100.0 else 100.0
 
 
 def w_sat(tdb_c: float) -> float:

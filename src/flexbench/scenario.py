@@ -65,11 +65,19 @@ def _is_number(x) -> bool:
 _MAX = sys.float_info.max  # a number outside ±_MAX is NaN, ±Infinity or too big
 
 
-def _finite(x, path: str) -> float:
+def _join(path: str, key: str | None = None) -> str:
+    """The dotted path of key in the object at path ("" is the top level),
+    or path itself without a key."""
+    if key is None:
+        return path
+    return f"{path}.{key}" if path else key
+
+
+def _finite(x, path: str, key: str | None = None) -> float:
     """A number as a finite float.  Python's json reads NaN and Infinity, and
     the store rejects them, so validation does too."""
     if not -_MAX <= x <= _MAX:
-        raise ScenarioError(f"{path}: {x!r} is not a finite number")
+        raise ScenarioError(f"{_join(path, key)}: {x!r} is not a finite number")
     return float(x)
 
 
@@ -84,7 +92,9 @@ class Leaf:
         self.range = range
         self.choices = choices
 
-    def validate(self, value, path: str):
+    def validate(self, value, path: str, key: str | None = None):
+        """The value, checked; path names it, or with key the object that
+        holds it, and the two are joined only for an error."""
         k = self.kind
         if k[-1] == "?":
             if value is None and self.default is None:
@@ -92,21 +102,26 @@ class Leaf:
             k = k[:-1]
         if k == "float":
             if isinstance(value, bool) or not isinstance(value, _NUMBER):
-                raise ScenarioError(f"{path}: expected a number, got {value!r}")
-            value = _finite(value, path)
+                raise ScenarioError(
+                    f"{_join(path, key)}: expected a number, got {value!r}")
+            value = _finite(value, path, key)
         elif k == "int":
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+                raise ScenarioError(
+                    f"{_join(path, key)}: expected an integer, got {value!r}")
         elif k == "bool":
             if not isinstance(value, bool):
-                raise ScenarioError(f"{path}: expected true/false, got {value!r}")
+                raise ScenarioError(
+                    f"{_join(path, key)}: expected true/false, got {value!r}")
         elif k == "str":
             if not isinstance(value, str):
-                raise ScenarioError(f"{path}: expected a string, got {value!r}")
+                raise ScenarioError(
+                    f"{_join(path, key)}: expected a string, got {value!r}")
         if self.choices is not None and value not in self.choices:
-            raise ScenarioError(f"{path}: {value!r} not one of {sorted(self.choices)}")
+            raise ScenarioError(
+                f"{_join(path, key)}: {value!r} not one of {sorted(self.choices)}")
         if self.range is not None and value not in self.range:
-            raise ScenarioError(f"{path}: {value!r} {self.range.text}")
+            raise ScenarioError(f"{_join(path, key)}: {value!r} {self.range.text}")
         return value
 
 
@@ -418,18 +433,20 @@ def _validate_level(doc, schema: dict, path: str) -> dict:
     if unknown:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
     out = {}
+    # A key's dotted path is built only for a nested object, a parser or an
+    # error: a leaf gets (path, name).
     for name, spec in schema.items():
-        child_path = f"{path}.{name}" if path else name
         if isinstance(spec, dict):
-            out[name] = _validate_level(doc.get(name, {}), spec, child_path)
+            out[name] = _validate_level(doc.get(name, {}), spec, _join(path, name))
             continue
         leaf = isinstance(spec, Leaf)
         if name in doc:
-            out[name] = (spec.validate if leaf else spec[1])(doc[name], child_path)
+            out[name] = (spec.validate(doc[name], path, name) if leaf
+                         else spec[1](doc[name], _join(path, name)))
             continue
         default = spec.default if leaf else spec[0]
         if default is REQUIRED:
-            raise ScenarioError(f"{child_path}: missing required key")
+            raise ScenarioError(f"{_join(path, name)}: missing required key")
         # leaf defaults are immutable scalars (or None): shared, not copied
         out[name] = default if leaf or default is None else copy.deepcopy(default)
     return out

@@ -7,8 +7,9 @@ key ends in the block number step // BLOCK_STEPS, one generator fills a
 step's draws are therefore still a pure function of (seed, domain, ids, step):
 they never depend on evaluation order, on which steps ran before, or on how
 many other components consumed randomness, which is what makes fast/realtime,
-snapshot replays and re-runs bit-identical.  Each consumer keeps the one live
-block of its key in a `BlockRows`.
+snapshot replays and re-runs bit-identical.  Each occupant keeps the one live
+block of its key in a `BlockRows`; the engine's delay injector keeps its
+live block as the int delays it converts the block to.
 """
 
 import numpy as np

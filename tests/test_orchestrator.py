@@ -10,7 +10,8 @@ from flexbench.orchestrator import (COMPUTE_FLOOR_MS, VARIABLES, DelayInjector,
                                     Engine, EngineError, OverrunAbort)
 from flexbench.scenario import ScenarioError, validate_scenario
 from flexbench.streams import COMM_DOMAIN
-from tests.helpers import SCENARIO_DIR, agent_block, cfg_from, run_doc
+from tests.helpers import (SCENARIO_DIR, agent_block, cfg_from, deep_merge,
+                           run_doc)
 
 FAST_DOC = {
     "run": {"horizon": 8, "seed": 3},
@@ -190,6 +191,42 @@ class TestLoggingControls:
         assert len(calls) == 4 * writes
         assert sorted(calls) == [n for n in range(4) for _ in range(writes)]
         assert log.meta.steps == 4
+
+    # Three filters: a whole exchange cut, a subset of each exchange, and
+    # one variable per exchange (a pick of one value).
+    FILTERS = {
+        "no_internals": {"plant_internals": False},
+        "subsets": {"include": ["plant.rh_dis", "plant.rh_out", "plant.q_hvac",
+                                "plant.t_heat_spt", "zone.w", "out.rh",
+                                "occ.latent_w", "occ.n_actions",
+                                "ctrl.t_heat_spt", "ctrl.t_dis_spt"]},
+        "one_each": {"include": ["plant.t_out_spt", "occ.discomfort_c",
+                                 "ctrl.t_cool_spt"], "plant_internals": False},
+    }
+
+    @pytest.mark.parametrize("kind", ["air", "water"])
+    @pytest.mark.parametrize("logging", FILTERS.values(), ids=FILTERS.keys())
+    def test_filtered_logging_keeps_the_values(self, kind, logging):
+        # every logged value and wall stamp is the one the unfiltered run
+        # logs for that variable
+        doc = deep_merge(OCCUPANT_DOC, {
+            "delays": {"comm_latency_s": 0.1, "jitter_s": 0.02},
+            "plant": {"outdoor": {"kind": kind, "t_init_c": 30.0}},
+            "geb": {"dis_schedule": [[0, 14.0], [180, 16.0]]}})
+        full, _ = run_doc(doc)
+        part, _ = run_doc(doc, {"logging": logging})
+        names = {k.name for k in full.keys}
+        assert ("plant.rh_out" in names) == (kind == "air")
+        if "include" in logging:
+            assert {k.name for k in part.keys} == set(logging["include"]) & names
+        else:
+            assert {k.name for k in part.keys} == names - {
+                "plant.q_heater", "plant.q_cooling", "plant.m_humidifier",
+                "plant.q_hvac"}
+        for key in part.keys:
+            values, walls = part.columns[key]
+            assert np.array_equal(values, full.columns[key][0]), key.name
+            assert np.array_equal(walls, full.columns[key][1]), key.name
 
     def test_unknown_include_name_fails_fast(self):
         with pytest.raises(ScenarioError, match=r"^logging\.include: .*zone\.bogus"):

@@ -2,8 +2,9 @@ import math
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flexbench.plant import (AppliedSetpoints, DischargeAir, HvacUnit,
+from flexbench.plant import (UPLINK, AppliedSetpoints, DischargeAir, HvacUnit,
                              OutdoorEmulator, PidController, PlantSim,
                              ZoneEmulator)
 from flexbench.psychro import (ATM_PA, CP_AIR, PW_CAP, p_ws, rh_from_w,
@@ -204,12 +205,14 @@ def default_plant(pv_mode="method2", emu_t=23.0, **overrides):
 class TestPlantSim:
     def test_measure_echoes_applied_setpoints(self):
         plant = default_plant()
-        m = plant.measure()
-        assert m["t_zone_spt"] == 23.0
-        assert m["t_cool_spt"] == 24.0
-        assert m["t_heat_spt"] == 20.0
-        assert m["t_out_spt"] == 30.0
-        assert m["load_sensible"] == pytest.approx(
+        values = plant.measure()
+        assert len(values) == len(UPLINK)
+        m = {name: v for (name, _, _), v in zip(UPLINK, values)}
+        assert m["plant.t_zone_spt"] == 23.0
+        assert m["plant.t_cool_spt"] == 24.0
+        assert m["plant.t_heat_spt"] == 20.0
+        assert m["plant.t_out_spt"] == 30.0
+        assert m["plant.load_sensible"] == pytest.approx(
             plant.hvac.m_dot * CP_AIR * (plant.emulator.t - plant.hvac.t_dis))
 
     def test_apply_none_counts_stale_and_holds(self):
@@ -472,3 +475,83 @@ class TestFusedAdvance:
         held = plant.hvac.pid.integral
         plant.advance(60.0)
         assert abs(plant.hvac.pid.integral) < abs(held)  # bled in the deadband
+
+
+# Targets for the property test: the discharge limits are [8, 45] degC, the
+# air chamber's envelope [-12, 65] degC and [10, 100] %, the water loop's
+# [10, 55] degC.  Outdoor targets beyond them make every substep clamp, so
+# events repeat; a zero of either sign must keep its sign in the event.
+_ZONE_T = st.sampled_from([25.5, 22.0, 17.0, math.nan])  # 22.0: the deadband
+_ZONE_W = st.sampled_from([w_from_rh(25.5, 55.0), 0.004, 0.02, math.nan])
+_DIS_SPT = st.one_of(st.none(), st.floats(8.0, 45.0),
+                     st.sampled_from([5.0, 60.0, math.nan]))
+_OUT_T = st.sampled_from([0.0, -0.0, 5.0, 30.0, 70.0, -20.0, math.nan])
+_OUT_RH = st.sampled_from([0.0, -0.0, 5.0, 50.0, 120.0])
+
+
+@st.composite
+def _applied(draw):
+    # a cooling setpoint of -inf leaves the capacity PID a non-finite error
+    return dict(zone_t=draw(_ZONE_T), zone_w=draw(_ZONE_W), out_t=draw(_OUT_T),
+                out_rh=draw(_OUT_RH),
+                cool_spt=draw(st.sampled_from([24.0, -math.inf])), heat_spt=20.0,
+                dis_spt=draw(_DIS_SPT))
+
+
+@st.composite
+def _fused_case(draw):
+    """A plant, its first setpoints and the (dt, next setpoints or None to
+    keep them) of each advance: one of 60 s, then 1 s ones."""
+    kind = draw(st.sampled_from(["air", "water"]))
+    plant = dict(
+        hvac={"m_dot_kg_s": draw(st.sampled_from([0.0, 0.5])),
+              "tau_dis_s": draw(st.sampled_from([0.0, 120.0])),
+              # 0: the deadband bleeds an integral that stays zero
+              "ki_w_per_k_s": draw(st.sampled_from([0.0, 2.0]))},
+        emulator={"kd_w_s_per_k": draw(st.sampled_from([0.0, 5000.0]))},
+        outdoor={"kind": kind, "tau_s": draw(st.sampled_from([0.0, 300.0])),
+                 "t_init_c": 50.0 if kind == "water" else 60.0},
+        applied=draw(_applied()))
+    later = draw(st.lists(st.one_of(st.none(), _applied()), min_size=1, max_size=4))
+    return plant, [(60.0, None)] + [(1.0, sp) for sp in later]
+
+
+class TestFusedAdvanceProperty:
+    """Over drawn plants and setpoint sequences, the fused advance matches
+    the component step() methods bit for bit: state, PIDs, counters and
+    every event field, signed zeros included, across consecutive advances
+    that carry the w_sat memo and the last events from one to the next."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pv_mode=st.sampled_from(["method1", "method2"]), case=_fused_case())
+    def test_matches_reference_advance(self, pv_mode, case):
+        plant, advances = case
+        fused = varied_plant(pv_mode, **plant)
+        ref = varied_plant(pv_mode, **plant)
+        for dt, sp in advances:
+            if sp is not None:
+                fused.apply(applied_setpoints(sp))
+                ref.apply(applied_setpoints(sp))
+            fused.advance(dt)
+            reference_advance(ref, dt)
+            assert full_state(fused) == full_state(ref)
+            assert fused.clamp_count == ref.clamp_count
+
+    @pytest.mark.parametrize("kind, field, channel, floor", [
+        ("water", "out_t", "water_t", 10.0), ("air", "out_rh", "air_rh", 10.0)])
+    def test_repeated_clamps_share_one_event_per_sign(self, kind, field,
+                                                      channel, floor):
+        # a chamber snapping to a 0 target clamps every substep: one event
+        # for the 60 repeats, and a new one when the zero's sign flips,
+        # although 0.0 == -0.0
+        plant = varied_plant("method2", outdoor={"kind": kind, "tau_s": 0.0},
+                             applied={"out_t": 30.0, field: 0.0})
+        plant.advance(60.0)
+        first = plant.drain_events()
+        assert len(first) == 60 and all(ev is first[0] for ev in first)
+        plant.apply(plant.applied._replace(**{field: -0.0}))
+        plant.advance(1.0)
+        (flipped,) = plant.drain_events()
+        assert flipped is not first[0]
+        assert _bits(flipped.requested) == _bits(-0.0)
+        assert flipped == (channel, -0.0, floor)

@@ -91,6 +91,33 @@ def test_bench_pairs_bound_of_a_higher_is_better_metric():
     assert faster["gain_claimable"]
 
 
+def test_bench_pairs_unresolved_when_the_parent_spreads_beyond_the_bound():
+    summarise = _load("bench_pairs").summarise
+
+    def steps(parent, change):
+        return summarise(_runs(parent, change, "run_us_per_step"),
+                         _SPEC)["run_us_per_step"]
+    # parent quartiles 80 and 120 around a median of 100: an IQR of 40 %,
+    # beyond the 25 % bound, so a change within it cannot be told apart
+    parent = [60.0, 80.0, 100.0, 120.0, 140.0]
+    m = steps(parent, [110.0, 90.0, 100.0, 115.0, 85.0])
+    assert m["parent"]["q3"] - m["parent"]["q1"] == 40.0
+    assert m["unresolved"] and m["within_bound"]
+    # unless every change run beats every parent run
+    m = steps(parent, [50.0, 55.0, 45.0, 58.0, 40.0])
+    assert m["change_wins"] == 5 and not m["unresolved"]
+    # a change run of 61 does not beat the fastest parent run, 60
+    assert steps(parent, [50.0, 55.0, 45.0, 58.0, 61.0])["unresolved"]
+    # a parent IQR of exactly the bound still resolves
+    parent = [75.0, 87.5, 100.0, 112.5, 125.0]
+    assert not steps(parent, parent)["unresolved"]
+    # a higher-is-better metric: every change run above every parent run
+    m = summarise(_runs([600.0, 800.0, 1000.0, 1200.0, 1400.0],
+                        [1500.0, 1600.0, 1700.0, 1800.0, 1900.0],
+                        "export_rows_per_s"), _SPEC)["export_rows_per_s"]
+    assert not m["unresolved"]
+
+
 def _stubbed_bench(tmp_path, failed_on=None, change_analysis=None):
     """bench_pairs with run_once stubbed: the change side runs 20 % faster,
     the side named by failed_on fails one operation per run, and the change
@@ -132,14 +159,14 @@ def test_bench_pairs_prints_its_verdict_and_both_environments(tmp_path, capsys):
     verdict = capsys.readouterr().out.splitlines()[-6:]
     assert verdict == [
         "plant_day run_us_per_step: parent 101 change 80.8 us (-20.0 %), "
-        "wins 3/3, gain_claimable true, within_bound true",
+        "wins 3/3, gain_claimable true, within_bound true, unresolved false",
         "plant_day export_rows_per_s: parent 1000 change 1000 rows/s (+0.0 %), "
-        "wins 0/3, gain_claimable false, within_bound true",
+        "wins 0/3, gain_claimable false, within_bound true, unresolved false",
         "plant_day bytes: run_csv_identical true, analysis_identical true",
         "fine_log run_us_per_step: parent 101 change 80.8 us (-20.0 %), "
-        "wins 3/3, gain_claimable true, within_bound true",
+        "wins 3/3, gain_claimable true, within_bound true, unresolved false",
         "fine_log export_rows_per_s: parent 1000 change 1000 rows/s (+0.0 %), "
-        "wins 0/3, gain_claimable false, within_bound true",
+        "wins 0/3, gain_claimable false, within_bound true, unresolved false",
         "fine_log bytes: run_csv_identical true, analysis_identical true"]
 
 

@@ -11,9 +11,13 @@ every end-to-end metric named in the change's BENCHMARK.json the output holds
 each side's median and quartiles (inclusive method), every run's value, the
 relative change of the medians, whether that change stays within the metric's
 bound (the change's median is no worse than the parent's by more than the
-bound), how many pairs the change won, and whether a gain is claimable: the
+bound), how many pairs the change won, whether a gain is claimable: the
 change wins at least nine tenths of the pairs and the medians differ by more
-than the parent's interquartile range.  Failed operations, each side's
+than the parent's interquartile range, and whether the metric is
+unresolved: the parent's interquartile range, relative to its median,
+exceeds the metric's bound, so the runs spread too widely to tell a change
+within the bound from one beyond it, unless every change run beats every
+parent run.  Failed operations, each side's
 environment, the sha256 of every run's run.csv and whether every pair's
 digests agree are kept too, and so are every run's analysis results
 (perfbench's `details.analysis`) and whether every pair's results agree
@@ -21,8 +25,8 @@ digests agree are kept too, and so are every run's analysis results
 with the command and its return code.
 
 At the end it prints its verdict, one line per workload and end-to-end
-metric: both medians, the change in per cent, the pairs won, gain_claimable
-and within_bound; then, per workload, one line with run_csv_identical and
+metric: both medians, the change in per cent, the pairs won, gain_claimable,
+within_bound and unresolved; then, per workload, one line with run_csv_identical and
 analysis_identical.  It exits 1, after writing the file, when any change-side
 run failed an operation.
 """
@@ -77,14 +81,18 @@ def summarise(runs: list[dict], spec: dict) -> dict:
         wins = sum(1 for p, c in pairs if sign * (p - c) > 0)
         gap = sign * (parent["median"] - change["median"])
         median_change = change["median"] / parent["median"] - 1.0
+        parent_iqr = parent["q3"] - parent["q1"]
+        every_run_beaten = all(sign * (p - c) > 0 for p in parent["runs"]
+                               for c in change["runs"])
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": parent, "change": change,
             "median_change": median_change,
             "within_bound": sign * median_change <= m["bound"],
             "change_wins": wins, "pairs": len(pairs),
-            "gain_claimable": wins >= 0.9 * len(pairs)
-            and gap > parent["q3"] - parent["q1"],
+            "gain_claimable": wins >= 0.9 * len(pairs) and gap > parent_iqr,
+            "unresolved": parent_iqr / abs(parent["median"]) > m["bound"]
+            and not every_run_beaten,
         }
     return out
 
@@ -101,7 +109,8 @@ def verdict_lines(report: dict) -> list[str]:
                 f"({100.0 * m['median_change']:+.1f} %), wins "
                 f"{m['change_wins']}/{m['pairs']}, gain_claimable "
                 f"{str(m['gain_claimable']).lower()}, within_bound "
-                f"{str(m['within_bound']).lower()}")
+                f"{str(m['within_bound']).lower()}, unresolved "
+                f"{str(m['unresolved']).lower()}")
         lines.append(
             f"{workload} bytes: run_csv_identical "
             f"{str(w['run_csv_identical']).lower()}, analysis_identical "
