@@ -175,7 +175,7 @@ def behave(agent: OccupantAgent, score: float, seed: int, step: int, t_s: float,
     if score == 0.0:
         return []
     draws = agent._draws.row(substream, step, seed, OCCUPANT_DOMAIN,
-                             agent.agent_id)
+                             agent.agent_id).tolist()
     fired = []
     hot = score > 0
     for (action, name), u in zip(_ACTIONS, draws):

@@ -39,7 +39,7 @@ from .occupants import (EffectConfig, NearOccupantSurrogate, OccupantAgent,
 from .plant import (UPLINK, AppliedSetpoints, HvacUnit, OutdoorEmulator,
                     PlantSim, ZoneEmulator)
 from .schedule import Schedule
-from .streams import BLOCK_STEPS, COMM_DOMAIN, substream
+from .streams import COMM_DOMAIN, BlockRows, substream
 
 COMPUTE_FLOOR_MS = 1
 PACING_TOL_S = 0.05
@@ -117,36 +117,29 @@ class DelayInjector:
     Step n reads row n % BLOCK_STEPS (uplink, downlink) of the block drawn
     from the (seed, comm domain, n // BLOCK_STEPS) substream (see `streams`),
     so delays for a given step never depend on what else consumed randomness
-    or on which steps were drawn before.  The injector keeps the live block
-    as its (up_ms, down_ms) int pairs, converted once when it is drawn.
+    or on which steps were drawn before.  The injector keeps the live block,
+    converted once when it is drawn to the (up_ms, down_ms) int pair of each
+    step.  Without jitter nothing is drawn: every step has the same pair.
     """
 
     def __init__(self, seed: int, latency_s: float, jitter_s: float):
         self.seed = seed
         self.jitter = jitter_s
         self._half_ms = latency_s / 2.0 * 1000.0
-        self._block = None  # the number of the live block; none drawn yet
-        self._pairs: list[tuple[int, int]] = []
+        self._fixed = (self._one_way_ms(0.0), self._one_way_ms(0.0))
+        self._draws = BlockRows(2, self._pairs) if jitter_s > 0 else None
 
     def _one_way_ms(self, u: float) -> int:
         return int(round(self._half_ms + u * self.jitter * 1000.0))
 
-    def _draw_pairs(self, block: int) -> list[tuple[int, int]]:
-        """The (up_ms, down_ms) of every step of a block.  Without jitter
-        nothing is drawn; with it, through this module's `substream` name,
-        so wrapping that name sees every block drawn."""
-        if self.jitter <= 0:
-            return [(self._one_way_ms(0.0), self._one_way_ms(0.0))] * BLOCK_STEPS
+    def _pairs(self, rows) -> list[tuple[int, int]]:
         one_way = self._one_way_ms
-        rows = substream(self.seed, COMM_DOMAIN, block).random((BLOCK_STEPS, 2))
         return [(one_way(u_up), one_way(u_down)) for u_up, u_down in rows.tolist()]
 
     def delays_ms(self, step: int) -> tuple[int, int]:
-        block, row = divmod(step, BLOCK_STEPS)
-        if block != self._block:
-            self._pairs = self._draw_pairs(block)
-            self._block = block
-        return self._pairs[row]
+        if self._draws is None:
+            return self._fixed
+        return self._draws.row(substream, step, self.seed, COMM_DOMAIN)
 
     def worst_exchange_ms(self) -> int:
         """The longest modelled exchange: uplink and downlink at the top of
@@ -201,8 +194,6 @@ class Engine:
             self.harness = SlowControllerHarness(self.step_size, **g["slow"])
         self._slow_sp = baseline
         self._slow_flags: list[str] = []
-        # (setpoints, occupant vote, geb.limit of their sums) of the last step
-        self._last_limit = (None, None, None)
 
         p = cfg["plant"]
         out_t0, out_rh0 = self.weather.value_at(0.0)
@@ -296,7 +287,9 @@ class Engine:
         # actuate: late results (only possible with stale_hold) are dropped
         # and the plant holds; otherwise the fresh setpoints take effect now
         late = recv_ms > self.run_start_ms + (n + 1) * self.step_ms
-        if late or self.mode == "realtime" and self._realtime_overrun(n):
+        # every realtime step is checked for an overrun, late or not
+        overrun = self.mode == "realtime" and self._realtime_overrun(n)
+        if late or overrun:
             self.counters["stale_steps"] += int(late)
             plant.apply(None)
         else:
@@ -321,13 +314,8 @@ class Engine:
                 self.harness.submit(n, self.geb.step(t_s))
             sp, flags = self._slow_sp, list(self._slow_flags)
 
-        # The same setpoints and vote objects give the same limits: a run
-        # without windows or agents limits once.
-        last_sp, last_delta, limited = self._last_limit
-        if sp is not last_sp or occ_delta is not last_delta:
-            limited = self.geb.limit(sp.t_cool_c + occ_delta, sp.t_heat_c + occ_delta)
-            self._last_limit = sp, occ_delta, limited
-        cool, heat, clamped, gap = limited
+        cool, heat, clamped, gap = self.geb.limit(sp.t_cool_c + occ_delta,
+                                                  sp.t_heat_c + occ_delta)
         if occ_delta != 0.0 and clamped:
             flags = flags + ["clamp:occ"]
             self.counters["setpoint_clamps"] += 1

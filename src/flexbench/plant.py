@@ -20,19 +20,19 @@ Only the coil PID keeps a derivative term in the loop: the capacity and
 humidifier PIDs are always built with kd = 0.
 The loop computes the saturation curve psychro.w_sat inline, from psychro's
 constants and in its operation order, so a substep calls no flexbench
-function: only math.exp, math.isfinite and, per new envelope clamp, the
+function: only math.exp, math.isfinite and, per envelope clamp, the
 LimitationEvent constructor remain.
 
 Each value of advance() is computed at the rate its inputs change: per run
-(the plan of a dt), per advance (what depends only on the applied
-setpoints, under method2 the deadband error too), per change of the clamped
-discharge target (its w_sat) or per substep; a repeated envelope clamp
-appends the same immutable event again.  advance() documents each.
+(the plan of a dt), per advance (the finiteness of the applied zone
+targets), per change of the clamped discharge target (its w_sat) or per
+substep.  advance() documents each.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .psychro import (ATM_PA, CP_AIR, H_FG, MAGNUS_A, MAGNUS_B, MAGNUS_C,
@@ -244,9 +244,9 @@ class HvacUnit:
         return q, clamped != target
 
 
-class LimitationEvent(NamedTuple):
-    """Envelope clamp on the outdoor emulator: requested target vs delivered.
-    Immutable, so advance() may append one event again for a repeated clamp."""
+@dataclass
+class LimitationEvent:
+    """Envelope clamp on the outdoor emulator: requested target vs delivered."""
 
     channel: str
     requested: float
@@ -351,9 +351,6 @@ class PlantSim:
         self._per_dt: tuple | None = None
         # (clamped discharge target, its w_sat) of the last substep
         self._sat = (math.nan, math.nan)
-        # The last event of each channel (t, then air_rh); NaN never repeats
-        none = LimitationEvent("", math.nan, math.nan)
-        self._last_events = (none, none)
 
     def measure(self) -> tuple[float, ...]:
         """Plant measurements at the top of the step (response to the previous
@@ -420,15 +417,10 @@ class PlantSim:
         3. OutdoorEmulator.step: track and clamp t, then rh for an air
            chamber, appending one LimitationEvent per clamp in that order.
 
-        What depends only on the applied setpoints is worked out once per
-        advance: the finiteness of the zone targets and, under method2, the
-        pv's stale test, the deadband error and whether the capacity PID may
-        run.  w_sat of the clamped discharge target is recomputed only when
-        that target changes, and the last (target, w_sat) pair is kept across
-        advances.  A clamp whose request repeats that of the last event of
-        its channel bit for bit, signed zero included, appends that immutable
-        event again instead of a new one: the delivered value, the clamp of
-        the request into the channel's fixed envelope, repeats with it.
+        The finiteness of the applied zone targets is worked out once per
+        advance.  w_sat of the clamped discharge target is recomputed only
+        when that target changes, and the last (target, w_sat) pair is kept
+        across advances.
 
         Component state is read into locals once and written back at the
         end.  The capacity and humidifier PIDs have kd = 0: their derivative
@@ -437,8 +429,8 @@ class PlantSim:
         computed inline (psychro's constants, its operation order and its
         cap at PW_CAP * ATM_PA, NaN passing through), so the only calls left
         in a substep are math.exp, math.isfinite and one LimitationEvent per
-        new envelope clamp.  tests/test_plant.py pins the equivalence bit
-        for bit.
+        envelope clamp.  tests/test_plant.py pins the equivalence bit for
+        bit.
         """
         hvac, emu, out = self.hvac, self.emulator, self.outdoor
         events = self.limitation_events
@@ -459,7 +451,7 @@ class PlantSim:
          c_kp, c_ki, c_kd, c_lo, c_hi, c_span,
          m_kp, m_ki, _, m_lo, m_hi, m_span) = per_dt
         zone_t, zone_w, _, out_t_spt, out_rh_spt, cool, heat, dis_spt = self.applied
-        isfinite, exp, copysign = math.isfinite, math.exp, math.copysign
+        isfinite, exp = math.isfinite, math.exp
         sat_a, sat_b, sat_c = MAGNUS_A, MAGNUS_B, MAGNUS_C
         atm, pw_max, mw_ratio = ATM_PA, PW_CAP * ATM_PA, MW_RATIO
         # Per advance: the zone targets feed the coil and humidifier PIDs.
@@ -476,40 +468,33 @@ class PlantSim:
         o_t, o_rh = out.t, out.rh
         clamps = self.clamp_count
         sat_t, sat_w = self._sat
-        ev_t, ev_rh = self._last_events
         # min(max(x, lo), hi) is written "x = lo if lo > x else x;
         # x = hi if hi < x else x", which matches it for every x, NaN included.
-        for i in range(n):
-            # 1. HvacUnit.step.  The pv and what depends on it alone: every
-            # substep under method1, once per advance under method2.
-            if method1 or not i:
-                if method1:
-                    pv_t, pv_w = emu_t, emu_w
-                pv_ok = isfinite(pv_t) and isfinite(pv_w)
-                if pv_ok:
-                    if pv_t > cool:
-                        h_err, in_band = cool - pv_t, False
-                    elif pv_t < heat:
-                        h_err, in_band = heat - pv_t, False
-                    else:
-                        h_err, in_band = 0.0, True
-                    # hvac.pid.step(h_err, 0.0, sub) runs; h_err - 0.0 is h_err.
-                    pid_ok = isfinite(h_err) and dt_ok
-            if not pv_ok:
+        for _ in range(n):
+            # 1. HvacUnit.step
+            if method1:
+                pv_t, pv_w = emu_t, emu_w
+            if not (isfinite(pv_t) and isfinite(pv_w)):
                 stale += 1
                 q_cmd = 0.0
             else:
-                if in_band:
+                if pv_t > cool:
+                    err = cool - pv_t
+                elif pv_t < heat:
+                    err = heat - pv_t
+                else:
+                    err = 0.0
                     h_i *= k_bleed
-                if pid_ok:
+                # hvac.pid.step(err, 0.0, sub); err - 0.0 is err.
+                if isfinite(err) and dt_ok:
                     h_fault = False
-                    if h_ki != 0.0 and not (h_u >= h_hi and h_err > 0
-                                            or h_u <= h_lo and h_err < 0):
-                        h_i += h_err * sub
+                    if h_ki != 0.0 and not (h_u >= h_hi and err > 0
+                                            or h_u <= h_lo and err < 0):
+                        h_i += err * sub
                         h_i = -h_span if -h_span > h_i else h_i
                         h_i = h_span if h_span < h_i else h_i
                     h_pv = 0.0
-                    u = h_kp * h_err + h_ki * h_i + 0.0
+                    u = h_kp * err + h_ki * h_i + 0.0
                     u = h_lo if h_lo > u else u
                     h_u = h_hi if h_hi < u else u
                 else:
@@ -589,27 +574,19 @@ class PlantSim:
                 emu_w = emu_w + m_u * sub / m_air
             emu_w = emu_w if emu_w > 0.0 else 0.0
 
-            # 3. OutdoorEmulator.step.  A clamp delivers the clamp of its
-            # request into the channel's fixed envelope, so an equal request
-            # of the same sign repeats the last event of the channel.
+            # 3. OutdoorEmulator.step
             raw = out_t_spt + (o_t - out_t_spt) * k_out if tracked else out_t_spt
             o_t = o_tlo if o_tlo > raw else raw
             o_t = o_thi if o_thi < o_t else o_t
             if o_t != raw:
-                if not (raw == ev_t.requested and (
-                        raw or copysign(1.0, raw) == copysign(1.0, ev_t.requested))):
-                    ev_t = LimitationEvent(channel_t, raw, o_t)
-                events.append(ev_t)
+                events.append(LimitationEvent(channel_t, raw, o_t))
             if air:
                 raw = (out_rh_spt + (o_rh - out_rh_spt) * k_out if tracked
                        else out_rh_spt)
                 o_rh = o_rhlo if o_rhlo > raw else raw
                 o_rh = o_rhhi if o_rhhi < o_rh else o_rh
                 if o_rh != raw:
-                    if not (raw == ev_rh.requested and (
-                            raw or copysign(1.0, raw) == copysign(1.0, ev_rh.requested))):
-                        ev_rh = LimitationEvent("air_rh", raw, o_rh)
-                    events.append(ev_rh)
+                    events.append(LimitationEvent("air_rh", raw, o_rh))
 
         hvac.t_dis, hvac.w_dis, hvac.stale_holds = t_dis, w_dis, stale
         hp.integral, hp.last_pv, hp.last_command, hp.fault = h_i, h_pv, h_u, h_fault
@@ -619,7 +596,6 @@ class PlantSim:
         out.t, out.rh = o_t, o_rh
         self.clamp_count = clamps
         self._sat = sat_t, sat_w
-        self._last_events = ev_t, ev_rh
         self.last_q_cmd = q_cmd
         # max(c_u, 0.0) and max(-c_u, 0.0), NaN included
         self.last_q_heater = 0.0 if 0.0 > c_u else c_u

@@ -7,9 +7,8 @@ key ends in the block number step // BLOCK_STEPS, one generator fills a
 step's draws are therefore still a pure function of (seed, domain, ids, step):
 they never depend on evaluation order, on which steps ran before, or on how
 many other components consumed randomness, which is what makes fast/realtime,
-snapshot replays and re-runs bit-identical.  Each occupant keeps the one live
-block of its key in a `BlockRows`; the engine's delay injector keeps its
-live block as the int delays it converts the block to.
+snapshot replays and re-runs bit-identical.  Each consumer keeps the one live
+block of its key in a `BlockRows`.
 """
 
 import numpy as np
@@ -26,23 +25,29 @@ def substream(*key: int) -> np.random.Generator:
 
 
 class BlockRows:
-    """The live block of one keyed per-step stream: `width` uniforms a step."""
+    """The live block of one keyed per-step stream: `width` uniforms a step.
 
-    __slots__ = ("width", "key", "rows")
+    With `convert`, a block holds what convert makes of its uniforms (an
+    indexable of BLOCK_STEPS rows), worked out once when the block is drawn.
+    """
 
-    def __init__(self, width: int):
+    __slots__ = ("width", "convert", "key", "rows")
+
+    def __init__(self, width: int, convert=None):
         self.width = width
+        self.convert = convert
         self.key = None    # (*key, block number) of rows; none drawn yet
         self.rows = None
 
-    def row(self, draw, step: int, *key: int) -> list[float]:
-        """Step's uniforms: row step % BLOCK_STEPS of the block that
-        draw(*key, step // BLOCK_STEPS) fills.  Consumers pass the
-        `substream` name of their own module, so wrapping that name sees
-        every block drawn."""
+    def row(self, draw, step: int, *key: int):
+        """Step's row: row step % BLOCK_STEPS of the block that
+        draw(*key, step // BLOCK_STEPS) fills (a numpy row of uniforms
+        without `convert`).  Consumers pass the `substream` name of their own
+        module, so wrapping that name sees every block drawn."""
         block, row = divmod(step, BLOCK_STEPS)
         key = (*key, block)
         if key != self.key:
-            self.rows = draw(*key).random((BLOCK_STEPS, self.width))
+            rows = draw(*key).random((BLOCK_STEPS, self.width))
+            self.rows = rows if self.convert is None else self.convert(rows)
             self.key = key
-        return self.rows[row].tolist()
+        return self.rows[row]

@@ -547,6 +547,24 @@ class TestRealtime:
         with pytest.raises(OverrunAbort):
             engine.step_once()
 
+    @pytest.mark.parametrize("policy", ["hold", "abort"])
+    def test_late_step_still_checks_for_an_overrun(self, policy):
+        # the exchange takes longer than the step: every step is late
+        engine = Engine(cfg_from({"run": {"mode": "realtime", "horizon": 4,
+                                          "step_size_s": 0.1,
+                                          "overrun_policy": policy},
+                                  "plant": {"control_dt_s": 0.1},
+                                  "delays": {"comm_latency_s": 0.5,
+                                             "stale_hold": True}}))
+        engine._t0 = time.monotonic() - 1000.0
+        if policy == "abort":
+            with pytest.raises(OverrunAbort):
+                engine.step_once()
+            return
+        engine.step_once()
+        assert engine.counters["overruns"] == 1
+        assert engine.counters["stale_steps"] == 1
+
 
 def test_scenario_weather_file_resolves_relative_to_base_dir(tmp_path):
     w = tmp_path / "w.csv"

@@ -520,7 +520,7 @@ class TestFusedAdvanceProperty:
     """Over drawn plants and setpoint sequences, the fused advance matches
     the component step() methods bit for bit: state, PIDs, counters and
     every event field, signed zeros included, across consecutive advances
-    that carry the w_sat memo and the last events from one to the next."""
+    that carry the w_sat memo from one to the next."""
 
     @settings(max_examples=150, deadline=None)
     @given(pv_mode=st.sampled_from(["method1", "method2"]), case=_fused_case())
@@ -536,22 +536,3 @@ class TestFusedAdvanceProperty:
             reference_advance(ref, dt)
             assert full_state(fused) == full_state(ref)
             assert fused.clamp_count == ref.clamp_count
-
-    @pytest.mark.parametrize("kind, field, channel, floor", [
-        ("water", "out_t", "water_t", 10.0), ("air", "out_rh", "air_rh", 10.0)])
-    def test_repeated_clamps_share_one_event_per_sign(self, kind, field,
-                                                      channel, floor):
-        # a chamber snapping to a 0 target clamps every substep: one event
-        # for the 60 repeats, and a new one when the zero's sign flips,
-        # although 0.0 == -0.0
-        plant = varied_plant("method2", outdoor={"kind": kind, "tau_s": 0.0},
-                             applied={"out_t": 30.0, field: 0.0})
-        plant.advance(60.0)
-        first = plant.drain_events()
-        assert len(first) == 60 and all(ev is first[0] for ev in first)
-        plant.apply(plant.applied._replace(**{field: -0.0}))
-        plant.advance(1.0)
-        (flipped,) = plant.drain_events()
-        assert flipped is not first[0]
-        assert _bits(flipped.requested) == _bits(-0.0)
-        assert flipped == (channel, -0.0, floor)
