@@ -155,6 +155,10 @@ class ZoneModel:
     the same.  rh is state, set wherever t and w change, so reading it costs
     no rh_from_w.  Each step builds a new surfaces list, so a caller may keep
     the previous one without copying it.
+
+    With inherited_delay a step consumes the discharge condition of the
+    previous step, kept in a one-slot buffer; the first step, with nothing
+    buffered yet, consumes its own.
     """
 
     def __init__(self, b: dict, inherited_delay: bool):
@@ -174,18 +178,6 @@ class ZoneModel:
         # (flow, dt, b, thermal factor, moisture factor, surface factors)
         self._decay: tuple | None = None
 
-    def effective_discharge(self, discharge: DischargeAir) -> DischargeAir:
-        """The discharge condition the model consumes this step.
-
-        With inherited_delay the one-slot buffer holds the previous step's
-        measurement; on the very first step it is primed with the current one.
-        """
-        if not self.inherited_delay:
-            return discharge
-        eff = self._buffer if self._buffer is not None else discharge
-        self._buffer = discharge
-        return eff
-
     def _decay_factors(self, m: float, dt: float) -> tuple:
         """(m, dt, b, exp(-b*dt), exp(-m*dt/c_w), surface factors)."""
         b = (m * CP_AIR + self.ua) / self.c
@@ -195,7 +187,11 @@ class ZoneModel:
 
     def step(self, discharge: DischargeAir, out_t_c: float,
              gains_sensible_w: float, gains_latent_w: float, dt: float) -> ZoneStepResult:
-        eff = self.effective_discharge(discharge) if self.inherited_delay else discharge
+        eff = discharge
+        if self.inherited_delay:  # the one-slot buffer, primed on the first step
+            if self._buffer is not None:
+                eff = self._buffer
+            self._buffer = discharge
         t_dis, w_dis, m = eff
         d = self._decay
         if d is None or d[0] != m or d[1] != dt:

@@ -143,34 +143,16 @@ def comfort_eval(agent: OccupantAgent, t_local_c: float, t_s: float,
     return 0.0
 
 
-def _applicable(agent: OccupantAgent, action: ActionType, score: float,
-                fx: EffectConfig) -> bool:
-    hot = score > 0
-    if action is ActionType.HEATER_TOGGLE:
-        return agent.heater_on if hot else not agent.heater_on
-    if action is ActionType.FAN_TOGGLE:
-        return not agent.fan_on if hot else agent.fan_on
-    if action is ActionType.CLOTHING_ADJUST:
-        return agent.clo > fx.clo_min + 1e-12 if hot else agent.clo < fx.clo_max - 1e-12
-    if action is ActionType.THERMOSTAT_ADJUST:
-        band = fx.thermostat_band_c
-        return agent.thermostat_delta_c > -band + 1e-12 if hot \
-            else agent.thermostat_delta_c < band - 1e-12
-    if action is ActionType.DRINK:
-        return True
-    if action is ActionType.WALK:
-        return not hot
-    return False
-
-
 def behave(agent: OccupantAgent, score: float, seed: int, step: int, t_s: float,
            fx: EffectConfig) -> list[ActionType]:
-    """Fire adaptive actions for one agent at one step.
+    """Fire adaptive actions for one agent at one step; returns those fired.
 
-    Zero discomfort fires nothing.  Otherwise each applicable action fires
-    independently with its configured probability; its draws, in fixed enum
-    order, are row step % BLOCK_STEPS of the block drawn from the (seed,
-    agent, step // BLOCK_STEPS) substream.  Each agent keeps its live block.
+    Zero discomfort fires nothing.  Otherwise the actions draw, in fixed enum
+    order, from row step % BLOCK_STEPS of the block drawn from the (seed,
+    agent, step // BLOCK_STEPS) substream; each agent keeps its live block.
+    An action whose draw falls below its probability fires if it applies;
+    its one branch below is its whole rule.  Hot (score > 0) and cold ask
+    for opposite moves, each within its limits; a walk answers cold only.
     """
     if score == 0.0:
         return []
@@ -180,26 +162,36 @@ def behave(agent: OccupantAgent, score: float, seed: int, step: int, t_s: float,
     hot = score > 0
     for (action, name), u in zip(_ACTIONS, draws):
         p = agent.action_probs.get(name, 0.0)
-        if p <= 0.0 or u >= p or not _applicable(agent, action, score, fx):
+        if p <= 0.0 or u >= p:
             continue
-        fired.append(action)
         if action is ActionType.HEATER_TOGGLE:
-            agent.heater_on = not agent.heater_on
+            if agent.heater_on != hot:
+                continue
+            agent.heater_on = not hot
         elif action is ActionType.FAN_TOGGLE:
-            agent.fan_on = not agent.fan_on
-        elif action is ActionType.CLOTHING_ADJUST:
-            step_clo = -fx.clo_step if hot else fx.clo_step
-            agent.clo = min(max(agent.clo + step_clo, fx.clo_min), fx.clo_max)
+            if agent.fan_on == hot:
+                continue
+            agent.fan_on = hot
         elif action is ActionType.THERMOSTAT_ADJUST:
-            band = fx.thermostat_band_c
-            delta = -fx.thermostat_step_c if hot else fx.thermostat_step_c
-            agent.thermostat_delta_c = min(max(agent.thermostat_delta_c + delta,
-                                               -band), band)
+            band, delta = fx.thermostat_band_c, agent.thermostat_delta_c
+            if not (delta > -band + 1e-12 if hot else delta < band - 1e-12):
+                continue
+            step_c = -fx.thermostat_step_c if hot else fx.thermostat_step_c
+            agent.thermostat_delta_c = min(max(delta + step_c, -band), band)
+        elif action is ActionType.CLOTHING_ADJUST:
+            clo = agent.clo
+            if not (clo > fx.clo_min + 1e-12 if hot else clo < fx.clo_max - 1e-12):
+                continue
+            step_clo = -fx.clo_step if hot else fx.clo_step
+            agent.clo = min(max(clo + step_clo, fx.clo_min), fx.clo_max)
         elif action is ActionType.DRINK:
             agent.drink_sign = -1.0 if hot else 1.0
             agent.drink_until_s = t_s + fx.drink_duration_s
         elif action is ActionType.WALK:
+            if hot:
+                continue
             agent.walk_until_s = t_s + fx.walk_duration_s
+        fired.append(action)
     return fired
 
 

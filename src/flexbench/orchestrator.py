@@ -304,6 +304,12 @@ class Engine:
 
     def _supervise(self, n: int, t_s: float,
                    occ_delta: float) -> tuple[SupervisorySetpoints, list[str]]:
+        """This step's setpoints and flags: the supervisor's (or, under the
+        slow policy, the last delivered ones, the baseline until the first
+        delivery), moved by the occupant vote occ_delta and limited again.
+        A nonzero vote that the limits clamp or the gap rule moves adds
+        "clamp:occ" (counted in setpoint_clamps) or "gap:occ"; without a vote
+        the limits only repeat the supervisor's, so nothing is flagged."""
         if self.harness is None:
             sp, flags = self.geb.step(t_s)
         else:
@@ -316,11 +322,12 @@ class Engine:
 
         cool, heat, clamped, gap = self.geb.limit(sp.t_cool_c + occ_delta,
                                                   sp.t_heat_c + occ_delta)
-        if occ_delta != 0.0 and clamped:
-            flags = flags + ["clamp:occ"]
-            self.counters["setpoint_clamps"] += 1
-        if gap:
-            flags = flags + ["gap:occ"]
+        if occ_delta != 0.0:
+            if clamped:
+                flags = flags + ["clamp:occ"]
+                self.counters["setpoint_clamps"] += 1
+            if gap:
+                flags = flags + ["gap:occ"]
         return SupervisorySetpoints(cool, heat, self.dis_schedule.at(t_s),
                                     sp.p_duct_pa), flags
 

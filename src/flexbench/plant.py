@@ -339,7 +339,6 @@ class PlantSim:
         self.control_dt = control_dt_s
         self.ideal = ideal_actuators
         if ideal_actuators:
-            self.hvac.tau_dis = 0.0
             self.outdoor.tau = 0.0
         self.limitation_events: list[LimitationEvent] = []
         self.clamp_count = 0

@@ -218,14 +218,6 @@ def _presence(value, path):
     return rows
 
 
-def _signal(value, path):
-    rows = _breakpoints(value, path, ("time_s", "value"), empty_ok=True)
-    for i, (_, v) in enumerate(rows):
-        if not -1.0 <= v <= 1.0:
-            raise ScenarioError(f"{path}[{i}]: signal value {v} outside [-1, 1]")
-    return rows
-
-
 def _xyz(value, path):
     if (not isinstance(value, list) or len(value) != 3
             or not all(map(_is_number, value))):
@@ -403,7 +395,8 @@ SCHEMA: dict[str, Any] = {
         "r_max_c_per_step": Leaf(0.5, "float", _POSITIVE),
         "modulation": {
             "depth_c": Leaf(1.0, "float", _NONNEG),
-            "signal": ([], _signal),
+            "signal": ([], partial(_breakpoints, names=("time_s", "value"),
+                                   ranges=(Range(-1.0, 1.0),), empty_ok=True)),
         },
         "bounds": {
             "t_min_c": Leaf(12.0, "float", ABS_TEMP),

@@ -157,6 +157,71 @@ class TestBehave:
             [fire(agent(action_probs=probs), n, seed=4) for n in same_block]
 
 
+HOT, COLD = 1.5, -1.5
+# Every action rule, from states at each limit and away from it: (action,
+# score, start state, whether it fires, the state it changes).  FX has clo in
+# [0.3, 1.5] in 0.5 steps and the thermostat vote in [-2, 2] in 0.5 steps.
+_RULES = [
+    ("heater_toggle", HOT, {"heater_on": True}, True, {"heater_on": False}),
+    ("heater_toggle", HOT, {"heater_on": False}, False, {}),
+    ("heater_toggle", COLD, {"heater_on": False}, True, {"heater_on": True}),
+    ("heater_toggle", COLD, {"heater_on": True}, False, {}),
+    ("fan_toggle", HOT, {"fan_on": False}, True, {"fan_on": True}),
+    ("fan_toggle", HOT, {"fan_on": True}, False, {}),
+    ("fan_toggle", COLD, {"fan_on": True}, True, {"fan_on": False}),
+    ("fan_toggle", COLD, {"fan_on": False}, False, {}),
+    ("clothing_adjust", HOT, {"clo": 0.3}, False, {}),
+    ("clothing_adjust", HOT, {"clo": 0.3 + 5e-13}, False, {}),  # within 1e-12
+    ("clothing_adjust", HOT, {"clo": 0.5}, True, {"clo": 0.3}),
+    ("clothing_adjust", HOT, {"clo": 1.0}, True, {"clo": 0.5}),
+    ("clothing_adjust", HOT, {"clo": 1.5}, True, {"clo": 1.0}),
+    ("clothing_adjust", COLD, {"clo": 0.3}, True, {"clo": 0.8}),
+    ("clothing_adjust", COLD, {"clo": 1.0}, True, {"clo": 1.5}),
+    ("clothing_adjust", COLD, {"clo": 1.2}, True, {"clo": 1.5}),
+    ("clothing_adjust", COLD, {"clo": 1.5}, False, {}),
+    ("clothing_adjust", COLD, {"clo": 1.5 - 5e-13}, False, {}),
+    ("thermostat_adjust", HOT, {"thermostat_delta_c": -2.0}, False, {}),
+    ("thermostat_adjust", HOT, {"thermostat_delta_c": -2.0 + 5e-13}, False, {}),
+    ("thermostat_adjust", HOT, {"thermostat_delta_c": -1.75}, True,
+     {"thermostat_delta_c": -2.0}),
+    ("thermostat_adjust", HOT, {"thermostat_delta_c": 0.0}, True,
+     {"thermostat_delta_c": -0.5}),
+    ("thermostat_adjust", HOT, {"thermostat_delta_c": 2.0}, True,
+     {"thermostat_delta_c": 1.5}),
+    ("thermostat_adjust", COLD, {"thermostat_delta_c": -2.0}, True,
+     {"thermostat_delta_c": -1.5}),
+    ("thermostat_adjust", COLD, {"thermostat_delta_c": 0.0}, True,
+     {"thermostat_delta_c": 0.5}),
+    ("thermostat_adjust", COLD, {"thermostat_delta_c": 1.75}, True,
+     {"thermostat_delta_c": 2.0}),
+    ("thermostat_adjust", COLD, {"thermostat_delta_c": 2.0}, False, {}),
+    ("thermostat_adjust", COLD, {"thermostat_delta_c": 2.0 - 5e-13}, False, {}),
+    ("drink", HOT, {}, True, {"drink_sign": -1.0, "drink_until_s": 1500.0}),
+    ("drink", COLD, {}, True, {"drink_sign": 1.0, "drink_until_s": 1500.0}),
+    ("drink", COLD, {"drink_sign": -1.0, "drink_until_s": 700.0}, True,
+     {"drink_sign": 1.0, "drink_until_s": 1500.0}),
+    ("walk", HOT, {}, False, {}),
+    ("walk", COLD, {}, True, {"walk_until_s": 900.0}),
+]
+_STATE = ("heater_on", "fan_on", "clo", "thermostat_delta_c", "drink_until_s",
+          "drink_sign", "walk_until_s")
+
+
+@pytest.mark.parametrize(
+    "name, score, start, fires, changes", _RULES,
+    ids=[f"{r[0]}-{'hot' if r[1] > 0 else 'cold'}-"
+         + ",".join(f"{k}={v}" for k, v in r[2].items()) for r in _RULES])
+def test_each_action_rule(name, score, start, fires, changes):
+    # one action at a time, with probability 1, at t = 600 s
+    a = agent(action_probs={name: 1.0})
+    for field, value in start.items():
+        setattr(a, field, value)
+    before = {f: getattr(a, f) for f in _STATE}
+    fired = behave(a, score, 1, 0, 600.0, FX)
+    assert fired == ([ActionType(name)] if fires else [])
+    assert {f: getattr(a, f) for f in _STATE} == {**before, **changes}
+
+
 class TestSurrogate:
     def test_distance_shrinks_discharge_weight(self):
         sur = surrogate(diffuser_xyz=[0.0, 0.0, 2.5])

@@ -398,6 +398,19 @@ class TestOccupantCoupling:
         assert list(heats) == [21.0] * 4
         assert engine.flag_counts == {"clamp:occ": 4, "gap:occ": 4}
 
+    def test_without_a_vote_only_the_supervisor_flags(self):
+        # pre-cooling pulls cooling to 19.5 degC and the gap rule sets it to
+        # 20.0 + 0.7, whose difference rounds below 0.7; limiting those
+        # setpoints again with no occupant vote must not count "gap:occ"
+        doc = {"run": {"horizon": 200, "step_size_s": 60.0},
+               "geb": {"mode": "shift", "min_gap_c": 0.7, "delta_pre_c": 1.5,
+                       "pre_window_s": 3600.0,
+                       "baseline": {"t_cool_c": 21.0, "t_heat_c": 20.0},
+                       "windows": [{"start_s": 6000.0, "end_s": 9000.0}]}}
+        _, engine = run_doc(doc)
+        assert engine.flag_counts == {"gap": 60}
+        assert engine.counters["setpoint_clamps"] == 0
+
     def test_no_agents_means_no_occ_channels(self):
         log, _ = run_doc({"run": {"horizon": 2}})
         assert not any(k.name.startswith("occ.") for k in log.keys)

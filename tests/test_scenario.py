@@ -307,7 +307,7 @@ _COMPONENT_RULES = [
     # ua * (t_out - t) overflows near the float limit
     ({"building": {"ua_w_per_k": 1e308}}, "building.ua_w_per_k"),
     ({"building": {"internal_gains_w": []}}, "building.internal_gains_w"),
-    ({"geb": {"modulation": {"signal": [[0, 1.5]]}}}, "geb.modulation.signal[0]"),
+    ({"geb": {"modulation": {"signal": [[0, 1.5]]}}}, "geb.modulation.signal[0][1]"),
     ({"occupants": {"surrogate": {"w_zone": -1.0}}}, "occupants.surrogate.w_zone"),
     # absolute temperatures lie in [-100, 200] degC
     ({"plant": {"hvac": {"t_dis_init_c": 1e200}}}, "plant.hvac.t_dis_init_c"),

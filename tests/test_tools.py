@@ -118,14 +118,19 @@ def test_bench_pairs_unresolved_when_the_parent_spreads_beyond_the_bound():
     assert not m["unresolved"]
 
 
-def _stubbed_bench(tmp_path, failed_on=None, change_analysis=None):
+def _stubbed_bench(tmp_path, failed_on=None, change_analysis=None,
+                   src_files=None):
     """bench_pairs with run_once stubbed: the change side runs 20 % faster,
-    the side named by failed_on fails one operation per run, and the change
-    side's analysis results are change_analysis(seed) when given."""
+    the side named by failed_on fails one operation per run, the change
+    side's analysis results are change_analysis(seed) when given, and each
+    side's src/ holds the {relative path: text} files of src_files[side]."""
     bench = _load("bench_pairs")
     sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    for path in sides.values():
+    for side, path in sides.items():
         path.mkdir()
+        for name, text in (src_files or {}).get(side, {}).items():
+            (path / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+            (path / "src" / name).write_text(text)
     (sides["change"] / "BENCHMARK.json").write_text(json.dumps(_SPEC))
 
     def run_once(root, workload, seed, seconds):
@@ -168,6 +173,19 @@ def test_bench_pairs_prints_its_verdict_and_both_environments(tmp_path, capsys):
         "fine_log export_rows_per_s: parent 1000 change 1000 rows/s (+0.0 %), "
         "wins 0/3, gain_claimable false, within_bound true, unresolved false",
         "fine_log bytes: run_csv_identical true, analysis_identical true"]
+
+
+def test_bench_pairs_records_and_prints_the_net_src_lines(tmp_path, capsys):
+    # every src/**/*.py file counts, in subpackages too; other files do not
+    src = {"parent": {"pkg/a.py": "x = 1\ny = 2\nz = 3\n", "pkg/b.py": "b = 1\n",
+                      "pkg/notes.txt": "one\ntwo\n"},
+           "change": {"pkg/a.py": "x = 1\n", "pkg/sub/c.py": "c = 1\nd = 2"}}
+    code, out = _stubbed_bench(tmp_path, src_files=src)
+    assert code == 0
+    assert json.loads(out.read_text())["src_lines"] == {
+        "parent": 4, "change": 3, "net": -1}
+    verdict = capsys.readouterr().out.splitlines()[-7:]
+    assert verdict[0] == "src lines: parent 4 change 3 (net -1)"
 
 
 @pytest.mark.parametrize("failed_on, code", [("change", 1), ("parent", 0)])

@@ -22,13 +22,15 @@ environment, the sha256 of every run's run.csv and whether every pair's
 digests agree are kept too, and so are every run's analysis results
 (perfbench's `details.analysis`) and whether every pair's results agree
 (`analysis_identical`, compared as sorted-key JSON, so NaN equals NaN).  A run that prints no result line stops the tool
-with the command and its return code.
+with the command and its return code.  `src_lines` holds the lines of each
+checkout's src/**/*.py and the change's net difference.
 
-At the end it prints its verdict, one line per workload and end-to-end
-metric: both medians, the change in per cent, the pairs won, gain_claimable,
-within_bound and unresolved; then, per workload, one line with run_csv_identical and
-analysis_identical.  It exits 1, after writing the file, when any change-side
-run failed an operation.
+At the end it prints its verdict: one line with src_lines, then one line
+per workload and end-to-end metric (both medians, the change in per cent,
+the pairs won, gain_claimable, within_bound and unresolved) and, per
+workload, one line with run_csv_identical and analysis_identical.  It
+exits 1, after writing the file, when any change-side run failed an
+operation.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "analysis": detail["details"].get("analysis"),
             "environment": detail["environment"],
             "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
+
+
+def src_lines(root: Path) -> int:
+    """Lines of the checkout's src/**/*.py files."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (root / "src").glob("**/*.py"))
 
 
 def same_analysis(pair: dict) -> bool:
@@ -98,9 +106,12 @@ def summarise(runs: list[dict], spec: dict) -> dict:
 
 
 def verdict_lines(report: dict) -> list[str]:
-    """One line per workload and end-to-end metric of a written report, and
-    one per workload on whether both sides gave the same bytes."""
-    lines = []
+    """The src/ line count of both sides, one line per workload and
+    end-to-end metric of a written report, and one per workload on whether
+    both sides gave the same bytes."""
+    src = report["src_lines"]
+    lines = [f"src lines: parent {src['parent']} change {src['change']} "
+             f"(net {src['net']:+d})"]
     for workload, w in report["workloads"].items():
         for name, m in w["metrics"].items():
             lines.append(
@@ -132,10 +143,12 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 2: quartiles need two runs per side")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    lines = {side: src_lines(root) for side, root in sides.items()}
 
     report = {"command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
               "pairs": args.pairs, "seeds": [args.seed0 + i for i in range(args.pairs)],
               "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+              "src_lines": {**lines, "net": lines["change"] - lines["parent"]},
               "workloads": {}}
     for workload in args.workload:
         runs = []
